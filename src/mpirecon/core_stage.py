@@ -4,9 +4,11 @@ Each matrix row of the core operator couples to one signal channel:
 channel ``i`` observes ``sum_j I[A_ij](r_k) v_j(k)``.  Rows therefore
 decouple into independent least-squares problems, each regularized by
 the squared Laplacian and solved by conjugate gradients on the normal
-equations.  With a single available channel only that row is recovered
-(partial data), which is enough to deconvolve against the matching
-kernel entry downstream.
+equations.  All rows share one normal matrix, assembled once per solve
+from banded blocks, so a CG iteration costs the same however many
+samples the scan has.  With a single available channel only that row
+is recovered (partial data), which is enough to deconvolve against the
+matching kernel entry downstream.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import scipy.sparse as sp
 
 from .forward import CoreOperatorField
 from .geometry import GridGeometry
-from .interpolation import InterpolationScheme, interpolation_matrix
+from .interpolation import InterpolationScheme, interpolation_matrix, stencil_gram
 from .solvers import CgResult, conjugate_gradient
 
 LAPLACIAN_UNITS = ("pixel", "physical")
@@ -94,25 +96,24 @@ class CoreStageSolution:
     dropped_samples: int
 
 
-def _normal_operator(sample_matrix, velocities, gamma, reg, n_kept):
+def _normal_blocks(grid, sample_matrix, velocities, gamma, reg, n_kept):
+    """Blocks ``N[j][k] = S^T diag(v_j v_k) S / L + [j == k] gamma R`` of
+    the normal matrix, with ``N[k][j]`` the same object as ``N[j][k]``.
+    With no kept sample the data term vanishes and only ``gamma R`` stays."""
     n = velocities.shape[1]
-    n_pix = sample_matrix.shape[1]
+    scale = 1.0 / max(n_kept, 1)
+    reg = gamma * reg
+    blocks = [[None] * n for _ in range(n)]
+    for j in range(n):
+        for k in range(j, n):
+            block = stencil_gram(grid, sample_matrix, velocities[:, j] * velocities[:, k] * scale)
+            blocks[j][k] = blocks[k][j] = block + reg if j == k else block
+    return blocks
 
-    def apply(x):
-        xs = x.reshape(n, n_pix)
-        out = np.zeros_like(xs)
-        if n_kept > 0:
-            t = np.zeros(sample_matrix.shape[0])
-            for j in range(n):
-                t += (sample_matrix @ xs[j]) * velocities[:, j]
-            for j in range(n):
-                out[j] = (sample_matrix.T @ (t * velocities[:, j])) / n_kept
-        if gamma > 0:
-            for j in range(n):
-                out[j] += gamma * (reg @ xs[j])
-        return out.ravel()
 
-    return apply
+def _apply_normal(blocks, x):
+    xs = x.reshape(len(blocks), -1)
+    return np.concatenate([sum(block @ xk for block, xk in zip(row, xs)) for row in blocks])
 
 
 def solve_core_stage(
@@ -128,7 +129,9 @@ def solve_core_stage(
     ``signal_values`` carries one column per entry of ``config.rows``.
     Samples outside the grid hull are dropped with a warning; the row
     solves run CG to ``cg_tolerance`` on the relative residual and report
-    non-convergence without discarding the iterate.
+    non-convergence without discarding the iterate.  Raises ``ValueError``
+    when the normal matrix has a zero diagonal entry (gamma = 0 and a
+    pixel no kept sample touches).
     """
     if scheme is None:
         scheme = InterpolationScheme()
@@ -151,33 +154,31 @@ def solve_core_stage(
     dropped = positions.shape[0] - n_kept
     if dropped:
         warnings.warn(f"dropped {dropped} samples outside the grid hull", stacklevel=2)
-    if n_kept == 0 and config.gamma == 0.0:
-        raise ValueError("no usable samples and gamma = 0: the normal operator is zero")
 
     grid = config.grid
-    if n_kept > 0:
-        sample_matrix = interpolation_matrix(grid, positions[inside], scheme)
-        kept_v = velocities[inside]
-        kept_s = signal_values[inside]
-    else:
-        sample_matrix = sp.csr_matrix((0, grid.n_pixels))
-        kept_v = velocities[:0]
-        kept_s = signal_values[:0]
+    sample_matrix = interpolation_matrix(grid, positions[inside], scheme)
+    kept_v = velocities[inside]
+    kept_s = signal_values[inside]
 
     lap = laplacian_matrix(grid.shape, config.laplacian_spacing())
-    reg = (lap.T @ lap).tocsr()
-    operator = _normal_operator(sample_matrix, kept_v, config.gamma, reg, n_kept)
+    blocks = _normal_blocks(grid, sample_matrix, kept_v, config.gamma, lap.T @ lap, n_kept)
+    singular = np.any([blocks[j][j].diagonal() == 0.0 for j in range(n)], axis=0)
+    if singular.any():
+        raise ValueError(
+            f"normal matrix is singular: {int(singular.sum())} of {grid.n_pixels} pixels "
+            "are constrained by no kept sample and gamma = 0"
+        )
+
+    def operator(x):
+        return _apply_normal(blocks, x)
 
     entries = {}
     cg_records: dict[int, CgResult] = {}
     for idx, row in enumerate(rows):
-        b = np.zeros((n, grid.n_pixels))
-        if n_kept > 0:
-            for j in range(n):
-                b[j] = (sample_matrix.T @ (kept_s[:, idx] * kept_v[:, j])) / n_kept
-        result = conjugate_gradient(
-            operator, b.ravel(), config.cg_tolerance, config.cg_max_iterations
-        )
+        b = np.concatenate(
+            [sample_matrix.T @ (kept_s[:, idx] * kept_v[:, j]) for j in range(n)]
+        ) / max(n_kept, 1)
+        result = conjugate_gradient(operator, b, config.cg_tolerance, config.cg_max_iterations)
         if not result.converged:
             warnings.warn(
                 f"core-stage CG for row {row} stopped at relative residual "

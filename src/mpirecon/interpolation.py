@@ -103,11 +103,49 @@ def interpolation_matrix(
     grid: GridGeometry, points: np.ndarray, scheme: InterpolationScheme
 ) -> sp.csr_matrix:
     """Sparse (L x n_pixels) matrix applying ``interpolate`` to a raveled
-    field; its transpose applies the adjoint."""
+    field; its transpose applies the adjoint.
+
+    Row k stores exactly the four weights of point k, in the node order
+    of ``interp_weights``; ``stencil_gram`` relies on this layout.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     indices, weights = interp_weights(grid, points, scheme)
-    n_pts = points.shape[0]
-    rows = np.repeat(np.arange(n_pts), 4)
+    indptr = np.arange(0, 4 * points.shape[0] + 1, 4)
     return sp.csr_matrix(
-        (weights.ravel(), (rows, indices.ravel())), shape=(n_pts, grid.n_pixels)
+        (weights.ravel(), indices.ravel(), indptr), shape=(points.shape[0], grid.n_pixels)
+    )
+
+
+def stencil_gram(
+    grid: GridGeometry, sample_matrix: sp.csr_matrix, coefficients: np.ndarray
+) -> sp.csr_matrix:
+    """``S^T diag(coefficients) S`` for ``S = interpolation_matrix(grid, ...)``.
+
+    Each row of S touches the nodes ``base + (0, 1, w, w + 1)``, so the
+    product is banded with the nine diagonals 0, +-1, +-(w - 1), +-w and
+    +-(w + 1).  Each stencil pair ``a <= b`` adds one bincount to the
+    upper diagonal ``o_b - o_a``; the lower diagonals mirror the upper
+    ones, which makes the result exactly symmetric.
+    """
+    w = grid.shape[1]
+    n_pix = grid.n_pixels
+    stencil = (0, 1, w, w + 1)
+    weights = sample_matrix.data.reshape(-1, 4)
+    base = sample_matrix.indices.reshape(-1, 4)[:, 0]
+    upper: dict[int, np.ndarray] = {}
+    for a in range(4):
+        rows = base + stencil[a]
+        scaled = coefficients * weights[:, a]
+        for b in range(a, 4):
+            offset = stencil[b] - stencil[a]
+            band = np.bincount(rows, weights=scaled * weights[:, b], minlength=n_pix)
+            band = band[: n_pix - offset]
+            upper[offset] = upper[offset] + band if offset in upper else band
+    offsets = [d for d in upper if d > 0]
+    return sp.diags(
+        [upper[0]] + [upper[d] for d in offsets] * 2,
+        [0] + offsets + [-d for d in offsets],
+        shape=(n_pix, n_pix),
+        format="csr",
+        dtype=float,
     )

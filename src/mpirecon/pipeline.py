@@ -525,6 +525,7 @@ class _Run:
         for row, record in solution.cg.items():
             self.rows.append(("core", f"row{row}", "cg_iterations", record.iterations))
             self.rows.append(("core", f"row{row}", "cg_residual", record.final_residual))
+            self.rows.append(("core", f"row{row}", "converged", int(record.converged)))
         self.rows.append(("core", "all", "dropped_samples", solution.dropped_samples))
         grid = solution.field.geometry
         if len(rows) == solution.field.dimension:

@@ -13,9 +13,12 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from core_oracle import normal_operator
+
 from mpirecon.core_stage import (
     CoreStageConfig,
-    _normal_operator,
+    _apply_normal,
+    _normal_blocks,
     extract_trace,
     laplacian_matrix,
     solve_core_stage,
@@ -232,6 +235,7 @@ def test_criterion_03_adjoint_and_symmetry():
     scheme = InterpolationScheme()
     worst_adjoint = 0.0
     worst_symmetry = 0.0
+    worst_oracle = 0.0
     for _ in range(100):
         h = int(rng.integers(3, 9))
         w = int(rng.integers(3, 9))
@@ -249,18 +253,26 @@ def test_criterion_03_adjoint_and_symmetry():
         vel = rng.normal(size=(n_pts, 2))
         mat = interpolation_matrix(grid, pts, scheme)
         lap = laplacian_matrix(grid.shape)
-        op = _normal_operator(
-            mat, vel, gamma=10.0 ** rng.uniform(-8, -2), reg=(lap.T @ lap).tocsr(),
-            n_kept=n_pts,
-        )
+        reg = (lap.T @ lap).tocsr()
+        gamma = 10.0 ** rng.uniform(-8, -2)
+        blocks = _normal_blocks(grid, mat, vel, gamma, reg, n_pts)
+        oracle = normal_operator(mat, vel, gamma=gamma, reg=reg, n_kept=n_pts)
         u = rng.normal(size=2 * h * w)
         v = rng.normal(size=2 * h * w)
-        a = float(np.dot(op(u), v))
-        b = float(np.dot(u, op(v)))
+        nu = _apply_normal(blocks, u)
+        a = float(np.dot(nu, v))
+        b = float(np.dot(u, _apply_normal(blocks, v)))
         worst_symmetry = max(worst_symmetry, abs(a - b) / max(abs(a), abs(b), 1e-300))
+        expected = oracle(u)
+        worst_oracle = max(
+            worst_oracle, float(np.linalg.norm(nu - expected) / np.linalg.norm(expected))
+        )
     crit.check(worst_adjoint < 1e-10, f"adjoint dot-product error {worst_adjoint:.2e}")
     crit.check(worst_symmetry < 1e-10, f"normal operator asymmetry {worst_symmetry:.2e}")
-    crit.conclude(f"adjoint {worst_adjoint:.1e}, symmetry {worst_symmetry:.1e}")
+    crit.check(worst_oracle <= 1e-12, f"assembled vs matrix-free operator {worst_oracle:.2e}")
+    crit.conclude(
+        f"adjoint {worst_adjoint:.1e}, symmetry {worst_symmetry:.1e}, oracle {worst_oracle:.1e}"
+    )
 
 
 def test_criterion_04_core_stage_round_trip():

@@ -155,6 +155,21 @@ class TestFailures:
         err = capsys.readouterr().err
         assert "[deconvolve]" in err
 
+    def test_singular_core_system_is_tagged(self, config_file, tmp_path, capsys):
+        path, _ = config_file
+        # 70 samples cannot visit all 441 pixels; only gamma > 0 fills them in
+        sparse = open(path).read().replace(
+            "repetition_time_s = 1.0", "repetition_time_s = 1.0\ndecimate = 200"
+        )
+        for gamma, code in (("0", 1), ("1e-7", 0)):
+            config = tmp_path / f"gamma_{gamma}.ini"
+            config.write_text(sparse + f"\n[core]\ngamma = {gamma}\n")
+            assert main(["simulate", "--config", str(config)]) == 0
+            assert main(["core", "--config", str(config)]) == code
+        err = capsys.readouterr().err
+        assert "error: [core] normal matrix is singular" in err
+        assert "of 441 pixels" in err
+
     def test_bad_phantom_geometry_tagged(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
         bad.write_text(

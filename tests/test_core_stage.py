@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from core_oracle import normal_operator
 
 from mpirecon.core_stage import (
     CoreStageConfig,
-    _normal_operator,
+    _apply_normal,
+    _normal_blocks,
     extract_entry,
     extract_trace,
     laplacian_apply,
@@ -17,6 +20,7 @@ from mpirecon.geometry import ConcentrationImage, GridGeometry
 from mpirecon.interpolation import InterpolationScheme, interpolation_matrix
 from mpirecon.kernels import KernelSpec, discretize_kernel
 from mpirecon.scanner import ScannerConfig, lissajous
+from mpirecon.solvers import conjugate_gradient
 
 
 def dense_scan(n, samples_per_cell, fx, fy):
@@ -89,30 +93,102 @@ class TestLaplacian:
         assert np.allclose(via_matrix, laplacian_apply(field, (0.3, 0.7)), rtol=1e-14)
 
 
+def random_normal_instance(rng, scheme, n_samples):
+    """Random grid, samples (some on the far hull edges, in clamped
+    cells) and velocities, with the assembled and the oracle operator."""
+    h = int(rng.integers(3, 8))
+    w = int(rng.integers(3, 8))
+    grid = GridGeometry(shape=(h, w), spacing=(1.0, 1.0), origin=(0.0, 0.0))
+    pts = np.stack(
+        [rng.uniform(0, w - 1, n_samples), rng.uniform(0, h - 1, n_samples)], axis=-1
+    )
+    pts[: n_samples // 4, 0] = w - 1
+    pts[n_samples // 4 : n_samples // 2, 1] = h - 1
+    vel = rng.normal(size=(n_samples, 2))
+    mat = interpolation_matrix(grid, pts, scheme)
+    lap = laplacian_matrix(grid.shape)
+    reg = (lap.T @ lap).tocsr()
+    gamma = 10.0 ** rng.uniform(-8, -2)
+    blocks = _normal_blocks(grid, mat, vel, gamma, reg, n_samples)
+    oracle = normal_operator(mat, vel, gamma=gamma, reg=reg, n_kept=n_samples)
+    return grid, blocks, oracle
+
+
+def oracle_solve(signal_values, positions, velocities, config, scheme):
+    """Row solves of ``solve_core_stage`` run on the matrix-free oracle."""
+    grid = config.grid
+    mat = interpolation_matrix(grid, positions, scheme)
+    lap = laplacian_matrix(grid.shape, config.laplacian_spacing())
+    op = normal_operator(mat, velocities, config.gamma, (lap.T @ lap).tocsr(), len(positions))
+    results = {}
+    for idx, row in enumerate(config.rows):
+        b = np.concatenate(
+            [mat.T @ (signal_values[:, idx] * velocities[:, j]) for j in range(2)]
+        ) / len(positions)
+        results[row] = conjugate_gradient(op, b, config.cg_tolerance, config.cg_max_iterations)
+    return results
+
+
 class TestNormalOperatorSymmetry:
     def test_symmetric_on_random_instances(self):
+        # symmetric to 1e-10 and equal to the matrix-free oracle to 1e-12
         rng = np.random.default_rng(1)
-        scheme = InterpolationScheme()
-        for _ in range(100):
-            h = int(rng.integers(3, 8))
-            w = int(rng.integers(3, 8))
-            grid = GridGeometry(shape=(h, w), spacing=(1.0, 1.0), origin=(0.0, 0.0))
-            n_samples = int(rng.integers(1, 40))
-            pts = np.stack(
-                [rng.uniform(0, w - 1, n_samples), rng.uniform(0, h - 1, n_samples)], axis=-1
-            )
-            vel = rng.normal(size=(n_samples, 2))
-            mat = interpolation_matrix(grid, pts, scheme)
-            lap = laplacian_matrix(grid.shape)
-            reg = (lap.T @ lap).tocsr()
-            op = _normal_operator(mat, vel, gamma=10.0 ** rng.uniform(-8, -2), reg=reg,
-                                  n_kept=n_samples)
-            u = rng.normal(size=2 * h * w)
-            v = rng.normal(size=2 * h * w)
-            lhs = float(np.dot(op(u), v))
-            rhs = float(np.dot(u, op(v)))
+        for i in range(200):
+            scheme = InterpolationScheme(("cosine", "bilinear")[i % 2])
+            grid, blocks, oracle = random_normal_instance(rng, scheme, int(rng.integers(1, 40)))
+            u = rng.normal(size=2 * grid.n_pixels)
+            v = rng.normal(size=2 * grid.n_pixels)
+            nu = _apply_normal(blocks, u)
+            lhs = float(np.dot(nu, v))
+            rhs = float(np.dot(u, _apply_normal(blocks, v)))
             scale = max(abs(lhs), abs(rhs), 1e-300)
             assert abs(lhs - rhs) / scale < 1e-10
+            expected = oracle(u)
+            assert np.linalg.norm(nu - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_blocks_exactly_symmetric(self):
+        rng = np.random.default_rng(2)
+        _, blocks, _ = random_normal_instance(rng, InterpolationScheme(), 30)
+        assert blocks[1][0] is blocks[0][1]
+        for row in blocks:
+            for block in row:
+                assert (block != block.T).nnz == 0
+
+    def test_no_kept_samples_leaves_regularizer(self):
+        grid = GridGeometry(shape=(5, 6), spacing=(1.0, 1.0), origin=(0.0, 0.0))
+        mat = sp.csr_matrix((0, grid.n_pixels))
+        vel = np.zeros((0, 2))
+        lap = laplacian_matrix(grid.shape)
+        reg = (lap.T @ lap).tocsr()
+        blocks = _normal_blocks(grid, mat, vel, 1e-3, reg, 0)
+        oracle = normal_operator(mat, vel, gamma=1e-3, reg=reg, n_kept=0)
+        u = np.random.default_rng(3).normal(size=2 * grid.n_pixels)
+        expected = oracle(u)
+        assert np.linalg.norm(_apply_normal(blocks, u) - expected) <= 1e-12 * np.linalg.norm(
+            expected
+        )
+
+
+class TestAssembledMatchesOracleSolve:
+    @pytest.mark.parametrize("rows", [(0, 1), (0,)])
+    @pytest.mark.parametrize("kind", ["cosine", "bilinear"])
+    def test_lissajous_33_same_iterations_and_field(self, rows, kind):
+        grid, config, spec = dense_scan(33, 64, 65.0, 64.0)
+        rho = np.zeros(grid.shape)
+        rho[16, 14:19] = 1.0
+        scheme = InterpolationScheme(kind)
+        traj = lissajous(config)
+        sig = simulate_signal(ConcentrationImage(rho, grid), traj, spec, config, scheme)
+        values = sig.values[:, list(rows)]
+        cfg = CoreStageConfig(grid=grid, rows=rows)
+        sol = solve_core_stage(values, traj.positions, traj.velocities, cfg, scheme)
+        assert sol.dropped_samples == 0
+        expected = oracle_solve(values, traj.positions, traj.velocities, cfg, scheme)
+        for row in rows:
+            assert sol.cg[row].iterations == expected[row].iterations
+            got = sol.cg[row].x
+            want = expected[row].x
+            assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
 
 
 class TestSolveCoreStage:
@@ -213,10 +289,33 @@ class TestSolveCoreStage:
     def test_no_samples_without_regularization_rejected(self):
         grid = GridGeometry(shape=(5, 5), spacing=(1.0, 1.0), origin=(0.0, 0.0))
         cfg = CoreStageConfig(grid=grid, gamma=0.0)
-        with pytest.warns(UserWarning, match="dropped"), pytest.raises(ValueError):
+        with pytest.warns(UserWarning, match="dropped"), pytest.raises(
+            ValueError, match="25 of 25 pixels"
+        ):
             solve_core_stage(
                 np.zeros((1, 2)), np.array([[99.0, 99.0]]), np.ones((1, 2)), cfg
             )
+
+    def test_no_samples_with_regularization_gives_zero_field(self):
+        grid = GridGeometry(shape=(5, 5), spacing=(1.0, 1.0), origin=(0.0, 0.0))
+        cfg = CoreStageConfig(grid=grid, gamma=1e-3)
+        with pytest.warns(UserWarning, match="dropped"):
+            sol = solve_core_stage(
+                np.ones((1, 2)), np.array([[99.0, 99.0]]), np.ones((1, 2)), cfg
+            )
+        assert all(rec.converged for rec in sol.cg.values())
+        for img in sol.field.entries.values():
+            assert np.all(img == 0.0)
+
+    def test_unvisited_pixels_without_regularization_rejected(self):
+        # one sample mid-cell touches 4 of the 25 nodes
+        grid = GridGeometry(shape=(5, 5), spacing=(1.0, 1.0), origin=(0.0, 0.0))
+        args = (np.ones((1, 2)), np.array([[1.5, 1.5]]), np.ones((1, 2)))
+        with pytest.raises(ValueError, match="singular: 21 of 25 pixels"):
+            solve_core_stage(*args, CoreStageConfig(grid=grid, gamma=0.0))
+        sol = solve_core_stage(*args, CoreStageConfig(grid=grid, gamma=1e-3, cg_tolerance=1e-10))
+        assert all(rec.converged for rec in sol.cg.values())
+        assert np.all(np.isfinite(sol.field.entry(0, 0)))
 
     def test_signal_shape_mismatch_rejected(self):
         grid = GridGeometry(shape=(5, 5), spacing=(1.0, 1.0), origin=(0.0, 0.0))

@@ -10,6 +10,7 @@ from mpirecon.interpolation import (
     interpolate,
     interpolation_adjoint,
     interpolation_matrix,
+    stencil_gram,
 )
 
 GRID = GridGeometry(shape=(9, 11), spacing=(0.5, 0.25), origin=(-1.0, -2.0))
@@ -107,6 +108,24 @@ class TestMatrix:
         scattered = (mat.T @ values).reshape(GRID.shape)
         direct = interpolation_adjoint(pts, values, GRID, COSINE)
         assert np.allclose(scattered, direct, atol=1e-15)
+
+    @pytest.mark.parametrize("scheme", [COSINE, BILINEAR])
+    def test_stencil_gram_matches_dense_product(self, scheme):
+        rng = np.random.default_rng(8)
+        pts = random_points(rng, 200)
+        # corners and far edges land in clamped cells
+        x_end = GRID.origin[0] + GRID.spacing[0] * (GRID.shape[1] - 1)
+        y_end = GRID.origin[1] + GRID.spacing[1] * (GRID.shape[0] - 1)
+        pts[:3] = [[x_end, y_end], [GRID.origin[0], y_end], [x_end, GRID.origin[1]]]
+        coefficients = rng.normal(size=200)
+        mat = interpolation_matrix(GRID, pts, scheme)
+        gram = stencil_gram(GRID, mat, coefficients)
+        dense = mat.T.toarray() @ (coefficients[:, None] * mat.toarray())
+        assert np.allclose(gram.toarray(), dense, rtol=0, atol=1e-13 * np.abs(dense).max())
+        assert (gram != gram.T).nnz == 0
+        w = GRID.shape[1]
+        bands = {0, 1, w - 1, w, w + 1}
+        assert set(np.abs(gram.tocoo().col - gram.tocoo().row)) <= bands
 
 
 def test_unknown_kind_rejected():

@@ -122,6 +122,8 @@ class TestFullRun:
         assert rows[("deconvolve", "all", "center_row_dip_ratio")] == pytest.approx(
             dip_ratio(profile)
         )
+        for r in (0, 1):
+            assert rows[("core", f"row{r}", "converged")] == 1
 
     def test_deterministic_reruns(self, tmp_path):
         config_a = make_config(tmp_path, "a")
