@@ -11,7 +11,6 @@ from .core_stage import (
     CoreStageSolution,
     extract_entry,
     extract_trace,
-    laplacian_apply,
     solve_core_stage,
 )
 from .denoisers import DenoiserRef, ExternalDenoiserError, open_denoiser
@@ -27,8 +26,6 @@ from .forward import (
 from .geometry import ConcentrationImage, GridGeometry
 from .interpolation import (
     InterpolationScheme,
-    interpolate,
-    interpolation_adjoint,
     interpolation_matrix,
 )
 from .kernels import (
@@ -55,7 +52,6 @@ from .pipeline import (
 from .pnp import (
     PnPConfig,
     PnPResult,
-    PnPState,
     denoise,
     estimate_noise,
     percentile_trim,
@@ -97,7 +93,6 @@ __all__ = [
     "PipelineResult",
     "PnPConfig",
     "PnPResult",
-    "PnPState",
     "ScanSignal",
     "ScannerConfig",
     "SnrProfile",
@@ -121,14 +116,11 @@ __all__ = [
     "fft_convolve",
     "field_at",
     "generate_phantom",
-    "interpolate",
-    "interpolation_adjoint",
     "interpolation_matrix",
     "kernel_entry",
     "kernel_matrix",
     "langevin",
     "langevin_prime",
-    "laplacian_apply",
     "lissajous",
     "open_denoiser",
     "percentile_trim",

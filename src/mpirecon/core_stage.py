@@ -46,12 +46,6 @@ def laplacian_matrix(shape: tuple, spacing: tuple = (1.0, 1.0)) -> sp.csr_matrix
     )
 
 
-def laplacian_apply(field: np.ndarray, spacing: tuple = (1.0, 1.0)) -> np.ndarray:
-    """Apply the replicate-boundary 5-point Laplacian to a grid image."""
-    field = np.asarray(field, dtype=float)
-    return (laplacian_matrix(field.shape, spacing) @ field.ravel()).reshape(field.shape)
-
-
 @dataclasses.dataclass(frozen=True)
 class CoreStageConfig:
     """Regularization, solver budget and reconstruction target.
@@ -129,9 +123,11 @@ def solve_core_stage(
     ``signal_values`` carries one column per entry of ``config.rows``.
     Samples outside the grid hull are dropped with a warning; the row
     solves run CG to ``cg_tolerance`` on the relative residual and report
-    non-convergence without discarding the iterate.  Raises ``ValueError``
-    when the normal matrix has a zero diagonal entry (gamma = 0 and a
-    pixel no kept sample touches).
+    non-convergence without discarding the iterate.  With gamma = 0,
+    raises ``ValueError`` when some pixel's n x n data block is
+    numerically rank-deficient (no kept sample touches the pixel, or the
+    velocities through it span too few directions): lambda_min <= 1e-12
+    lambda_max, so by Cauchy interlacing cond(N) >= 1e12.
     """
     if scheme is None:
         scheme = InterpolationScheme()
@@ -162,12 +158,16 @@ def solve_core_stage(
 
     lap = laplacian_matrix(grid.shape, config.laplacian_spacing())
     blocks = _normal_blocks(grid, sample_matrix, kept_v, config.gamma, lap.T @ lap, n_kept)
-    singular = np.any([blocks[j][j].diagonal() == 0.0 for j in range(n)], axis=0)
-    if singular.any():
-        raise ValueError(
-            f"normal matrix is singular: {int(singular.sum())} of {grid.n_pixels} pixels "
-            "are constrained by no kept sample and gamma = 0"
-        )
+    if config.gamma == 0:
+        pixel_blocks = np.array([[blocks[j][k].diagonal() for k in range(n)] for j in range(n)])
+        eigenvalues = np.linalg.eigvalsh(np.moveaxis(pixel_blocks, -1, 0))
+        singular = eigenvalues[:, 0] <= 1e-12 * eigenvalues[:, -1]
+        if singular.any():
+            raise ValueError(
+                f"normal matrix is singular: {int(singular.sum())} of {grid.n_pixels} pixels "
+                "have a rank-deficient data block (no kept sample, or velocities spanning "
+                "too few directions) and gamma = 0"
+            )
 
     def operator(x):
         return _apply_normal(blocks, x)

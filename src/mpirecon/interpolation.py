@@ -1,9 +1,9 @@
-"""Separable grid interpolation and its exact adjoint.
+"""Separable grid interpolation as a sparse sampling matrix.
 
 Sampling a grid image at off-grid scan positions is the forward leg of
-the core-stage data term; the adjoint scatters sample residuals back to
-the bracketing grid nodes with the same weights, which makes the
-normal operator exactly symmetric.
+the core-stage data term; the matrix transpose scatters sample residuals
+back to the bracketing grid nodes with the same weights, which makes the
+normal matrix exactly symmetric.
 
 The default per-axis weight is the cosine ramp ``(1 - cos(pi a)) / 2``
 for fractional offset ``a`` in [0, 1]: smooth, exact at the nodes,
@@ -72,38 +72,12 @@ def interp_weights(
     return indices, weights
 
 
-def interpolate(field: np.ndarray, points, grid: GridGeometry, scheme: InterpolationScheme):
-    """Interpolated field value(s) at the query point(s)."""
-    field = np.asarray(field, dtype=float)
-    if field.shape != tuple(grid.shape):
-        raise ValueError(f"field shape {field.shape} does not match grid {grid.shape}")
-    points = np.asarray(points, dtype=float)
-    scalar = points.ndim == 1
-    indices, weights = interp_weights(grid, points, scheme)
-    values = (field.ravel()[indices] * weights).sum(axis=-1)
-    return float(values[0]) if scalar else values
-
-
-def interpolation_adjoint(
-    points, values, grid: GridGeometry, scheme: InterpolationScheme
-) -> np.ndarray:
-    """Scatter values to the bracketing nodes; exact adjoint of
-    ``interpolate`` in the Euclidean inner products."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    values = np.atleast_1d(np.asarray(values, dtype=float))
-    if values.shape[0] != points.shape[0]:
-        raise ValueError("one value per point required")
-    indices, weights = interp_weights(grid, points, scheme)
-    out = np.zeros(grid.n_pixels)
-    np.add.at(out, indices.ravel(), (weights * values[:, None]).ravel())
-    return out.reshape(grid.shape)
-
-
 def interpolation_matrix(
     grid: GridGeometry, points: np.ndarray, scheme: InterpolationScheme
 ) -> sp.csr_matrix:
-    """Sparse (L x n_pixels) matrix applying ``interpolate`` to a raveled
-    field; its transpose applies the adjoint.
+    """Sparse (L x n_pixels) matrix that samples a raveled grid image at
+    the points; its transpose scatters sample values back to the nodes
+    with the same weights, which is the exact adjoint.
 
     Row k stores exactly the four weights of point k, in the node order
     of ``interp_weights``; ``stencil_gram`` relies on this layout.

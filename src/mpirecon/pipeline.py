@@ -40,7 +40,7 @@ from .fileio import (
     save_trajectory,
     write_manifest,
 )
-from .forward import add_noise, simulate_signal
+from .forward import add_noise, fft_convolve, simulate_signal
 from .geometry import GridGeometry
 from .interpolation import InterpolationScheme
 from .kernels import KernelSpec, ParticleModel, discretize_kernel, saturation_field
@@ -103,8 +103,6 @@ laplacian_units = pixel
 nu0 = 1e-5
 iterations = 10
 trim_percentile = 5.0
-cg_tolerance = 1e-8
-cg_max_iterations = 10000
 denoiser = total-variation
 tv_scale = 1.0
 tv_iterations = 60
@@ -282,8 +280,6 @@ class PipelineConfig:
             nu0=nu0_override if nu0_override is not None else g("pnp", "nu0", 1e-5, float),
             n_iterations=g("pnp", "iterations", 10, int),
             trim_percentile=g("pnp", "trim_percentile", 5.0, float),
-            cg_tolerance=g("pnp", "cg_tolerance", 1e-8, float),
-            cg_max_iterations=g("pnp", "cg_max_iterations", 10_000, int),
             denoiser=self.denoiser(),
         )
 
@@ -559,8 +555,6 @@ class _Run:
             self.rows.append(("deconvolve", k, "nu", rec.nu))
             self.rows.append(("deconvolve", k, "sigma", rec.sigma))
             self.rows.append(("deconvolve", k, "lambda", rec.lam))
-            self.rows.append(("deconvolve", k, "cg_iterations", rec.cg_iterations))
-            self.rows.append(("deconvolve", k, "cg_residual", rec.cg_residual))
         self.rows.append(
             ("deconvolve", "all", "degenerate", int(result.diagnostics.degenerate))
         )
@@ -691,9 +685,7 @@ def sweep(
                 _, profile = extract_profile(result.image, "row", center, grid)
                 score = dip_ratio(profile)
             else:
-                blurred = np.real(
-                    np.fft.ifft2(np.fft.fft2(result.image) * np.fft.fft2(kernel))
-                )
+                blurred = fft_convolve(result.image, kernel, 1.0)
                 score = -float(
                     np.linalg.norm(blurred - values) / max(np.linalg.norm(values), 1e-300)
                 )

@@ -2,13 +2,15 @@
 
 The trace of the core operator is the concentration blurred by the
 scalar trace kernel; this module inverts that blur by alternating a
-Tikhonov data-fidelity solve with a denoising step, rebalancing the
-split automatically: the noise level fed to the denoiser is estimated
-from the current data-fidelity iterate as its pixel standard deviation,
-and the coupling follows ``nu_k = lam / sigma_k^2`` with ``lam`` frozen
-after the first iteration.  Iterates are lower-clipped at a percentile
-each round to keep denoiser artifacts from negative-valued regions in
-check.
+Tikhonov data-fidelity step with a denoising step.  The blur is a
+circular convolution, so the DFT diagonalizes the Tikhonov system and
+each data step is one exact Fourier-domain solve with no inner
+iterations.  The split is rebalanced automatically: after each data
+step the iterate is lower-clipped at a percentile (which keeps denoiser
+artifacts from negative-valued regions in check), its pixel standard
+deviation is taken as the noise level fed to the denoiser, and the
+coupling follows ``nu_k = lam / sigma_k^2`` with ``lam`` frozen after
+the first iteration.
 
 The convolution operator is the plain circular convolution with the
 kernel image as given (its scale is the caller's contract; the pipeline
@@ -18,23 +20,22 @@ normalizes kernel images to unit sum).
 from __future__ import annotations
 
 import dataclasses
-import warnings
 
 import numpy as np
 
 from .denoisers import DenoiserRef, open_denoiser
-from .solvers import CgResult, conjugate_gradient
+
+# Looked up here by bench/workloads.py trace_sites; drop with pnp.tikhonov_cg_iterations.
+from .solvers import conjugate_gradient  # noqa: F401
 
 
 @dataclasses.dataclass(frozen=True)
 class PnPConfig:
-    """Loop length, initial coupling, trimming and inner-solver budget."""
+    """Loop length, initial coupling, trimming and denoiser."""
 
     nu0: float = 1e-5
     n_iterations: int = 10
     trim_percentile: float = 5.0
-    cg_tolerance: float = 1e-3
-    cg_max_iterations: int = 10_000
     denoiser: DenoiserRef = DenoiserRef("total-variation")
 
     def __post_init__(self):
@@ -47,24 +48,11 @@ class PnPConfig:
 
 
 @dataclasses.dataclass
-class PnPState:
-    """Live iterates of the splitting loop."""
-
-    rho1: np.ndarray
-    rho2: np.ndarray
-    sigma: float
-    nu: float
-    lam: float | None
-
-
-@dataclasses.dataclass
 class PnPIterationRecord:
     iteration: int
     nu: float  # coupling used by the Tikhonov step of this iteration
     sigma: float  # noise level estimated from the trimmed iterate
     lam: float  # fixed product after iteration 0
-    cg_iterations: int
-    cg_residual: float
 
 
 @dataclasses.dataclass
@@ -80,48 +68,22 @@ class PnPResult:
     diagnostics: PnPDiagnostics
 
 
-def _convolver(kernel_image: np.ndarray):
-    spectrum = np.fft.fft2(kernel_image)
-
-    def forward(image):
-        return np.real(np.fft.ifft2(np.fft.fft2(image) * spectrum))
-
-    def adjoint(image):
-        return np.real(np.fft.ifft2(np.fft.fft2(image) * np.conj(spectrum)))
-
-    return forward, adjoint
-
-
 def tikhonov_step(
-    u: np.ndarray,
-    rho2: np.ndarray,
-    nu: float,
-    kernel_image: np.ndarray,
-    cg_tolerance: float = 1e-3,
-    cg_max_iterations: int = 10_000,
-) -> tuple[np.ndarray, CgResult]:
-    """Penalized data-fidelity solve ``(C^T C + nu I) rho1 = C^T u + nu rho2``
-    with ``C`` the circular convolution by the kernel image."""
+    u: np.ndarray, rho2: np.ndarray, nu: float, kernel_image: np.ndarray
+) -> np.ndarray:
+    """Exact solution of ``(C^T C + nu I) rho1 = C^T u + nu rho2`` with
+    ``C`` the circular convolution by the kernel image.
+
+    The DFT diagonalizes ``C`` with eigenvalues ``K = rfft2(kernel_image)``,
+    so ``rho1 = irfft2[(conj(K) rfft2(u) + nu rfft2(rho2)) / (|K|^2 + nu)]``.
+    """
     if u.shape != rho2.shape or u.shape != kernel_image.shape:
         raise ValueError("u, rho2 and kernel image must share one shape")
     if nu <= 0:
         raise ValueError("nu must be positive")
-    forward, adjoint = _convolver(kernel_image)
-    shape = u.shape
-
-    def operator(x):
-        img = x.reshape(shape)
-        return (adjoint(forward(img)) + nu * img).ravel()
-
-    b = (adjoint(u) + nu * rho2).ravel()
-    result = conjugate_gradient(operator, b, cg_tolerance, cg_max_iterations)
-    if not result.converged:
-        warnings.warn(
-            f"Tikhonov CG stopped at relative residual {result.final_residual:.3e} "
-            f"after {result.iterations} iterations",
-            stacklevel=2,
-        )
-    return result.x.reshape(shape), result
+    spectrum = np.fft.rfft2(kernel_image)
+    numerator = np.conj(spectrum) * np.fft.rfft2(u) + nu * np.fft.rfft2(rho2)
+    return np.fft.irfft2(numerator / (np.abs(spectrum) ** 2 + nu), s=u.shape)
 
 
 def estimate_noise(rho1: np.ndarray) -> float:
@@ -178,48 +140,28 @@ def zero_shot_pnp(u: np.ndarray, kernel_image: np.ndarray, config: PnPConfig) ->
     the loop stops early and returns the current denoised iterate.
     """
     u = np.asarray(u, dtype=float)
-    state = PnPState(
-        rho1=np.zeros_like(u),
-        rho2=np.zeros_like(u),
-        sigma=0.0,
-        nu=config.nu0,
-        lam=None,
-    )
+    rho2 = np.zeros_like(u)
+    nu = config.nu0
+    lam = None
     records = []
     degenerate = False
     session = open_denoiser(config.denoiser)
     try:
         for k in range(config.n_iterations):
-            state.rho1, cg = tikhonov_step(
-                u,
-                state.rho2,
-                state.nu,
-                kernel_image,
-                config.cg_tolerance,
-                config.cg_max_iterations,
-            )
-            state.rho1 = percentile_trim(state.rho1, config.trim_percentile)
-            state.sigma = estimate_noise(state.rho1)
+            rho1 = tikhonov_step(u, rho2, nu, kernel_image)
+            rho1 = percentile_trim(rho1, config.trim_percentile)
+            sigma = estimate_noise(rho1)
             if k == 0:
-                state.lam = config.nu0 * state.sigma**2
-            records.append(
-                PnPIterationRecord(
-                    iteration=k,
-                    nu=state.nu,
-                    sigma=state.sigma,
-                    lam=state.lam,
-                    cg_iterations=cg.iterations,
-                    cg_residual=cg.final_residual,
-                )
-            )
-            if state.sigma == 0.0:
+                lam = config.nu0 * sigma**2
+            records.append(PnPIterationRecord(iteration=k, nu=nu, sigma=sigma, lam=lam))
+            if sigma == 0.0:
                 degenerate = True
                 break
-            state.rho2 = denoise(state.rho1, state.sigma, config.denoiser, session=session)
-            state.nu = state.lam / state.sigma**2
+            rho2 = denoise(rho1, sigma, config.denoiser, session=session)
+            nu = lam / sigma**2
     finally:
         session.close()
     return PnPResult(
-        image=state.rho2,
-        diagnostics=PnPDiagnostics(records=records, lam=state.lam, degenerate=degenerate),
+        image=rho2,
+        diagnostics=PnPDiagnostics(records=records, lam=lam, degenerate=degenerate),
     )

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from core_oracle import normal_operator
+from grid_oracle import interpolate, interpolation_adjoint
 
 from mpirecon.core_stage import (
     CoreStageConfig,
@@ -26,12 +27,7 @@ from mpirecon.core_stage import (
 from mpirecon.denoisers import DenoiserRef
 from mpirecon.forward import ScanSignal, apply_analog_filter, core_operator, simulate_signal
 from mpirecon.geometry import ConcentrationImage, GridGeometry
-from mpirecon.interpolation import (
-    InterpolationScheme,
-    interpolate,
-    interpolation_adjoint,
-    interpolation_matrix,
-)
+from mpirecon.interpolation import InterpolationScheme, interpolation_matrix
 from mpirecon.kernels import (
     TAYLOR_CUTOFF,
     KernelSpec,
@@ -131,7 +127,6 @@ h_sat_a_per_m = {h_sat}
 nu0 = 1e-5
 iterations = 10
 trim_percentile = 5.0
-cg_tolerance = 1e-8
 denoiser = total-variation
 tv_iterations = 60
 """
@@ -413,7 +408,6 @@ def test_criterion_08_percentile_trim_artifact_suppression():
             nu0=1e-5,
             n_iterations=10,
             trim_percentile=trim,
-            cg_tolerance=1e-8,
             denoiser=DenoiserRef("total-variation"),
         )
         result = zero_shot_pnp(u, kernel, config)

@@ -43,7 +43,6 @@ h_sat_a_per_m = {h_sat}
 [pnp]
 nu0 = 1e-5
 iterations = 5
-cg_tolerance = 1e-8
 denoiser = total-variation
 tv_iterations = 40
 
@@ -169,6 +168,38 @@ class TestFailures:
         err = capsys.readouterr().err
         assert "error: [core] normal matrix is singular" in err
         assert "of 441 pixels" in err
+
+    def test_parallel_velocities_core_system_is_tagged(self, tmp_path, capsys):
+        # every sample moves along (1, 1): each pixel's data block has rank 1
+        rng = np.random.default_rng(0)
+        positions = rng.uniform(-12e-3, 12e-3, size=(400, 2))
+        rows = [f"{k * 1e-5:.17g},{x:.17g},{y:.17g},1,1" for k, (x, y) in enumerate(positions)]
+        (tmp_path / "traj.csv").write_text("t,x,y,vx,vy\n" + "\n".join(rows) + "\n")
+        for gamma, code in (("0", 1), ("1e-7", 0)):
+            config = tmp_path / f"gamma_{gamma}.ini"
+            config.write_text(
+                f"""
+[pipeline]
+out = {tmp_path / ("out_" + gamma)}
+[grid]
+height = 5
+width = 5
+[scanner]
+trajectory = file
+trajectory_file = traj.csv
+[phantom]
+kind = dot
+dot_center_x_mm = 0.0
+dot_center_y_mm = 0.0
+dot_size_mm = 6.0
+[core]
+gamma = {gamma}
+"""
+            )
+            assert main(["simulate", "--config", str(config)]) == 0
+            assert main(["core", "--config", str(config)]) == code
+        err = capsys.readouterr().err
+        assert "error: [core] normal matrix is singular: 25 of 25 pixels" in err
 
     def test_bad_phantom_geometry_tagged(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from core_oracle import normal_operator
+from grid_oracle import laplacian_apply
 
 from mpirecon.core_stage import (
     CoreStageConfig,
@@ -11,7 +12,6 @@ from mpirecon.core_stage import (
     _normal_blocks,
     extract_entry,
     extract_trace,
-    laplacian_apply,
     laplacian_matrix,
     solve_core_stage,
 )
@@ -55,41 +55,54 @@ def delta_round_trip_error(n, samples_per_cell, fx=33.0, fy=32.0):
     return err, sol
 
 
+def laplacian_via_matrix(field, spacing=(1.0, 1.0)):
+    return (laplacian_matrix(field.shape, spacing) @ field.ravel()).reshape(field.shape)
+
+
+# every stencil check runs on the library's sparse matrix and on the
+# independent padded-image oracle
+LAPLACIANS = (laplacian_via_matrix, laplacian_apply)
+
+
 class TestLaplacian:
     def test_constant_in_kernel(self):
-        out = laplacian_apply(np.full((5, 7), 4.2))
-        assert np.allclose(out, 0.0, atol=1e-12)
+        for apply in LAPLACIANS:
+            out = apply(np.full((5, 7), 4.2))
+            assert np.allclose(out, 0.0, atol=1e-12)
 
     def test_linear_ramp_zero_in_interior(self):
         x = np.arange(7)[None, :] * np.ones((5, 1))
-        out = laplacian_apply(2.0 * x)
-        assert np.allclose(out[:, 1:-1], 0.0, atol=1e-12)
+        for apply in LAPLACIANS:
+            out = apply(2.0 * x)
+            assert np.allclose(out[:, 1:-1], 0.0, atol=1e-12)
 
     def test_spike_stencil_values(self):
         field = np.zeros((5, 5))
         field[2, 2] = 1.0
         h = 0.5
-        out = laplacian_apply(field, spacing=(h, h))
-        assert out[2, 2] == pytest.approx(-4.0 / h**2)
-        for iy, ix in [(1, 2), (3, 2), (2, 1), (2, 3)]:
-            assert out[iy, ix] == pytest.approx(1.0 / h**2)
-        assert out[0, 0] == 0.0
+        for apply in LAPLACIANS:
+            out = apply(field, spacing=(h, h))
+            assert out[2, 2] == pytest.approx(-4.0 / h**2)
+            for iy, ix in [(1, 2), (3, 2), (2, 1), (2, 3)]:
+                assert out[iy, ix] == pytest.approx(1.0 / h**2)
+            assert out[0, 0] == 0.0
 
     def test_replicate_boundary_edge_row(self):
         field = np.zeros((5, 5))
         field[0, 2] = 1.0
-        out = laplacian_apply(field)
-        # top edge: the missing north neighbor replicates the center
-        assert out[0, 2] == pytest.approx(-3.0)
+        for apply in LAPLACIANS:
+            out = apply(field)
+            # top edge: the missing north neighbor replicates the center
+            assert out[0, 2] == pytest.approx(-3.0)
 
     def test_too_small_grid(self):
         with pytest.raises(ValueError):
-            laplacian_apply(np.zeros((2, 5)))
+            laplacian_matrix((2, 5))
 
     def test_matrix_matches_apply(self):
         rng = np.random.default_rng(0)
         field = rng.normal(size=(6, 8))
-        via_matrix = (laplacian_matrix(field.shape, (0.3, 0.7)) @ field.ravel()).reshape(6, 8)
+        via_matrix = laplacian_via_matrix(field, (0.3, 0.7))
         assert np.allclose(via_matrix, laplacian_apply(field, (0.3, 0.7)), rtol=1e-14)
 
 
@@ -308,14 +321,28 @@ class TestSolveCoreStage:
             assert np.all(img == 0.0)
 
     def test_unvisited_pixels_without_regularization_rejected(self):
-        # one sample mid-cell touches 4 of the 25 nodes
+        # two samples mid-cell, with orthogonal velocities, touch 4 of the
+        # 25 nodes and give each of them a full-rank data block
         grid = GridGeometry(shape=(5, 5), spacing=(1.0, 1.0), origin=(0.0, 0.0))
-        args = (np.ones((1, 2)), np.array([[1.5, 1.5]]), np.ones((1, 2)))
+        args = (np.ones((2, 2)), np.full((2, 2), 1.5), np.eye(2))
         with pytest.raises(ValueError, match="singular: 21 of 25 pixels"):
             solve_core_stage(*args, CoreStageConfig(grid=grid, gamma=0.0))
         sol = solve_core_stage(*args, CoreStageConfig(grid=grid, gamma=1e-3, cg_tolerance=1e-10))
         assert all(rec.converged for rec in sol.cg.values())
         assert np.all(np.isfinite(sol.field.entry(0, 0)))
+
+    def test_parallel_velocities_without_regularization_rejected(self):
+        # v = (1, 1) everywhere gives every pixel the rank-1 data block
+        # [[a, a], [a, a]]: only the sum of the two entries is determined
+        grid = GridGeometry(shape=(5, 5), spacing=(1.0, 1.0), origin=(0.0, 0.0))
+        rng = np.random.default_rng(0)
+        positions = rng.uniform(0.0, 4.0, size=(400, 2))
+        args = (rng.normal(size=(400, 2)), positions, np.ones((400, 2)))
+        with pytest.raises(ValueError, match="singular: 25 of 25 pixels"):
+            solve_core_stage(*args, CoreStageConfig(grid=grid, gamma=0.0))
+        sol = solve_core_stage(*args, CoreStageConfig(grid=grid, gamma=1e-3, cg_tolerance=1e-10))
+        assert all(rec.converged for rec in sol.cg.values())
+        assert all(np.all(np.isfinite(img)) for img in sol.field.entries.values())
 
     def test_signal_shape_mismatch_rejected(self):
         grid = GridGeometry(shape=(5, 5), spacing=(1.0, 1.0), origin=(0.0, 0.0))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from grid_oracle import interpolate
 
 from mpirecon.forward import (
     ScanSignal,
@@ -12,7 +13,7 @@ from mpirecon.forward import (
     simulate_signal,
 )
 from mpirecon.geometry import ConcentrationImage, GridGeometry
-from mpirecon.interpolation import InterpolationScheme, interpolate
+from mpirecon.interpolation import InterpolationScheme
 from mpirecon.kernels import KernelSpec, discretize_kernel
 from mpirecon.scanner import ScannerConfig, Trajectory, lissajous
 

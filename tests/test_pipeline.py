@@ -10,6 +10,7 @@ from mpirecon.geometry import GridGeometry
 from mpirecon.pipeline import (
     PipelineConfig,
     PipelineError,
+    _deconvolution_kernel,
     dip_ratio,
     extract_profile,
     run_pipeline,
@@ -52,7 +53,6 @@ rows = {overrides.get("rows", "0,1")}
 [pnp]
 nu0 = 1e-5
 iterations = {overrides.get("pnp_iterations", 6)}
-cg_tolerance = 1e-8
 denoiser = total-variation
 tv_iterations = 40
 
@@ -260,7 +260,6 @@ rows = 0
 [pnp]
 nu0 = 1e-5
 iterations = 4
-cg_tolerance = 1e-8
 denoiser = total-variation
 tv_iterations = 30
 
@@ -301,6 +300,20 @@ class TestSweep:
         assert ranked[0]["status"] == "ok"
         assert ranked[0]["score"] == pytest.approx(direct_dip, rel=1e-12)
         assert os.path.exists(os.path.join(str(tmp_path / "swept"), "sweep.csv"))
+
+    def test_non_bar_phantom_scores_by_data_residual(self, tmp_path):
+        config = make_config(tmp_path, "direct", phantom="dot")
+        direct = run_pipeline(config)
+        recon = load_image(direct.artifacts["recon"])
+        trace = load_image(direct.artifacts["trace"]).values
+        kernel = _deconvolution_kernel(config, recon.geometry, config.scanner())
+        blurred = np.real(np.fft.ifft2(np.fft.fft2(recon.values) * np.fft.fft2(kernel)))
+        expected = -np.linalg.norm(blurred - trace) / np.linalg.norm(trace)
+
+        sweep_config = make_config(tmp_path, "swept", phantom="dot")
+        ranked = sweep(sweep_config, pairs=[(sweep_config.kernel_spec().h, 1e-5)])
+        assert ranked[0]["status"] == "ok"
+        assert ranked[0]["score"] == pytest.approx(expected, rel=1e-9)
 
     def test_reference_selection_pair_present_and_finite(self, tmp_path):
         config = make_config(tmp_path, "gridsearch")
