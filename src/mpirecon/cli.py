@@ -14,11 +14,12 @@ import sys
 
 from .fileio import _fmt, load_image
 from .pipeline import (
-    EXAMPLE_CONFIG,
     PipelineConfig,
     PipelineError,
+    example_config,
     extract_profile,
     generate_phantom_only,
+    parse_pairs,
     run_pipeline,
     sweep,
 )
@@ -34,7 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mpirecon",
         description="Trajectory-independent model-based MPI reconstruction pipeline.",
-        epilog="Run 'mpirecon example-config' to print an annotated configuration.",
+        epilog="Run 'mpirecon example-config' to print every config key with its default.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -66,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", type=int, required=True)
     p.add_argument("--out", default=None, help="write CSV here instead of stdout")
 
-    sub.add_parser("example-config", help="print an annotated example configuration")
+    sub.add_parser("example-config", help="print every config key with its default")
     return parser
 
 
@@ -88,7 +89,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "example-config":
-            sys.stdout.write(EXAMPLE_CONFIG)
+            sys.stdout.write(example_config())
             return 0
         if args.command == "profile":
             return _profile_command(args)
@@ -96,13 +97,7 @@ def main(argv=None) -> int:
         if args.command == "phantom":
             result = generate_phantom_only(config, out_dir=args.out)
         elif args.command == "sweep":
-            pairs = None
-            if args.pairs:
-                pairs = [
-                    tuple(float(v) for v in chunk.split(","))
-                    for chunk in args.pairs.split(";")
-                    if chunk.strip()
-                ]
+            pairs = parse_pairs(args.pairs) if args.pairs else None
             ranked = sweep(config, pairs=pairs, out_dir=args.out, seed=args.seed)
             for row in ranked:
                 print(f"h_sat={row['h_sat']} nu0={row['nu0']} score={row['score']} {row['status']}")

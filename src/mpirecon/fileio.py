@@ -93,12 +93,17 @@ def save_signal(path: str, signal: ScanSignal) -> None:
 
 
 def load_signal(path: str) -> ScanSignal:
+    """Signal at rate ``1 / (t_1 - t_0)``.  Every step must match the first to 1e-6
+    relative; the ``k / rate`` stamps of ``save_signal`` round to ~1e-10 at 640k samples."""
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[0] < 2:
         raise ValueError(f"signal file {path} needs at least two samples")
     dt = data[1, 0] - data[0, 0]
     if dt <= 0:
         raise ValueError(f"signal file {path} has non-increasing time stamps")
+    bad = np.flatnonzero(~(np.abs(np.diff(data[:, 0]) - dt) <= 1e-6 * dt))
+    if bad.size:
+        raise ValueError(f"signal file {path} has non-uniform time stamps at t[{bad[0] + 1}]")
     return ScanSignal(values=data[:, 1:], sample_rate=1.0 / dt)
 
 

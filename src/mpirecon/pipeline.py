@@ -11,9 +11,10 @@ reconstruction), CSV signals/trajectories, a deterministic
 naming every file written.  Later stages can start from files on disk,
 so a run can begin at any stage.
 
-Configuration is line-oriented ``key = value`` text with ``[section]``
-headers (INI); values carry their unit in the key name.  See
-``EXAMPLE_CONFIG`` for the full grammar with defaults.
+Configuration is INI text whose keys carry their unit in the name.
+``SCHEMA`` lists every section and key with its type, default and doc;
+parsing, validation and ``example_config()`` come from it.  Unknown
+keys and unparsable values fail when the config is read.
 """
 
 from __future__ import annotations
@@ -51,82 +52,154 @@ from .scanner import ScannerConfig, decimate, excited_trajectory, lissajous
 
 STAGES = ("simulate", "preprocess", "core", "deconvolve")
 
-EXAMPLE_CONFIG = """\
-[pipeline]
-stages = simulate,core,deconvolve
-out = runs/two_bar
-seed = 0
-noise_level = 0.0
 
-[grid]
-height = 33
-width = 33
-extent_x_mm = 24.0
-extent_y_mm = 24.0
+def parse_pairs(raw: str) -> list:
+    """``h_sat,nu0`` pairs separated by ``;`` (``[sweep] pairs``, ``sweep --pairs``)."""
+    pairs = []
+    for chunk in filter(str.strip, raw.split(";")):
+        try:
+            h_sat, nu0 = (float(v) for v in chunk.split(","))
+        except ValueError:
+            raise ValueError(f"pair {chunk.strip()!r} is not h_sat,nu0") from None
+        pairs.append((h_sat, nu0))
+    return pairs
 
-[scanner]
-gradient_x_t_per_m = -1.0
-gradient_y_t_per_m = -1.0
-drive_amplitude_x_mt = 12.0
-drive_amplitude_y_mt = 12.0
-drive_frequency_x_hz = 65.0
-drive_frequency_y_hz = 64.0
-sample_rate_hz = 69696
-repetition_time_s = 1.0
-trajectory = lissajous
-; excited trajectories additionally need:
-; excitation_amplitude_mt = 2.0
-; excitation_frequency_hz = 25000.0
-; sampled trajectories instead use:
-; trajectory = file
-; trajectory_file = trajectory.csv
-decimate = 1
 
-[particle]
-temperature_k = 293.0
-saturation_magnetization_j_per_m3_t = 4.74e5
-core_diameter_nm = 21.0
+# Value types as (parse a non-empty value, write a default back as text).
+FLOAT = (float, repr)
+INT = (int, str)
+TEXT = (str, str)
+INTS = (lambda raw: tuple(map(int, filter(str.strip, raw.split(",")))),
+        lambda v: ",".join(map(str, v)))
+WORDS = (lambda raw: tuple(raw.split()), " ".join)
+PAIRS = (parse_pairs, lambda v: ";".join(f"{h!r},{n!r}" for h, n in v))
 
-[kernel]
-; resolution field scale; defaults to the particle saturation field
-; h_sat_a_per_m = 568.0
 
-[core]
-gamma = 1e-7
-cg_tolerance = 1e-3
-cg_max_iterations = 10000
-rows = 0,1
-interpolation = cosine
-laplacian_units = pixel
+# section -> rows of (key, type, default, doc); a None default means unset.
+# Keys that fill a dataclass field with a default take it from the class.
+SCHEMA = {
+    "pipeline": (
+        ("stages", TEXT, "simulate,core,deconvolve", "any of " + ",".join(STAGES)),
+        ("out", TEXT, "runs/out", "output directory, relative to the config file"),
+        ("seed", INT, 0, "seed of the added measurement noise"),
+        ("noise_level", FLOAT, 0.0, "added Gaussian noise relative to the signal"),
+    ),
+    "grid": (
+        ("height", INT, 33, "pixel rows"),
+        ("width", INT, 33, "pixel columns"),
+        ("extent_x_mm", FLOAT, 24.0, "scan window; outer pixel centres on its edge"),
+        ("extent_y_mm", FLOAT, 24.0, "scan window height"),
+    ),
+    "scanner": (
+        ("gradient_x_t_per_m", FLOAT, -1.0, "selection-field gradient (mu0-scaled)"),
+        ("gradient_y_t_per_m", FLOAT, -1.0, "selection-field gradient (mu0-scaled)"),
+        ("drive_amplitude_x_mt", FLOAT, 12.0, "drive-field amplitude (mu0-scaled)"),
+        ("drive_amplitude_y_mt", FLOAT, 12.0, "drive-field amplitude (mu0-scaled)"),
+        ("drive_frequency_x_hz", FLOAT, 65.0, "drive-field frequency"),
+        ("drive_frequency_y_hz", FLOAT, 64.0, "drive-field frequency"),
+        ("sample_rate_hz", FLOAT, 69696.0, "acquisition rate"),
+        ("repetition_time_s", FLOAT, 1.0, "length of one drive period"),
+        ("trajectory", TEXT, "lissajous", "lissajous, excited or file"),
+        ("excitation_amplitude_mt", FLOAT, None, "fast excitation on x (excited)"),
+        ("excitation_frequency_hz", FLOAT, None, "fast excitation on x (excited)"),
+        ("trajectory_file", TEXT, None, "t,x,y[,vx,vy] CSV (trajectory = file)"),
+        ("decimate", INT, 1, "keep every n-th trajectory sample"),
+    ),
+    "particle": (
+        ("temperature_k", FLOAT, 293.0, "particle temperature"),
+        ("saturation_magnetization_j_per_m3_t", FLOAT, 4.74e5, "core saturation magnetization"),
+        ("core_diameter_nm", FLOAT, 21.0, "magnetic core diameter"),
+    ),
+    "kernel": (
+        ("h_sat_a_per_m", FLOAT, None, "kernel field scale; empty: the particle's"),
+        ("taylor_cutoff", FLOAT, KernelSpec.taylor_cutoff, "below it the kernel uses its series"),
+    ),
+    "core": (
+        ("gamma", FLOAT, CoreStageConfig.gamma, "weight of the Laplacian smoothness term"),
+        ("cg_tolerance", FLOAT, CoreStageConfig.cg_tolerance, "relative CG residual to stop at"),
+        ("cg_max_iterations", INT, CoreStageConfig.cg_max_iterations, "CG cap per row"),
+        ("rows", INTS, CoreStageConfig.rows, "operator rows to recover; one: partial data"),
+        ("interpolation", TEXT, InterpolationScheme.kind, "cosine or bilinear"),
+        ("laplacian_units", TEXT, CoreStageConfig.laplacian_units, "pixel or physical"),
+    ),
+    "pnp": (
+        ("nu0", FLOAT, PnPConfig.nu0, "initial coupling of the Tikhonov step"),
+        ("iterations", INT, PnPConfig.n_iterations, "plug-and-play iterations"),
+        ("trim_percentile", FLOAT, PnPConfig.trim_percentile, "trimmed before noise estimation"),
+        ("denoiser", TEXT, PnPConfig.denoiser.kind, "total-variation, gaussian-blur or external"),
+        ("tv_scale", FLOAT, DenoiserRef.tv_scale, "TV weight per unit squared noise"),
+        ("tv_iterations", INT, DenoiserRef.tv_iterations, "TV projection iterations"),
+        ("blur_scale", FLOAT, DenoiserRef.blur_scale, "blur width in pixels per unit noise"),
+        ("denoiser_command", WORDS, DenoiserRef.command, "argv of the external denoiser"),
+        ("denoiser_timeout_s", FLOAT, DenoiserRef.timeout, "wait per external request"),
+    ),
+    "phantom": (
+        ("kind", TEXT, "two-bar", "empty, dot, two-bar, snake, ice-cream or snail"),
+        ("margin_mm", FLOAT, PhantomSpec.margin_mm, "zero border against wrap-around"),
+        ("dot_center_x_mm", FLOAT, PhantomSpec.dot_center_mm[0], "dot position"),
+        ("dot_center_y_mm", FLOAT, PhantomSpec.dot_center_mm[1], "dot position"),
+        ("dot_size_mm", FLOAT, PhantomSpec.dot_size_mm, "dot edge length"),
+        ("separation_mm", FLOAT, PhantomSpec.separation_mm, "distance of the bar centres"),
+        ("bar_length_a_mm", FLOAT, PhantomSpec.bar_lengths_mm[0], "first bar"),
+        ("bar_length_b_mm", FLOAT, PhantomSpec.bar_lengths_mm[1], "second bar"),
+        ("bar_width_mm", FLOAT, PhantomSpec.bar_width_mm, "both bars"),
+        ("bar_axis", TEXT, PhantomSpec.bar_axis, "x: side by side; y: stacked"),
+    ),
+    "preprocess": (
+        ("signal_file", TEXT, None, "signal CSV; empty: <out>/signal.csv"),
+        ("transfer_function_file", TEXT, None, "bin,channel,re,im CSV to divide out"),
+        ("snr_file", TEXT, None, "bin,channel,snr CSV for thresholding"),
+        ("threshold_x", FLOAT, 0.0, "drop bins below this SNR"),
+        ("threshold_y", FLOAT, 0.0, "drop bins below this SNR"),
+    ),
+    "deconvolve": (("input_trace", TEXT, None, "trace image base; empty: the core stage's"),),
+    "sweep": (("pairs", PAIRS, (), "h_sat,nu0 pairs separated by ';'"),),
+}
+_TYPES = {section: {row[0]: row[1] for row in rows} for section, rows in SCHEMA.items()}
+# (section, key, suffix) of every input a config can name; suffix picks the file to check
+_INPUTS = [(s, key, "") for s, types in _TYPES.items() for key in types if key.endswith("_file")]
+_INPUTS.append(("deconvolve", "input_trace", ".float.txt"))
 
-[pnp]
-nu0 = 1e-5
-iterations = 10
-trim_percentile = 5.0
-denoiser = total-variation
-tv_scale = 1.0
-tv_iterations = 60
-blur_scale = 4.0
-; denoiser_command = python3 my_denoiser.py
-; denoiser_timeout_s = 30
 
-[phantom]
-kind = two-bar
-separation_mm = 2.25
-bar_length_a_mm = 15.0
-bar_length_b_mm = 15.0
-bar_width_mm = 0.7
-margin_mm = 3.0
+def _hint(name: str, known) -> str:
+    import difflib
 
-[preprocess]
-; transfer_function_file = tf.csv
-; snr_file = snr.csv
-threshold_x = 0.0
-threshold_y = 0.0
+    close = difflib.get_close_matches(name, list(known), n=1)
+    return f"; did you mean {close[0]!r}?" if close else ""
 
-[deconvolve]
-; input_trace = runs/earlier/trace
-"""
+
+def _parse(text: str, source: str) -> dict:
+    """Every key's typed value or default; unknown or unparsable entries raise."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
+    parser.read_string(text, source)
+    values = {s: {row[0]: row[2] for row in rows} for s, rows in SCHEMA.items()}
+    if parser.defaults():
+        raise ValueError(f"[{parser.default_section}] unknown section")
+    for section in parser.sections():
+        if section not in SCHEMA:
+            raise ValueError(f"[{section}] unknown section{_hint(section, SCHEMA)}")
+        types = _TYPES[section]
+        for key, raw in parser.items(section):
+            if key not in types:
+                raise ValueError(f"[{section}] {key}: unknown key{_hint(key, types)}")
+            raw = raw.strip()
+            if raw:
+                try:
+                    values[section][key] = types[key][0](raw)
+                except ValueError as exc:
+                    raise ValueError(f"[{section}] {key} = {raw}: {exc}") from None
+    return values
+
+
+def example_config() -> str:
+    """Every key of ``SCHEMA`` with its default; parses back to the defaults."""
+    lines = ["; Every mpirecon config key with its default; an empty value means the default."]
+    for section, rows in SCHEMA.items():
+        lines += ["", f"[{section}]"]
+        for key, (_, show), default, doc in rows:
+            setting = f"{key} = {'' if default is None else show(default)}"
+            lines.append(f"{setting:<44} ; {doc}")
+    return "\n".join(lines) + "\n"
 
 
 class PipelineError(RuntimeError):
@@ -140,40 +213,27 @@ class PipelineError(RuntimeError):
 
 @dataclasses.dataclass
 class PipelineConfig:
-    """Typed view over the INI configuration."""
+    """Typed view over the INI configuration: ``values[section][key]`` for every key."""
 
-    parser: configparser.ConfigParser
+    values: dict
     base_dir: str = "."
 
     @classmethod
     def from_file(cls, path: str) -> "PipelineConfig":
-        parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
         with open(path) as f:
-            parser.read_file(f)
-        return cls(parser=parser, base_dir=os.path.dirname(os.path.abspath(path)))
+            text = f.read()
+        return cls(values=_parse(text, path), base_dir=os.path.dirname(os.path.abspath(path)))
 
     @classmethod
     def from_string(cls, text: str, base_dir: str = ".") -> "PipelineConfig":
-        parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-        parser.read_string(text)
-        return cls(parser=parser, base_dir=base_dir)
+        return cls(values=_parse(text, "<string>"), base_dir=base_dir)
 
-    def _get(self, section, key, default=None, cast=str):
-        if not self.parser.has_option(section, key):
-            return default
-        raw = self.parser.get(section, key).strip()
-        if raw == "":
-            return default
-        return cast(raw)
-
-    def path(self, section, key, default=None):
-        value = self._get(section, key, default)
-        if value is None:
-            return None
-        return value if os.path.isabs(value) else os.path.join(self.base_dir, value)
+    def path(self, section, key):
+        value = self.values[section][key]
+        return None if value is None else os.path.join(self.base_dir, value)
 
     def stages(self) -> tuple:
-        raw = self._get("pipeline", "stages", "simulate,core,deconvolve")
+        raw = self.values["pipeline"]["stages"]
         names = tuple(s.strip() for s in raw.split(",") if s.strip())
         for name in names:
             if name not in STAGES:
@@ -181,159 +241,105 @@ class PipelineConfig:
         return tuple(s for s in STAGES if s in names)
 
     def out_dir(self) -> str:
-        out = self._get("pipeline", "out", "runs/out")
-        return out if os.path.isabs(out) else os.path.join(self.base_dir, out)
+        return self.path("pipeline", "out")
 
     def seed(self) -> int:
-        return self._get("pipeline", "seed", 0, int)
+        return self.values["pipeline"]["seed"]
 
     def noise_level(self) -> float:
-        return self._get("pipeline", "noise_level", 0.0, float)
+        return self.values["pipeline"]["noise_level"]
 
     def grid(self) -> GridGeometry:
-        height = self._get("grid", "height", 33, int)
-        width = self._get("grid", "width", 33, int)
-        ex = self._get("grid", "extent_x_mm", 24.0, float) * 1e-3
-        ey = self._get("grid", "extent_y_mm", 24.0, float) * 1e-3
-        return GridGeometry.node_centered((ex, ey), (height, width))
+        v = self.values["grid"]
+        extent = (v["extent_x_mm"] * 1e-3, v["extent_y_mm"] * 1e-3)
+        return GridGeometry.node_centered(extent, (v["height"], v["width"]))
 
     def scanner(self) -> ScannerConfig:
-        g = self._get
+        v = self.values["scanner"]
+        excitation = v["excitation_amplitude_mt"]
         return ScannerConfig(
-            gradient=(
-                g("scanner", "gradient_x_t_per_m", -1.0, float),
-                g("scanner", "gradient_y_t_per_m", -1.0, float),
-            ),
-            drive_amplitudes=(
-                g("scanner", "drive_amplitude_x_mt", 12.0, float) * 1e-3,
-                g("scanner", "drive_amplitude_y_mt", 12.0, float) * 1e-3,
-            ),
-            drive_frequencies=(
-                g("scanner", "drive_frequency_x_hz", 65.0, float),
-                g("scanner", "drive_frequency_y_hz", 64.0, float),
-            ),
-            sample_rate=g("scanner", "sample_rate_hz", 69696.0, float),
-            repetition_time=g("scanner", "repetition_time_s", 1.0, float),
-            excitation_amplitude=(
-                None
-                if g("scanner", "excitation_amplitude_mt") is None
-                else g("scanner", "excitation_amplitude_mt", cast=float) * 1e-3
-            ),
-            excitation_frequency=g("scanner", "excitation_frequency_hz", cast=float),
+            gradient=(v["gradient_x_t_per_m"], v["gradient_y_t_per_m"]),
+            drive_amplitudes=(v["drive_amplitude_x_mt"] * 1e-3, v["drive_amplitude_y_mt"] * 1e-3),
+            drive_frequencies=(v["drive_frequency_x_hz"], v["drive_frequency_y_hz"]),
+            sample_rate=v["sample_rate_hz"],
+            repetition_time=v["repetition_time_s"],
+            excitation_amplitude=None if excitation is None else excitation * 1e-3,
+            excitation_frequency=v["excitation_frequency_hz"],
         )
 
     def particle(self) -> ParticleModel:
-        g = self._get
+        v = self.values["particle"]
         return ParticleModel(
-            temperature=g("particle", "temperature_k", 293.0, float),
-            saturation_magnetization=g(
-                "particle", "saturation_magnetization_j_per_m3_t", 4.74e5, float
-            ),
-            core_diameter=g("particle", "core_diameter_nm", 21.0, float) * 1e-9,
+            temperature=v["temperature_k"],
+            saturation_magnetization=v["saturation_magnetization_j_per_m3_t"],
+            core_diameter=v["core_diameter_nm"] * 1e-9,
         )
 
     def kernel_spec(self, h_override: float | None = None) -> KernelSpec:
-        h = h_override
-        if h is None:
-            h = self._get("kernel", "h_sat_a_per_m", cast=float)
+        v = self.values["kernel"]
+        h = h_override if h_override is not None else v["h_sat_a_per_m"]
         if h is None:
             h = saturation_field(self.particle())
-        kwargs = {}
-        cutoff = self._get("kernel", "taylor_cutoff", cast=float)
-        if cutoff is not None:
-            kwargs["taylor_cutoff"] = cutoff
-        return KernelSpec(h=h, dimension=2, **kwargs)
+        return KernelSpec(h=h, dimension=2, taylor_cutoff=v["taylor_cutoff"])
 
     def core(self) -> CoreStageConfig:
-        g = self._get
-        rows = tuple(
-            int(r) for r in g("core", "rows", "0,1").split(",") if r.strip() != ""
-        )
+        v = self.values["core"]
         return CoreStageConfig(
             grid=self.grid(),
-            gamma=g("core", "gamma", 1e-7, float),
-            cg_tolerance=g("core", "cg_tolerance", 1e-3, float),
-            cg_max_iterations=g("core", "cg_max_iterations", 10_000, int),
-            rows=rows,
-            laplacian_units=g("core", "laplacian_units", "pixel"),
+            gamma=v["gamma"],
+            cg_tolerance=v["cg_tolerance"],
+            cg_max_iterations=v["cg_max_iterations"],
+            rows=v["rows"],
+            laplacian_units=v["laplacian_units"],
         )
 
     def interpolation(self) -> InterpolationScheme:
-        return InterpolationScheme(self._get("core", "interpolation", "cosine"))
+        return InterpolationScheme(self.values["core"]["interpolation"])
 
     def denoiser(self) -> DenoiserRef:
-        g = self._get
-        kind = g("pnp", "denoiser", "total-variation")
-        command = g("pnp", "denoiser_command", "")
+        v = self.values["pnp"]
         return DenoiserRef(
-            kind=kind,
-            blur_scale=g("pnp", "blur_scale", 4.0, float),
-            tv_scale=g("pnp", "tv_scale", 1.0, float),
-            tv_iterations=g("pnp", "tv_iterations", 60, int),
-            command=tuple(command.split()) if command else (),
-            timeout=g("pnp", "denoiser_timeout_s", 30.0, float),
+            kind=v["denoiser"],
+            blur_scale=v["blur_scale"],
+            tv_scale=v["tv_scale"],
+            tv_iterations=v["tv_iterations"],
+            command=v["denoiser_command"],
+            timeout=v["denoiser_timeout_s"],
         )
 
     def pnp(self, nu0_override: float | None = None) -> PnPConfig:
-        g = self._get
+        v = self.values["pnp"]
         return PnPConfig(
-            nu0=nu0_override if nu0_override is not None else g("pnp", "nu0", 1e-5, float),
-            n_iterations=g("pnp", "iterations", 10, int),
-            trim_percentile=g("pnp", "trim_percentile", 5.0, float),
+            nu0=nu0_override if nu0_override is not None else v["nu0"],
+            n_iterations=v["iterations"],
+            trim_percentile=v["trim_percentile"],
             denoiser=self.denoiser(),
         )
 
     def phantom(self) -> PhantomSpec:
-        g = self._get
+        v = self.values["phantom"]
         return PhantomSpec(
-            kind=g("phantom", "kind", "two-bar"),
+            kind=v["kind"],
             grid=self.grid(),
-            margin_mm=g("phantom", "margin_mm", 0.0, float),
-            dot_center_mm=(
-                g("phantom", "dot_center_x_mm", 6.0, float),
-                g("phantom", "dot_center_y_mm", 6.0, float),
-            ),
-            dot_size_mm=g("phantom", "dot_size_mm", 1.5, float),
-            separation_mm=g("phantom", "separation_mm", 3.0, float),
-            bar_lengths_mm=(
-                g("phantom", "bar_length_a_mm", 20.0, float),
-                g("phantom", "bar_length_b_mm", 17.5, float),
-            ),
-            bar_width_mm=g("phantom", "bar_width_mm", 1.0, float),
-            bar_axis=g("phantom", "bar_axis", "x"),
+            margin_mm=v["margin_mm"],
+            dot_center_mm=(v["dot_center_x_mm"], v["dot_center_y_mm"]),
+            dot_size_mm=v["dot_size_mm"],
+            separation_mm=v["separation_mm"],
+            bar_lengths_mm=(v["bar_length_a_mm"], v["bar_length_b_mm"]),
+            bar_width_mm=v["bar_width_mm"],
+            bar_axis=v["bar_axis"],
         )
 
     def sweep_pairs(self) -> list:
-        raw = self._get("sweep", "pairs", "")
-        pairs = []
-        for chunk in raw.split(";"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            h_sat, nu0 = chunk.split(",")
-            pairs.append((float(h_sat), float(nu0)))
-        return pairs
+        return list(self.values["sweep"]["pairs"])
 
     def validate(self) -> None:
         """Referenced input files must exist."""
-        for section, key in (
-            ("scanner", "trajectory_file"),
-            ("preprocess", "transfer_function_file"),
-            ("preprocess", "snr_file"),
-            ("preprocess", "signal_file"),
-        ):
-            value = self._get(section, key)
-            if value is not None:
-                path = self.path(section, key)
-                if not os.path.exists(path):
-                    raise FileNotFoundError(f"[{section}] {key} = {value}: file not found")
-        trace = self._get("deconvolve", "input_trace")
-        if trace is not None:
-            base = self.path("deconvolve", "input_trace")
-            if not os.path.exists(base + ".float.txt"):
-                raise FileNotFoundError(
-                    f"[deconvolve] input_trace = {trace}: {base}.float.txt not found"
-                )
+        for section, key, suffix in _INPUTS:
+            path = self.path(section, key)
+            if path is not None and not os.path.exists(path + suffix):
+                value = self.values[section][key]
+                raise FileNotFoundError(f"[{section}] {key} = {value}: {path + suffix} not found")
         self.stages()
 
 
@@ -427,7 +433,7 @@ class _Run:
         if self.phantom_image is None:
             self.phantom_stage()
         scanner = self.config.scanner()
-        kind = self.config._get("scanner", "trajectory", "lissajous")
+        kind = self.config.values["scanner"]["trajectory"]
         if kind == "lissajous":
             traj = lissajous(scanner)
         elif kind == "excited":
@@ -436,7 +442,7 @@ class _Run:
             traj = load_trajectory(self.config.path("scanner", "trajectory_file"))
         else:
             raise ValueError(f"unknown trajectory kind {kind!r}")
-        step = self.config._get("scanner", "decimate", 1, int)
+        step = self.config.values["scanner"]["decimate"]
         if step > 1:
             traj = decimate(traj, step)
         self.trajectory = traj
@@ -477,10 +483,8 @@ class _Run:
         if tf_path is not None:
             tf = load_transfer_function(tf_path, signal.n_channels, n_bins)
             signal = correct_transfer_function(signal, tf)
-        thresholds = [
-            self.config._get("preprocess", "threshold_x", 0.0, float),
-            self.config._get("preprocess", "threshold_y", 0.0, float),
-        ][: signal.n_channels]
+        v = self.config.values["preprocess"]
+        thresholds = [v["threshold_x"], v["threshold_y"]][: signal.n_channels]
         snr_path = self.config.path("preprocess", "snr_file")
         if snr_path is not None:
             profile = load_snr_profile(snr_path, signal.n_channels, n_bins, thresholds)
@@ -566,6 +570,7 @@ class _Run:
     def execute(self, stages):
         os.makedirs(self.out, exist_ok=True)
         runners = {
+            "phantom": self.phantom_stage,
             "simulate": self.simulate_stage,
             "preprocess": self.preprocess_stage,
             "core": self.core_stage,
@@ -623,22 +628,7 @@ def generate_phantom_only(
     config: PipelineConfig, out_dir: str | None = None
 ) -> PipelineResult:
     """Rasterize and write just the configured phantom."""
-    run = _Run(config, out_dir=out_dir)
-    os.makedirs(run.out, exist_ok=True)
-    start = time.perf_counter()
-    try:
-        run.phantom_stage()
-    except Exception as exc:
-        raise PipelineError("phantom", exc) from exc
-    run.timings["phantom"] = time.perf_counter() - start
-    run._write_reports()
-    return PipelineResult(
-        out_dir=run.out,
-        artifacts=run.artifacts,
-        diagnostics_rows=run.rows,
-        timings=run.timings,
-        manifest_path=os.path.join(run.out, "manifest.txt"),
-    )
+    return _Run(config, out_dir=out_dir).execute(("phantom",))
 
 
 def sweep(
@@ -673,7 +663,7 @@ def sweep(
         run.deconv_input = (image.values, image.geometry)
     values, grid = run.deconv_input
     scanner = config.scanner()
-    is_bar_phantom = config._get("phantom", "kind", "two-bar") == "two-bar"
+    is_bar_phantom = config.values["phantom"]["kind"] == "two-bar"
 
     results = []
     for h_sat, nu0 in pairs:

@@ -98,6 +98,11 @@ class Trajectory:
             raise ValueError("times length does not match positions")
         if self.source not in ("analytic", "sampled"):
             raise ValueError(f"unknown trajectory source {self.source!r}")
+        for name in ("times", "positions", "velocities"):
+            finite = np.isfinite(getattr(self, name))
+            if not finite.all():
+                sample = np.argmin(finite.reshape(len(self.times), -1).all(axis=1))
+                raise ValueError(f"trajectory {name} are not finite at sample {sample}")
 
     def __len__(self) -> int:
         return self.times.shape[0]

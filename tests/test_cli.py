@@ -7,6 +7,7 @@ import pytest
 
 from mpirecon.cli import main
 from mpirecon.fileio import load_image
+from mpirecon.pipeline import PipelineConfig
 
 VACUUM_PERMEABILITY = 4e-7 * np.pi
 
@@ -140,11 +141,39 @@ class TestCommands:
         assert "[pipeline]" in text
         assert "stages" in text
 
+    def test_example_config_parses_to_the_defaults(self, capsys):
+        assert main(["example-config"]) == 0
+        example = PipelineConfig.from_string(capsys.readouterr().out)
+        assert example == PipelineConfig.from_string("")
+
 
 class TestFailures:
     def test_missing_config_file(self, capsys):
         assert main(["run", "--config", "/nonexistent.ini"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ("[core]\ngama = 5\n", "error: [config] [core] gama: unknown key; did you mean 'gamma"),
+            ("[pnpp]\nnu0 = 1e-5\n", "error: [config] [pnpp] unknown section; did you mean 'pnp'?"),
+            ("[core]\ngamma = abc\n", "error: [config] [core] gamma = abc: could not convert"),
+        ],
+        ids=["typo", "section", "float"],
+    )
+    def test_bad_config_fails_before_any_stage(self, config_file, capsys, extra, message):
+        path, out = config_file
+        with open(path, "a") as f:
+            f.write(extra)
+        assert main(["run", "--config", path]) == 1
+        assert capsys.readouterr().err.startswith(message)
+        assert not os.path.exists(out)
+
+    def test_bad_sweep_pair_fails_before_the_prelude(self, config_file, capsys):
+        path, out = config_file
+        assert main(["sweep", "--config", path, "--pairs", "800"]) == 1
+        assert capsys.readouterr().err == "error: [config] pair '800' is not h_sat,nu0\n"
+        assert not os.path.exists(out)
 
     def test_stage_failure_is_tagged(self, config_file, tmp_path, capsys):
         path, _ = config_file

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mpirecon.fileio import (
     load_core_field,
@@ -25,6 +28,13 @@ from mpirecon.preprocessing import SnrProfile, TransferFunction
 from mpirecon.scanner import Trajectory
 
 GRID = GridGeometry(shape=(5, 7), spacing=(0.5e-3, 0.25e-3), origin=(-1e-3, -2e-3))
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=1e-300, max_value=1e300)
+
+
+def finite_arrays(rows, columns):
+    return arrays(np.float64, st.tuples(rows, columns), elements=FINITE)
 
 
 class TestImageTriple:
@@ -60,6 +70,20 @@ class TestImageTriple:
         with pytest.raises(ValueError):
             save_image(str(tmp_path / "bad"), np.zeros((3, 3)), GRID)
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        values=finite_arrays(st.integers(1, 6), st.integers(1, 6)),
+        spacing=st.tuples(POSITIVE, POSITIVE),
+        origin=st.tuples(FINITE, FINITE),
+    )
+    def test_any_finite_image_round_trips_exactly(self, tmp_path_factory, values, spacing, origin):
+        geometry = GridGeometry(shape=values.shape, spacing=spacing, origin=origin)
+        base = str(tmp_path_factory.mktemp("img") / "img")
+        save_image(base, values, geometry)
+        loaded = load_image(base)
+        assert np.array_equal(loaded.values, values)
+        assert loaded.geometry == geometry
+
 
 class TestSignalCsv:
     def test_round_trip(self, tmp_path):
@@ -81,6 +105,36 @@ class TestSignalCsv:
         loaded = load_signal(path)
         assert loaded.n_channels == 1
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        values=finite_arrays(st.integers(2, 40), st.integers(1, 3)),
+        sample_rate=st.floats(min_value=1e-3, max_value=1e9),
+    )
+    def test_any_finite_signal_round_trips_exactly(self, tmp_path_factory, values, sample_rate):
+        sig = ScanSignal(values=values, sample_rate=sample_rate)
+        path = str(tmp_path_factory.mktemp("sig") / "signal.csv")
+        save_signal(path, sig)
+        loaded = load_signal(path)
+        assert np.array_equal(loaded.values, sig.values)
+        # the file carries the stamps; the rate is the reciprocal of the first step
+        assert loaded.sample_rate == 1.0 / sig.times()[1]
+
+    def test_long_excitation_rate_signal_loads(self, tmp_path):
+        # one second at 640 kHz: the stamp rounding grows with the sample index
+        sig = ScanSignal(values=np.zeros((640_000, 1)), sample_rate=640e3)
+        path = str(tmp_path / "signal.csv")
+        save_signal(path, sig)
+        loaded = load_signal(path)
+        assert loaded.n_samples == 640_000
+        assert loaded.sample_rate == 1.0 / sig.times()[1]
+
+    @pytest.mark.parametrize("stamps", [(0, 1, 3, 2.5), (0, 1, 2, 4), (0, 1, 2, float("nan"))])
+    def test_non_uniform_stamps_rejected(self, tmp_path, stamps):
+        path = tmp_path / "signal.csv"
+        path.write_text("t,s_x\n" + "".join(f"{t!r},1.0\n" for t in stamps))
+        with pytest.raises(ValueError, match=r"non-uniform time stamps at t\[[23]\]$"):
+            load_signal(str(path))
+
 
 class TestTrajectoryCsv:
     def test_round_trip_with_velocities(self, tmp_path):
@@ -97,6 +151,23 @@ class TestTrajectoryCsv:
         loaded = load_trajectory(path)
         assert np.array_equal(loaded.positions, traj.positions)
         assert np.array_equal(loaded.velocities, traj.velocities)
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_any_finite_trajectory_round_trips_exactly(self, tmp_path_factory, data):
+        length = data.draw(st.integers(1, 30))
+        traj = Trajectory(
+            times=data.draw(finite_arrays(st.just(length), st.just(1)))[:, 0],
+            positions=data.draw(finite_arrays(st.just(length), st.just(2))),
+            velocities=data.draw(finite_arrays(st.just(length), st.just(2))),
+            source="sampled",
+        )
+        path = str(tmp_path_factory.mktemp("traj") / "traj.csv")
+        save_trajectory(path, traj)
+        loaded = load_trajectory(path)
+        for name in ("times", "positions", "velocities"):
+            assert np.array_equal(getattr(loaded, name), getattr(traj, name)), name
+        assert loaded.source == "sampled"
 
     def test_positions_only_get_forward_difference_velocities(self, tmp_path):
         t = np.linspace(0.0, 1.0, 11)

@@ -1,21 +1,44 @@
 """Config-driven pipeline runs, determinism, sweep and profiles."""
 
+import configparser
+import glob
 import os
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from mpirecon.core_stage import CoreStageConfig
 from mpirecon.fileio import load_image, read_manifest
 from mpirecon.geometry import GridGeometry
+from mpirecon.interpolation import InterpolationScheme
+from mpirecon.kernels import KernelSpec
+from mpirecon.phantoms import PhantomSpec
+from mpirecon.pnp import PnPConfig
 from mpirecon.pipeline import (
+    FLOAT,
+    INT,
+    SCHEMA,
     PipelineConfig,
     PipelineError,
     _deconvolution_kernel,
     dip_ratio,
+    example_config,
     extract_profile,
     run_pipeline,
     sweep,
 )
+
+CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "configs", "*.ini")))
+GETTERS = (
+    "stages", "out_dir", "seed", "noise_level", "grid", "scanner", "particle", "kernel_spec",
+    "core", "interpolation", "denoiser", "pnp", "phantom", "sweep_pairs",
+)
+KEYS = [(section, row[0]) for section, rows in SCHEMA.items() for row in rows]
+NUMERIC_KEYS = [
+    (section, row[0]) for section, rows in SCHEMA.items() for row in rows if row[1] in (FLOAT, INT)
+]
 
 VACUUM_PERMEABILITY = 4e-7 * np.pi
 
@@ -94,6 +117,81 @@ class TestConfig:
         )
         with pytest.raises(FileNotFoundError):
             config.validate()
+
+
+class TestSchema:
+    def test_example_config_parses_to_the_defaults(self, tmp_path):
+        text = example_config()
+        example = PipelineConfig.from_string(text, base_dir=str(tmp_path))
+        default = PipelineConfig.from_string("", base_dir=str(tmp_path))
+        for name in GETTERS:
+            assert getattr(example, name)() == getattr(default, name)(), name
+        example.validate()
+        raw = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+        raw.read_string(text)
+        assert [(s, k) for s in raw.sections() for k in raw[s]] == KEYS
+        # keys that neither the shipped configs nor the tests set
+        unset = {"taylor_cutoff", "bar_axis", "denoiser_command", "denoiser_timeout_s", "pairs"}
+        assert unset <= {k for _, k in KEYS}
+
+    def test_defaults_of_dataclass_backed_keys_come_from_the_dataclasses(self):
+        config = PipelineConfig.from_string("")
+        grid = config.grid()
+        assert config.core() == CoreStageConfig(grid=grid)
+        assert config.pnp() == PnPConfig()
+        assert config.phantom() == PhantomSpec(kind="two-bar", grid=grid)
+        assert config.interpolation() == InterpolationScheme()
+        assert config.kernel_spec(1.0) == KernelSpec(h=1.0)
+
+    def test_empty_value_means_default(self):
+        config = PipelineConfig.from_string("[core]\ngamma =\n[sweep]\npairs =\n")
+        assert config.core() == PipelineConfig.from_string("").core()
+        assert config.sweep_pairs() == []
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=os.path.basename)
+    def test_shipped_configs_parse_and_validate(self, path):
+        config = PipelineConfig.from_file(path)
+        config.validate()
+        for name in GETTERS:
+            getattr(config, name)()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[core]\ngama = 5\n", r"^\[core\] gama: unknown key; did you mean 'gamma'\?$"),
+            ("[pnpp]\nnu0 = 1e-5\n", r"^\[pnpp\] unknown section; did you mean 'pnp'\?$"),
+            ("[core]\ngamma = abc\n", r"^\[core\] gamma = abc: could not convert"),
+            ("[core]\nrows = 0,x\n", r"^\[core\] rows = 0,x: invalid literal"),
+            ("[sweep]\npairs = 800,1e-5;800\n", r"^\[sweep\] pairs = .*'800' is not h_sat,nu0"),
+            ("[DEFAULT]\ngamma = 5\n", r"^\[DEFAULT\] unknown section"),
+        ],
+        ids=["typo", "section", "float", "ints", "pairs", "default-section"],
+    )
+    def test_bad_config_rejected_when_read(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            PipelineConfig.from_string(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_one_character_misspellings_name_section_and_key(self, data):
+        section, key = data.draw(st.sampled_from(KEYS))
+        i = data.draw(st.integers(0, len(key)))
+        char = data.draw(st.sampled_from("abcdefghijklmnopqrstuvwxyz0123456789_"))
+        typo = data.draw(
+            st.sampled_from(
+                [key[:i] + char + key[i:], key[:i] + char + key[i + 1 :], key[:i] + key[i + 1 :]]
+            )
+        )
+        assume(typo and typo not in {row[0] for row in SCHEMA[section]})
+        with pytest.raises(ValueError, match=rf"^\[{section}\] {typo}: unknown key"):
+            PipelineConfig.from_string(f"[{section}]\n{typo} = 1\n")
+
+    @settings(max_examples=100, deadline=None)
+    @given(key=st.sampled_from(NUMERIC_KEYS), value=st.text("abcxyz%(),.", min_size=1, max_size=5))
+    def test_non_numeric_values_name_section_and_key(self, key, value):
+        section, name = key
+        with pytest.raises(ValueError, match=rf"^\[{section}\] {name} = "):
+            PipelineConfig.from_string(f"[{section}]\n{name} = {value}\n")
 
 
 class TestFullRun:
@@ -217,6 +315,18 @@ class TestStageSelection:
         config = make_config(tmp_path, "broken")
         with pytest.raises(PipelineError, match=r"\[core\]"):
             run_pipeline(config, stages=("core",))
+
+    def test_non_finite_trajectory_file_fails_with_stage_tag(self, tmp_path):
+        rows = [f"{k * 1e-3!r},0.001,{k * 1e-4!r},1.0,1.0" for k in range(10)]
+        rows[4] = "0.004,0.001,nan,1.0,1.0"
+        (tmp_path / "traj.csv").write_text("t,x,y,vx,vy\n" + "\n".join(rows) + "\n")
+        text = config_text(str(tmp_path / "nan")).replace(
+            "repetition_time_s = 1.0", "trajectory = file\ntrajectory_file = traj.csv"
+        )
+        config = PipelineConfig.from_string(text, base_dir=str(tmp_path))
+        message = r"^\[simulate\] trajectory positions are not finite at sample 4$"
+        with pytest.raises(PipelineError, match=message):
+            run_pipeline(config)
 
 
 class TestExcitedTrajectoryRun:

@@ -247,3 +247,15 @@ class TestTrajectoryType:
                 velocities=np.zeros((2, 2)),
                 source="guessed",
             )
+
+    @pytest.mark.parametrize("name", ["times", "positions", "velocities"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, name, bad):
+        arrays = {
+            "times": np.arange(4.0),
+            "positions": np.zeros((4, 2)),
+            "velocities": np.ones((4, 2)),
+        }
+        arrays[name][2, ...] = bad
+        with pytest.raises(ValueError, match=f"trajectory {name} are not finite at sample 2"):
+            Trajectory(source="sampled", **arrays)
