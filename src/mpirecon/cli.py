@@ -41,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, help_text in (
         ("run", "run the stages listed in the config"),
-        ("simulate", "generate phantom, trajectory and signal"),
+        ("simulate", "generate phantom and signal"),
         ("preprocess", "transfer-function correction and SNR thresholding"),
         ("core", "recover the core operator field from the signal"),
         ("deconvolve", "recover the concentration from the trace image"),

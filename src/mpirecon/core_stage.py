@@ -138,7 +138,12 @@ def solve_core_stage(
     rows = tuple(config.rows)
     if any(not 0 <= r < n for r in rows):
         raise ValueError(f"rows {rows} out of range for dimension {n}")
-    if signal_values.shape != (positions.shape[0], len(rows)):
+    if signal_values.shape[0] != positions.shape[0]:
+        raise ValueError(
+            f"signal has {signal_values.shape[0]} samples but the trajectory has "
+            f"{positions.shape[0]}"
+        )
+    if signal_values.shape[1] != len(rows):
         raise ValueError(
             f"signal values must have shape (samples, {len(rows)}), got {signal_values.shape}"
         )

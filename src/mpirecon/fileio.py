@@ -23,6 +23,7 @@ A core-operator field becomes one image triple per populated entry
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -33,11 +34,29 @@ from .preprocessing import SnrProfile, TransferFunction
 from .scanner import Trajectory, trajectory_from_samples
 
 FLOAT_FMT = "%.17g"
+# values formatted per ``%`` operation: amortizes the per-row call while
+# bounding the text held in memory (about 2k rows of a 3-column signal)
+_BLOCK_VALUES = 8192
 
 
 def _fmt(value) -> str:
     """Exact-round-trip float rendering (plain ``repr`` of a Python float)."""
     return repr(float(value))
+
+
+def _write_rows(path: str, data: np.ndarray, delimiter: str, header: str | None = None) -> None:
+    """The bytes of ``np.savetxt(path, data, fmt=FLOAT_FMT, delimiter=delimiter,
+    header=header or "", comments="")``, formatting a block of rows per ``%``
+    operation instead of one row per call."""
+    n_rows, n_cols = data.shape
+    row_fmt = delimiter.join([FLOAT_FMT] * n_cols) + "\n"
+    block = max(1, _BLOCK_VALUES // n_cols)
+    with open(path, "w") as f:
+        if header:
+            f.write(header + "\n")
+        for start in range(0, n_rows, block):
+            rows = data[start : start + block]
+            f.write((row_fmt * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 def save_image(base: str, values: np.ndarray, geometry: GridGeometry) -> list:
@@ -48,8 +67,11 @@ def save_image(base: str, values: np.ndarray, geometry: GridGeometry) -> list:
     paths = [base + ".pgm", base + ".geom", base + ".float.txt"]
 
     lo, hi = float(values.min()), float(values.max())
+    shown = values
+    if math.isinf(hi - lo) and math.isfinite(lo) and math.isfinite(hi):
+        shown, lo, hi = values / 2, lo / 2, hi / 2  # the span overflows; half of it does not
     scale = 255.0 / (hi - lo) if hi > lo else 0.0
-    preview = np.round((values - lo) * scale).astype(int)
+    preview = np.round((shown - lo) * scale).astype(int)
     h, w = values.shape
     with open(paths[0], "w") as f:
         f.write(f"P2\n{w} {h}\n255\n")
@@ -64,7 +86,7 @@ def save_image(base: str, values: np.ndarray, geometry: GridGeometry) -> list:
         f.write(f"spacing_x = {_fmt(geometry.spacing[0])}\n")
         f.write(f"spacing_y = {_fmt(geometry.spacing[1])}\n")
 
-    np.savetxt(paths[2], values, fmt=FLOAT_FMT)
+    _write_rows(paths[2], values, " ")
     return paths
 
 
@@ -89,7 +111,7 @@ def load_image(base: str) -> ConcentrationImage:
 def save_signal(path: str, signal: ScanSignal) -> None:
     header = "t," + ",".join(f"s_{axis}" for axis in ("x", "y", "z")[: signal.n_channels])
     data = np.column_stack([signal.times(), signal.values])
-    np.savetxt(path, data, fmt=FLOAT_FMT, delimiter=",", header=header, comments="")
+    _write_rows(path, data, ",", header)
 
 
 def load_signal(path: str) -> ScanSignal:
@@ -109,7 +131,7 @@ def load_signal(path: str) -> ScanSignal:
 
 def save_trajectory(path: str, trajectory: Trajectory) -> None:
     data = np.column_stack([trajectory.times, trajectory.positions, trajectory.velocities])
-    np.savetxt(path, data, fmt=FLOAT_FMT, delimiter=",", header="t,x,y,vx,vy", comments="")
+    _write_rows(path, data, ",", "t,x,y,vx,vy")
 
 
 def load_trajectory(path: str) -> Trajectory:

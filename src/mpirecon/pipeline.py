@@ -6,10 +6,12 @@ A run executes the selected stages in order
 
 handing data through memory and writing every artifact to the output
 directory: image triples (phantom, core-operator entries, trace,
-reconstruction), CSV signals/trajectories, a deterministic
+reconstruction), CSV signals, a deterministic
 ``diagnostics.csv``, wall-clock ``timings.csv``, and ``manifest.txt``
 naming every file written.  Later stages can start from files on disk,
-so a run can begin at any stage.
+so a run can begin at any stage.  The trajectory is written only when
+it came from a file; a later stage regenerates an analytic one from
+the config.
 
 Configuration is INI text whose keys carry their unit in the name.
 ``SCHEMA`` lists every section and key with its type, default and doc;
@@ -334,7 +336,16 @@ class PipelineConfig:
         return list(self.values["sweep"]["pairs"])
 
     def validate(self) -> None:
-        """Referenced input files must exist."""
+        """A trajectory file is named exactly when it is read; referenced
+        input files must exist."""
+        scanner = self.values["scanner"]
+        if scanner["trajectory_file"] is not None and scanner["trajectory"] != "file":
+            raise ValueError(
+                f"[scanner] trajectory_file = {scanner['trajectory_file']} is only read with "
+                f"trajectory = file, not trajectory = {scanner['trajectory']}"
+            )
+        if scanner["trajectory"] == "file" and scanner["trajectory_file"] is None:
+            raise ValueError("[scanner] trajectory = file needs a trajectory_file")
         for section, key, suffix in _INPUTS:
             path = self.path(section, key)
             if path is not None and not os.path.exists(path + suffix):
@@ -429,23 +440,26 @@ class _Run:
         self.phantom_image = generate_phantom(spec)
         self._save_image("phantom", self.phantom_image.values, self.phantom_image.geometry)
 
-    def simulate_stage(self):
-        if self.phantom_image is None:
-            self.phantom_stage()
-        scanner = self.config.scanner()
-        kind = self.config.values["scanner"]["trajectory"]
+    def _trajectory(self):
+        """The trajectory the resolved config names: analytic ones are
+        regenerated, a file is read; either is then decimated."""
+        v = self.config.values["scanner"]
+        kind = v["trajectory"]
         if kind == "lissajous":
-            traj = lissajous(scanner)
+            traj = lissajous(self.config.scanner())
         elif kind == "excited":
-            traj = excited_trajectory(scanner)
+            traj = excited_trajectory(self.config.scanner())
         elif kind == "file":
             traj = load_trajectory(self.config.path("scanner", "trajectory_file"))
         else:
             raise ValueError(f"unknown trajectory kind {kind!r}")
-        step = self.config.values["scanner"]["decimate"]
-        if step > 1:
-            traj = decimate(traj, step)
-        self.trajectory = traj
+        return decimate(traj, v["decimate"]) if v["decimate"] > 1 else traj
+
+    def simulate_stage(self):
+        if self.phantom_image is None:
+            self.phantom_stage()
+        scanner = self.config.scanner()
+        traj = self.trajectory = self._trajectory()
         spec = self.config.kernel_spec()
         signal = simulate_signal(
             self.phantom_image, traj, spec, scanner, self.config.interpolation()
@@ -454,12 +468,15 @@ class _Run:
         if level > 0:
             signal = add_noise(signal, level, self.seed)
         self.signal = signal
-        traj_path = os.path.join(self.out, "trajectory.csv")
-        save_trajectory(traj_path, traj)
+        if self.config.values["scanner"]["trajectory"] == "file":
+            # the only trajectory the config cannot regenerate
+            traj_path = os.path.join(self.out, "trajectory.csv")
+            save_trajectory(traj_path, traj)
+            self.files.append(traj_path)
+            self.artifacts["trajectory"] = traj_path
         sig_path = os.path.join(self.out, "signal.csv")
         save_signal(sig_path, signal)
-        self.files.extend([traj_path, sig_path])
-        self.artifacts["trajectory"] = traj_path
+        self.files.append(sig_path)
         self.artifacts["signal"] = sig_path
 
     def _load_signal_if_needed(self):
@@ -468,12 +485,6 @@ class _Run:
                 self.out, "signal.csv"
             )
             self.signal = load_signal(source)
-        if self.trajectory is None:
-            traj_file = self.config.path("scanner", "trajectory_file") or os.path.join(
-                self.out, "trajectory.csv"
-            )
-            if os.path.exists(traj_file):
-                self.trajectory = load_trajectory(traj_file)
 
     def preprocess_stage(self):
         self._load_signal_if_needed()
@@ -503,7 +514,7 @@ class _Run:
     def core_stage(self):
         self._load_signal_if_needed()
         if self.trajectory is None:
-            raise ValueError("core stage needs a trajectory (run simulate or provide a file)")
+            self.trajectory = self._trajectory()
         core_cfg = self.config.core()
         rows = core_cfg.rows
         values = self.signal.values

@@ -99,10 +99,9 @@ margin_mm = 3.0
 """
 
 
-def desk_scan_section(n, freq_hi, sample_rate, h_pixels=0.75, trajectory_file=None):
+def desk_scan_section(n, freq_hi, sample_rate, h_pixels=0.75):
     spacing = 24e-3 / (n - 1)
     h_sat = h_pixels * spacing / VACUUM_PERMEABILITY
-    scanner_extra = f"trajectory_file = {trajectory_file}\n" if trajectory_file else ""
     return f"""
 [grid]
 height = {n}
@@ -119,7 +118,7 @@ drive_frequency_x_hz = {freq_hi}.0
 drive_frequency_y_hz = {freq_hi - 1}.0
 sample_rate_hz = {sample_rate}
 repetition_time_s = 1.0
-{scanner_extra}
+
 [kernel]
 h_sat_a_per_m = {h_sat}
 
@@ -352,14 +351,13 @@ def test_criterion_06_resolution_proxy(workdir, resolution_run):
 def test_criterion_07_partial_data_path(workdir, resolution_run):
     crit = Criterion(7, "partial-data path", budget_s=120.0)
     # x-channel only of the same simulation: row 0 is recovered and the
-    # first diagonal entry is deconvolved with its own kernel entry
+    # first diagonal entry is deconvolved with its own kernel entry; the
+    # same desk-scan section regenerates the simulation's Lissajous
     config = pipeline_config(
         workdir,
         "partial",
         "stages = core,deconvolve\n"
-        + desk_scan_section(
-            33, 65, 69696, trajectory_file=f"{resolution_run.out_dir}/trajectory.csv"
-        )
+        + desk_scan_section(33, 65, 69696)
         + two_bar_section(3)
         + f"""
 [core]

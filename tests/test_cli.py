@@ -230,6 +230,20 @@ gamma = {gamma}
         err = capsys.readouterr().err
         assert "error: [core] normal matrix is singular: 25 of 25 pixels" in err
 
+    def test_ignored_trajectory_file_fails_before_any_stage(self, config_file, tmp_path, capsys):
+        path, out = config_file
+        (tmp_path / "traj.csv").write_text("t,x,y\n0,0,0\n1,0,0\n")
+        text = open(path).read().replace(
+            "repetition_time_s = 1.0", "repetition_time_s = 1.0\ntrajectory_file = traj.csv"
+        )
+        config = tmp_path / "ignored.ini"
+        config.write_text(text)
+        assert main(["run", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [config] [scanner] trajectory_file = traj.csv is only read")
+        assert "trajectory = lissajous" in err
+        assert not os.path.exists(out)
+
     def test_bad_phantom_geometry_tagged(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
         bad.write_text(

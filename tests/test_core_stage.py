@@ -352,6 +352,12 @@ class TestSolveCoreStage:
                 np.zeros((3, 2)), np.ones((3, 2)), np.ones((3, 2)), cfg
             )
 
+    def test_signal_length_mismatch_names_both_counts(self):
+        grid = GridGeometry(shape=(5, 5), spacing=(1.0, 1.0), origin=(0.0, 0.0))
+        cfg = CoreStageConfig(grid=grid, rows=(0,))
+        with pytest.raises(ValueError, match=r"^signal has 4 samples but the trajectory has 3$"):
+            solve_core_stage(np.zeros((4, 1)), np.ones((3, 2)), np.ones((3, 2)), cfg)
+
 
 class TestExtract:
     def make_field(self, rows=(0, 1)):

@@ -1,5 +1,7 @@
 """Disk formats: image triples, CSV signals/trajectories, manifests."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mpirecon.fileio import (
+    _BLOCK_VALUES,
+    _write_rows,
     load_core_field,
     load_image,
     load_signal,
@@ -33,8 +37,32 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 POSITIVE = st.floats(min_value=1e-300, max_value=1e300)
 
 
+# every float, with the extremes of %.17g drawn often
+ANY_FLOAT = st.floats() | st.sampled_from(
+    [1e308, -1e308, 5e-324, -5e-324, 2.225e-308, -0.0, math.nan, math.inf, -math.inf]
+)
+
+
 def finite_arrays(rows, columns):
     return arrays(np.float64, st.tuples(rows, columns), elements=FINITE)
+
+
+class TestBlockWriter:
+    @pytest.mark.parametrize("delimiter, header", [(",", "t,s_x,s_y"), (" ", None)])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_bytes_match_savetxt(self, tmp_path_factory, delimiter, header, data):
+        columns = data.draw(st.integers(1, 5))
+        block = _BLOCK_VALUES // columns
+        rows = data.draw(st.sampled_from([1, 2, block, block + 1, 2 * block + 3]))
+        values = data.draw(arrays(np.float64, (rows, columns), elements=ANY_FLOAT, fill=ANY_FLOAT))
+        work = tmp_path_factory.mktemp("rows")
+        _write_rows(str(work / "blocks.txt"), values, delimiter, header)
+        np.savetxt(
+            str(work / "savetxt.txt"), values, fmt="%.17g", delimiter=delimiter,
+            header=header or "", comments="",
+        )
+        assert (work / "blocks.txt").read_bytes() == (work / "savetxt.txt").read_bytes()
 
 
 class TestImageTriple:
@@ -65,6 +93,18 @@ class TestImageTriple:
         lines = (tmp_path / "flat.pgm").read_text().splitlines()
         pixels = [int(v) for row in lines[3:] for v in row.split()]
         assert set(pixels) == {0}
+
+    @pytest.mark.filterwarnings("error")
+    def test_preview_of_a_span_beyond_the_float_range(self, tmp_path):
+        # max - min overflows to inf; the preview still spans 0..255
+        base = str(tmp_path / "wide")
+        values = np.linspace(-1.5, 1.5, 35).reshape(GRID.shape) * 1e308
+        save_image(base, values, GRID)
+        lines = (tmp_path / "wide.pgm").read_text().splitlines()
+        pixels = [int(v) for row in lines[3:] for v in row.split()]
+        assert pixels[0] == 0 and pixels[-1] == 255
+        assert pixels == sorted(pixels)
+        assert np.array_equal(load_image(base).values, values)
 
     def test_shape_mismatch_rejected(self, tmp_path):
         with pytest.raises(ValueError):

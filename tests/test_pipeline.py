@@ -10,12 +10,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mpirecon.core_stage import CoreStageConfig
-from mpirecon.fileio import load_image, read_manifest
+from mpirecon.fileio import load_image, read_manifest, save_trajectory
 from mpirecon.geometry import GridGeometry
 from mpirecon.interpolation import InterpolationScheme
 from mpirecon.kernels import KernelSpec
 from mpirecon.phantoms import PhantomSpec
 from mpirecon.pnp import PnPConfig
+from mpirecon.scanner import lissajous
 from mpirecon.pipeline import (
     FLOAT,
     INT,
@@ -118,6 +119,24 @@ class TestConfig:
         with pytest.raises(FileNotFoundError):
             config.validate()
 
+    @pytest.mark.parametrize(
+        "scanner, message",
+        [
+            (
+                "trajectory_file = traj.csv\n",
+                r"^\[scanner\] trajectory_file = traj.csv is only read with trajectory = file, "
+                r"not trajectory = lissajous$",
+            ),
+            ("trajectory = file\n", r"^\[scanner\] trajectory = file needs a trajectory_file$"),
+        ],
+        ids=["file-ignored", "file-missing"],
+    )
+    def test_trajectory_file_named_exactly_when_read(self, tmp_path, scanner, message):
+        (tmp_path / "traj.csv").write_text("t,x,y\n0,0,0\n1,0,0\n")
+        config = PipelineConfig.from_string(f"[scanner]\n{scanner}", base_dir=str(tmp_path))
+        with pytest.raises(ValueError, match=message):
+            config.validate()
+
 
 class TestSchema:
     def test_example_config_parses_to_the_defaults(self, tmp_path):
@@ -202,8 +221,11 @@ class TestFullRun:
         for name in ("phantom", "trace", "recon"):
             assert os.path.exists(os.path.join(out, name + ".float.txt"))
             assert os.path.exists(os.path.join(out, name + ".pgm"))
-        for name in ("trajectory.csv", "signal.csv", "diagnostics.csv", "timings.csv"):
+        for name in ("signal.csv", "diagnostics.csv", "timings.csv"):
             assert os.path.exists(os.path.join(out, name))
+        # the config regenerates a Lissajous trajectory, so none is written
+        assert not os.path.exists(os.path.join(out, "trajectory.csv"))
+        assert "trajectory" not in result.artifacts
         # manifest covers exactly the files in the directory (minus itself)
         listed = set(read_manifest(out))
         present = {f for f in os.listdir(out) if f != "manifest.txt"}
@@ -311,6 +333,32 @@ class TestStageSelection:
         recon_staged = load_image(os.path.join(result.out_dir, "recon"))
         assert np.array_equal(recon_direct.values, recon_staged.values)
 
+    @pytest.mark.parametrize("trajectory", ["lissajous", "file"])
+    def test_split_run_matches_one_shot_run(self, tmp_path, trajectory):
+        # simulate, core and deconvolve as separate runs in one directory:
+        # an analytic trajectory is regenerated, a file one is read and decimated
+        text = config_text("{out}")
+        if trajectory == "file":
+            scanner = PipelineConfig.from_string(text).scanner()
+            save_trajectory(str(tmp_path / "traj.csv"), lissajous(scanner))
+            text = text.replace(
+                "repetition_time_s = 1.0",
+                "repetition_time_s = 1.0\ntrajectory = file\ntrajectory_file = traj.csv\n"
+                "decimate = 4",
+            )
+        runs = {"once": [None], "split": [("simulate",), ("core",), ("deconvolve",)]}
+        for name, stage_lists in runs.items():
+            out = str(tmp_path / name)
+            config = PipelineConfig.from_string(text.replace("{out}", out), base_dir=str(tmp_path))
+            for stages in stage_lists:
+                run_pipeline(config, stages=stages)
+        for name in ("trace.float.txt", "recon.float.txt"):
+            once, split = (tmp_path / "once" / name), (tmp_path / "split" / name)
+            assert once.read_bytes() == split.read_bytes(), name
+        # only a trajectory the config cannot regenerate is written
+        listed = read_manifest(str(tmp_path / "once"))
+        assert ("trajectory.csv" in listed) == (trajectory == "file")
+
     def test_core_without_trajectory_fails_with_stage_tag(self, tmp_path):
         config = make_config(tmp_path, "broken")
         with pytest.raises(PipelineError, match=r"\[core\]"):
@@ -384,10 +432,8 @@ dot_size_mm = 2.0
         assert os.path.exists(os.path.join(result.out_dir, "entry_a00.float.txt"))
         assert os.path.exists(os.path.join(result.out_dir, "recon.float.txt"))
         # 60000 samples decimated by 10
-        traj = np.loadtxt(
-            os.path.join(result.out_dir, "trajectory.csv"), delimiter=",", skiprows=1
-        )
-        assert traj.shape[0] == 6000
+        signal = np.loadtxt(os.path.join(result.out_dir, "signal.csv"), delimiter=",", skiprows=1)
+        assert signal.shape[0] == 6000
         recon = load_image(os.path.join(result.out_dir, "recon"))
         peak_iy, peak_ix = np.unravel_index(np.argmax(recon.values), recon.values.shape)
         x = recon.geometry.origin[0] + peak_ix * recon.geometry.spacing[0]
