@@ -55,6 +55,7 @@ from .pnp import (
     denoise,
     estimate_noise,
     percentile_trim,
+    tikhonov_spectra,
     tikhonov_step,
     zero_shot_pnp,
 )
@@ -130,6 +131,7 @@ __all__ = [
     "snr_threshold",
     "solve_core_stage",
     "sweep",
+    "tikhonov_spectra",
     "tikhonov_step",
     "trace_kernel",
     "trajectory_from_samples",

@@ -88,26 +88,58 @@ def _tv_gradient(image: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tv_divergence(p: np.ndarray) -> np.ndarray:
-    out = np.zeros(p.shape[1:])
-    out[:-1, :] += p[0, :-1, :]
-    out[1:, :] -= p[0, :-1, :]
-    out[:, :-1] += p[1, :, :-1]
-    out[:, 1:] -= p[1, :, :-1]
-    return out
-
-
 def tv_prox(image: np.ndarray, weight: float, n_iterations: int = 60) -> np.ndarray:
-    """Proximal operator of ``weight * TV`` via Chambolle's dual projection."""
+    """Proximal operator of ``weight * TV`` via Chambolle's dual projection.
+
+    The dual field and the gradient live in flat ``(2, h*w)`` buffers,
+    where a row shift is an offset of ``w`` and a column shift one of 1.
+    Flat shifts never carry a nonzero value across an image edge because
+    the last row of ``p[0]``, the last column of ``p[1]`` and the last
+    column of the column gradient are kept at zero.  Every element sees
+    the same floating-point operations in the same order as the textbook
+    slice form (``tests/tv_oracle.py``), so the output is bit-identical.
+    """
     if weight <= 0.0:
         return image.copy()
-    p = np.zeros((2,) + image.shape)
+    h, w = image.shape
+    n = h * w
+    scaled = np.ravel(image / weight)
+    p = np.zeros((2, n))
+    grad = np.zeros((2, n))
+    squares = np.empty((2, n))
+    div = np.empty(n)
+    shrink = np.empty(n)
+    p_rows, p_cols = p
+    grad_rows, grad_cols = grad[0, :-w], grad[1, :-1]
+    col_edge = grad[1, w - 1 :: w]
+    below, above = div[w:], div[:-w]
+    right, left = div[1:], div[:-1]
+    p_above, p_left = p_rows[:-w], p_cols[:-1]
+
+    def divergence():
+        # (((0 + p0[i, j]) - p0[i-1, j]) + p1[i, j]) - p1[i, j-1]
+        np.add(p_rows, 0.0, out=div)
+        np.subtract(below, p_above, out=below)
+        np.add(div, p_cols, out=div)
+        np.subtract(right, p_left, out=right)
+
     tau = 0.25
     for _ in range(n_iterations):
-        grad = _tv_gradient(_tv_divergence(p) - image / weight)
-        magnitude = np.sqrt(np.sum(grad**2, axis=0))
-        p = (p + tau * grad) / (1.0 + tau * magnitude)[None, :, :]
-    return image - weight * _tv_divergence(p)
+        divergence()
+        np.subtract(div, scaled, out=div)
+        np.subtract(below, above, out=grad_rows)
+        np.subtract(right, left, out=grad_cols)
+        col_edge[...] = 0.0
+        np.multiply(grad, grad, out=squares)
+        np.add(squares[0], squares[1], out=shrink)
+        np.sqrt(shrink, out=shrink)
+        np.multiply(shrink, tau, out=shrink)
+        np.add(shrink, 1.0, out=shrink)
+        np.multiply(grad, tau, out=grad)
+        np.add(p, grad, out=p)
+        np.divide(p, shrink, out=p)
+    divergence()
+    return image - weight * div.reshape(h, w)
 
 
 def total_variation(image: np.ndarray) -> float:

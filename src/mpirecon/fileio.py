@@ -66,12 +66,16 @@ def save_image(base: str, values: np.ndarray, geometry: GridGeometry) -> list:
         raise ValueError(f"values shape {values.shape} does not match grid {geometry.shape}")
     paths = [base + ".pgm", base + ".geom", base + ".float.txt"]
 
-    lo, hi = float(values.min()), float(values.max())
-    shown = values
-    if math.isinf(hi - lo) and math.isfinite(lo) and math.isfinite(hi):
-        shown, lo, hi = values / 2, lo / 2, hi / 2  # the span overflows; half of it does not
+    # the preview spans the finite pixels; NaN and -inf show as 0, +inf as 255
+    finite = np.isfinite(values)
+    kept = values[finite]
+    lo, hi = (float(kept.min()), float(kept.max())) if kept.size else (0.0, 0.0)
+    shown = np.where(finite, values, lo)
+    if math.isinf(hi - lo):
+        shown, lo, hi = shown / 2, lo / 2, hi / 2  # the span overflows; half of it does not
     scale = 255.0 / (hi - lo) if hi > lo else 0.0
     preview = np.round((shown - lo) * scale).astype(int)
+    preview[values == np.inf] = 255
     h, w = values.shape
     with open(paths[0], "w") as f:
         f.write(f"P2\n{w} {h}\n255\n")

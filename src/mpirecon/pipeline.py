@@ -336,8 +336,23 @@ class PipelineConfig:
         return list(self.values["sweep"]["pairs"])
 
     def validate(self) -> None:
-        """A trajectory file is named exactly when it is read; referenced
-        input files must exist."""
+        """Every getter's dataclass accepts its values; a trajectory file
+        is named exactly when it is read; referenced input files exist."""
+        getters = (
+            ("grid", self.grid),
+            ("scanner", self.scanner),
+            ("particle", self.particle),
+            ("kernel", self.kernel_spec),
+            ("core", self.core),
+            ("core", self.interpolation),
+            ("pnp", self.pnp),
+            ("phantom", self.phantom),
+        )
+        for section, getter in getters:
+            try:
+                getter()
+            except ValueError as exc:
+                raise ValueError(f"[{section}] {exc}") from None
         scanner = self.values["scanner"]
         if scanner["trajectory_file"] is not None and scanner["trajectory"] != "file":
             raise ValueError(

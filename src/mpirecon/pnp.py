@@ -68,22 +68,37 @@ class PnPResult:
     diagnostics: PnPDiagnostics
 
 
-def tikhonov_step(
-    u: np.ndarray, rho2: np.ndarray, nu: float, kernel_image: np.ndarray
-) -> np.ndarray:
+@dataclasses.dataclass(frozen=True)
+class TikhonovSpectra:
+    """Loop-invariant parts of the Tikhonov step, with ``K = rfft2(kernel_image)``."""
+
+    data: np.ndarray  # conj(K) rfft2(u)
+    power: np.ndarray  # |K|^2
+    shape: tuple  # of u and the kernel image
+
+
+def tikhonov_spectra(u: np.ndarray, kernel_image: np.ndarray) -> TikhonovSpectra:
+    """The spectra ``tikhonov_step`` needs for data ``u``; fixed per PnP call."""
+    if u.shape != kernel_image.shape:
+        raise ValueError("u and kernel image must share one shape")
+    spectrum = np.fft.rfft2(kernel_image)
+    return TikhonovSpectra(np.conj(spectrum) * np.fft.rfft2(u), np.abs(spectrum) ** 2, u.shape)
+
+
+def tikhonov_step(rho2: np.ndarray, nu: float, spectra: TikhonovSpectra) -> np.ndarray:
     """Exact solution of ``(C^T C + nu I) rho1 = C^T u + nu rho2`` with
     ``C`` the circular convolution by the kernel image.
 
     The DFT diagonalizes ``C`` with eigenvalues ``K = rfft2(kernel_image)``,
-    so ``rho1 = irfft2[(conj(K) rfft2(u) + nu rfft2(rho2)) / (|K|^2 + nu)]``.
+    so ``rho1 = irfft2[(conj(K) rfft2(u) + nu rfft2(rho2)) / (|K|^2 + nu)]``;
+    ``spectra`` is ``tikhonov_spectra(u, kernel_image)``.
     """
-    if u.shape != rho2.shape or u.shape != kernel_image.shape:
-        raise ValueError("u, rho2 and kernel image must share one shape")
+    if rho2.shape != spectra.shape:
+        raise ValueError("rho2 must have the shape of u and the kernel image")
     if nu <= 0:
         raise ValueError("nu must be positive")
-    spectrum = np.fft.rfft2(kernel_image)
-    numerator = np.conj(spectrum) * np.fft.rfft2(u) + nu * np.fft.rfft2(rho2)
-    return np.fft.irfft2(numerator / (np.abs(spectrum) ** 2 + nu), s=u.shape)
+    numerator = spectra.data + nu * np.fft.rfft2(rho2)
+    return np.fft.irfft2(numerator / (spectra.power + nu), s=rho2.shape)
 
 
 def estimate_noise(rho1: np.ndarray) -> float:
@@ -140,6 +155,7 @@ def zero_shot_pnp(u: np.ndarray, kernel_image: np.ndarray, config: PnPConfig) ->
     the loop stops early and returns the current denoised iterate.
     """
     u = np.asarray(u, dtype=float)
+    spectra = tikhonov_spectra(u, kernel_image)
     rho2 = np.zeros_like(u)
     nu = config.nu0
     lam = None
@@ -148,7 +164,7 @@ def zero_shot_pnp(u: np.ndarray, kernel_image: np.ndarray, config: PnPConfig) ->
     session = open_denoiser(config.denoiser)
     try:
         for k in range(config.n_iterations):
-            rho1 = tikhonov_step(u, rho2, nu, kernel_image)
+            rho1 = tikhonov_step(rho2, nu, spectra)
             rho1 = percentile_trim(rho1, config.trim_percentile)
             sigma = estimate_noise(rho1)
             if k == 0:

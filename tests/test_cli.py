@@ -1,5 +1,6 @@
 """Command-line interface: stage commands, profiles, exit codes."""
 
+import configparser
 import os
 
 import numpy as np
@@ -167,6 +168,36 @@ class TestFailures:
             f.write(extra)
         assert main(["run", "--config", path]) == 1
         assert capsys.readouterr().err.startswith(message)
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("grid", "height", "0", "degenerate grid shape (0, 21)"),
+            ("scanner", "gradient_x_t_per_m", "0", "gradient diagonal entries must be nonzero"),
+            ("particle", "temperature_k", "-1", "ParticleModel.temperature must be strictly"),
+            ("kernel", "taylor_cutoff", "0", "taylor_cutoff must be positive"),
+            ("core", "gamma", "-1", "gamma must be nonnegative"),
+            ("core", "interpolation", "cubic", "unknown interpolation kind 'cubic'"),
+            ("pnp", "nu0", "-1", "nu0 must be positive"),
+            ("pnp", "denoiser", "median", "unknown denoiser kind 'median'"),
+            ("phantom", "margin_mm", "-1", "margin_mm must be nonnegative"),
+        ],
+        ids=["grid", "scanner", "particle", "kernel", "core", "interpolation", "pnp", "denoiser",
+             "phantom"],
+    )
+    def test_bad_value_fails_before_any_stage(self, config_file, capsys, section, key, value,
+                                              message):
+        path, out = config_file
+        config = configparser.ConfigParser()
+        config.read(path)
+        if not config.has_section(section):
+            config.add_section(section)
+        config[section][key] = value
+        with open(path, "w") as f:
+            config.write(f)
+        assert main(["run", "--config", path]) == 1
+        assert capsys.readouterr().err.startswith(f"error: [config] [{section}] {message}")
         assert not os.path.exists(out)
 
     def test_bad_sweep_pair_fails_before_the_prelude(self, config_file, capsys):

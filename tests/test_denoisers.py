@@ -6,7 +6,11 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import tv_oracle
 from mpirecon.denoisers import (
     DenoiserRef,
     ExternalDenoiser,
@@ -162,6 +166,38 @@ class TestTotalVariation:
         img = self.noisy_step()
         out = TotalVariationDenoiser(DenoiserRef("total-variation"))(img, 0.0)
         assert np.array_equal(out, img)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_bytes_match_the_slice_form_oracle(self, data):
+        h, w = data.draw(
+            st.sampled_from([(1, 1), (1, 9), (9, 1), (3, 5), (7, 3), (13, 11)])
+            | st.tuples(st.integers(1, 17), st.integers(1, 17))
+        )
+        transposed = data.draw(st.booleans())
+        shape = (w, h) if transposed else (h, w)
+        values = data.draw(
+            arrays(np.int64, shape, elements=st.integers(-3, 3))
+            | arrays(
+                np.float64,
+                shape,
+                elements=st.sampled_from([0.0, -0.0, 1.0])
+                | st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+            )
+        )
+        image = values.T if transposed else values
+        weight = data.draw(st.floats(1e-6, 10.0))
+        n_iterations = data.draw(st.sampled_from([0, 1, 60]))
+        out = tv_prox(image, weight, n_iterations)
+        expected = tv_oracle.tv_prox(image, weight, n_iterations)
+        assert out.dtype == expected.dtype and out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()
+
+    def test_100_by_100_at_pipeline_weights_matches_the_oracle(self):
+        rng = np.random.default_rng(5)
+        image = rng.uniform(size=(100, 100))
+        for weight in (1e-4, 3e-3, 0.05, 3.3):
+            assert tv_prox(image, weight).tobytes() == tv_oracle.tv_prox(image, weight).tobytes()
 
 
 class TestExternalProtocol:

@@ -106,6 +106,33 @@ class TestImageTriple:
         assert pixels == sorted(pixels)
         assert np.array_equal(load_image(base).values, values)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad, shown", [(np.nan, 0), (-np.inf, 0), (np.inf, 255)])
+    def test_preview_of_a_non_finite_pixel(self, tmp_path, bad, shown):
+        # the finite pixels keep the preview of the all-finite image
+        finite = np.linspace(0, 1, 35).reshape(GRID.shape)
+        save_image(str(tmp_path / "finite"), finite, GRID)
+        expected = (tmp_path / "finite.pgm").read_text().split()
+        values = finite.copy()
+        values[1, 2] = bad
+        base = str(tmp_path / "bad")
+        save_image(base, values, GRID)
+        words = (tmp_path / "bad.pgm").read_text().split()
+        index = 4 + 1 * GRID.shape[1] + 2
+        assert words[index] == str(shown)
+        assert words[:index] + words[index + 1 :] == expected[:index] + expected[index + 1 :]
+        assert np.array_equal(load_image(base).values, values, equal_nan=True)
+
+    @pytest.mark.filterwarnings("error")
+    def test_preview_of_an_image_without_finite_pixels(self, tmp_path):
+        values = np.full(GRID.shape, np.nan)
+        values[0] = np.inf
+        values[1] = -np.inf
+        save_image(str(tmp_path / "none"), values, GRID)
+        lines = (tmp_path / "none.pgm").read_text().splitlines()
+        assert lines[3].split() == ["255"] * GRID.shape[1]
+        assert {v for row in lines[4:] for v in row.split()} == {"0"}
+
     def test_shape_mismatch_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             save_image(str(tmp_path / "bad"), np.zeros((3, 3)), GRID)

@@ -190,6 +190,11 @@ class TestSchema:
         with pytest.raises(ValueError, match=message):
             PipelineConfig.from_string(text)
 
+    def test_validate_builds_every_dataclass(self):
+        config = PipelineConfig.from_string("[pnp]\nnu0 = -1\n")
+        with pytest.raises(ValueError, match=r"^\[pnp\] nu0 must be positive$"):
+            config.validate()
+
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_one_character_misspellings_name_section_and_key(self, data):
@@ -230,6 +235,20 @@ class TestFullRun:
         listed = set(read_manifest(out))
         present = {f for f in os.listdir(out) if f != "manifest.txt"}
         assert listed == present
+
+    def test_same_seed_reruns_are_byte_identical(self, tmp_path):
+        path = next(p for p in CONFIGS if p.endswith("two_bar_33.ini"))
+        config = PipelineConfig.from_file(path)
+        outs = [str(tmp_path / name) for name in ("first", "second")]
+        for out in outs:
+            run_pipeline(config, out_dir=out, seed=7)
+        listed = read_manifest(outs[0])
+        assert read_manifest(outs[1]) == listed
+        assert {"trace.float.txt", "recon.float.txt", "diagnostics.csv"} <= set(listed)
+        for name in listed:
+            if name != "timings.csv":
+                first, second = (open(os.path.join(out, name), "rb").read() for out in outs)
+                assert first == second, name
 
     def test_recon_separates_bars(self, tmp_path):
         config = make_config(tmp_path)

@@ -11,6 +11,7 @@ from mpirecon.pnp import (
     denoise,
     estimate_noise,
     percentile_trim,
+    tikhonov_spectra,
     tikhonov_step,
     zero_shot_pnp,
 )
@@ -54,7 +55,7 @@ class TestTikhonovStep:
         rng = np.random.default_rng(0)
         rho2 = rng.uniform(size=kernel.shape)
         u = convolve(rho2, kernel)
-        rho1 = tikhonov_step(u, rho2, nu=0.5, kernel_image=kernel)
+        rho1 = tikhonov_step(rho2, 0.5, tikhonov_spectra(u, kernel))
         assert np.allclose(rho1, rho2, atol=1e-9)
 
     def test_huge_nu_pins_to_rho2(self):
@@ -62,7 +63,7 @@ class TestTikhonovStep:
         rng = np.random.default_rng(1)
         rho2 = rng.uniform(size=kernel.shape)
         u = rng.uniform(size=kernel.shape)
-        rho1 = tikhonov_step(u, rho2, nu=1e12, kernel_image=kernel)
+        rho1 = tikhonov_step(rho2, 1e12, tikhonov_spectra(u, kernel))
         assert np.abs(rho1 - rho2).max() <= 1e-6
 
     def test_delta_kernel_closed_form(self):
@@ -71,7 +72,7 @@ class TestTikhonovStep:
         rho2 = rng.uniform(size=(8, 8))
         kernel = np.zeros((8, 8))
         kernel[0, 0] = 1.0
-        rho1 = tikhonov_step(u, rho2, nu=1.0, kernel_image=kernel)
+        rho1 = tikhonov_step(rho2, 1.0, tikhonov_spectra(u, kernel))
         assert np.allclose(rho1, 0.5 * (u + rho2), atol=1e-10)
 
     def test_gradient_optimality(self):
@@ -80,7 +81,7 @@ class TestTikhonovStep:
         u = rng.uniform(size=kernel.shape)
         rho2 = rng.uniform(size=kernel.shape)
         nu, tol = 1e-3, 1e-10
-        rho1 = tikhonov_step(u, rho2, nu=nu, kernel_image=kernel)
+        rho1 = tikhonov_step(rho2, nu, tikhonov_spectra(u, kernel))
         spectrum = np.fft.fft2(kernel)
         c_rho1 = np.real(np.fft.ifft2(np.fft.fft2(rho1) * spectrum))
         grad = (
@@ -110,17 +111,37 @@ class TestTikhonovStep:
         dense = np.linalg.solve(
             c.T @ c + nu * np.eye(c.shape[1]), c.T @ u.ravel() + nu * rho2.ravel()
         ).reshape(shape)
-        rho1 = tikhonov_step(u, rho2, nu, kernel)
+        rho1 = tikhonov_step(rho2, nu, tikhonov_spectra(u, kernel))
         assert np.linalg.norm(rho1 - dense) <= 1e-10 * np.linalg.norm(dense)
 
     def test_nonpositive_nu_rejected(self):
         kernel = desk_kernel()
         with pytest.raises(ValueError):
-            tikhonov_step(np.zeros(kernel.shape), np.zeros(kernel.shape), 0.0, kernel)
+            zeros = np.zeros(kernel.shape)
+            tikhonov_step(zeros, 0.0, tikhonov_spectra(zeros, kernel))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            tikhonov_step(np.zeros((4, 4)), np.zeros((4, 4)), 1.0, np.zeros((5, 5)))
+            zeros = np.zeros((4, 4))
+            tikhonov_step(zeros, 1.0, tikhonov_spectra(zeros, np.zeros((5, 5))))
+
+    def test_spectra_of_another_shape_rejected(self):
+        spectra = tikhonov_spectra(np.zeros((4, 4)), np.zeros((4, 4)))
+        for shape in ((5, 4), (4, 5), (4, 6)):
+            with pytest.raises(ValueError):
+                tikhonov_step(np.zeros(shape), 1.0, spectra)
+
+    def test_bytes_match_spectra_taken_on_every_step(self):
+        rng = np.random.default_rng(6)
+        kernel = rng.uniform(size=(12, 9))  # asymmetric: a complex spectrum
+        u = rng.uniform(size=kernel.shape)
+        spectra = tikhonov_spectra(u, kernel)
+        for nu in (1e-5, 0.3, 7.0):
+            rho2 = rng.uniform(size=kernel.shape)
+            spectrum = np.fft.rfft2(kernel)
+            numerator = np.conj(spectrum) * np.fft.rfft2(u) + nu * np.fft.rfft2(rho2)
+            fresh = np.fft.irfft2(numerator / (np.abs(spectrum) ** 2 + nu), s=u.shape)
+            assert tikhonov_step(rho2, nu, spectra).tobytes() == fresh.tobytes()
 
 
 class TestEstimateNoise:
