@@ -15,20 +15,25 @@ from __future__ import annotations
 
 import dataclasses
 import warnings
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .forward import CoreOperatorField
 from .geometry import GridGeometry
 from .interpolation import InterpolationScheme, interpolation_matrix, stencil_gram
 from .solvers import CgResult, conjugate_gradient
 
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+
 LAPLACIAN_UNITS = ("pixel", "physical")
 
 
 def _second_difference(n: int, step: float) -> sp.csr_matrix:
     """1D second difference with replicate (Neumann) boundary."""
+    import scipy.sparse as sp
+
     main = np.full(n, -2.0)
     main[0] = main[-1] = -1.0
     off = np.ones(n - 1)
@@ -40,6 +45,8 @@ def laplacian_matrix(shape: tuple, spacing: tuple = (1.0, 1.0)) -> sp.csr_matrix
     h, w = shape
     if h < 3 or w < 3:
         raise ValueError(f"Laplacian needs a grid of at least 3 x 3, got {shape}")
+    import scipy.sparse as sp
+
     dx, dy = spacing
     return sp.kron(sp.eye(h), _second_difference(w, dx)) + sp.kron(
         _second_difference(h, dy), sp.eye(w)
@@ -127,7 +134,12 @@ def solve_core_stage(
     raises ``ValueError`` when some pixel's n x n data block is
     numerically rank-deficient (no kept sample touches the pixel, or the
     velocities through it span too few directions): lambda_min <= 1e-12
-    lambda_max, so by Cauchy interlacing cond(N) >= 1e12.
+    lambda_max, so by Cauchy interlacing cond(N) >= 1e12.  The check is
+    necessary, not sufficient: on a 5 x 5 grid, two samples with
+    velocities (1, 0) and (0, 1) at each of the 16 cell centres give 32
+    samples for 50 unknowns, so N is singular (rank 32), yet every pixel
+    block is a positive multiple of I (0.0625 I from each cell centre next
+    to the pixel, before the mean over samples) and the check passes.
     """
     if scheme is None:
         scheme = InterpolationScheme()

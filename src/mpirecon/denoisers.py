@@ -29,7 +29,6 @@ import struct
 import subprocess
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 PROTOCOL_MAGIC = b"ZSPD"
 PROTOCOL_VERSION = 1
@@ -75,6 +74,8 @@ class GaussianBlurDenoiser:
         width = self.blur_scale * sigma
         if width == 0.0:
             return image.copy()
+        from scipy.ndimage import gaussian_filter
+
         return gaussian_filter(image, sigma=width, mode="nearest")
 
     def close(self):

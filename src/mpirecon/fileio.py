@@ -73,8 +73,9 @@ def save_image(base: str, values: np.ndarray, geometry: GridGeometry) -> list:
     shown = np.where(finite, values, lo)
     if math.isinf(hi - lo):
         shown, lo, hi = shown / 2, lo / 2, hi / 2  # the span overflows; half of it does not
-    scale = 255.0 / (hi - lo) if hi > lo else 0.0
-    preview = np.round((shown - lo) * scale).astype(int)
+    # divide by the span, not multiply by 255 / span: a subnormal span makes that inf
+    preview = np.round((shown - lo) / (hi - lo) * 255.0) if hi > lo else np.zeros(values.shape)
+    preview = preview.astype(int)
     preview[values == np.inf] = 255
     h, w = values.shape
     with open(paths[0], "w") as f:

@@ -14,11 +14,14 @@ ablation.
 from __future__ import annotations
 
 import dataclasses
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .geometry import GridGeometry
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 KINDS = ("cosine", "bilinear")
 
@@ -82,6 +85,8 @@ def interpolation_matrix(
     Row k stores exactly the four weights of point k, in the node order
     of ``interp_weights``; ``stencil_gram`` relies on this layout.
     """
+    import scipy.sparse as sp
+
     points = np.atleast_2d(np.asarray(points, dtype=float))
     indices, weights = interp_weights(grid, points, scheme)
     indptr = np.arange(0, 4 * points.shape[0] + 1, 4)
@@ -101,6 +106,8 @@ def stencil_gram(
     upper diagonal ``o_b - o_a``; the lower diagonals mirror the upper
     ones, which makes the result exactly symmetric.
     """
+    import scipy.sparse as sp
+
     w = grid.shape[1]
     n_pix = grid.n_pixels
     stencil = (0, 1, w, w + 1)

@@ -53,6 +53,7 @@ from .preprocessing import SnrProfile, correct_transfer_function, snr_threshold
 from .scanner import ScannerConfig, decimate, excited_trajectory, lissajous
 
 STAGES = ("simulate", "preprocess", "core", "deconvolve")
+TRAJECTORY_KINDS = ("lissajous", "excited", "file")
 
 
 def parse_pairs(raw: str) -> list:
@@ -354,6 +355,18 @@ class PipelineConfig:
             except ValueError as exc:
                 raise ValueError(f"[{section}] {exc}") from None
         scanner = self.values["scanner"]
+        if scanner["trajectory"] not in TRAJECTORY_KINDS:
+            raise ValueError(
+                f"[scanner] unknown trajectory kind {scanner['trajectory']!r}; "
+                f"choose from {TRAJECTORY_KINDS}"
+            )
+        if scanner["trajectory"] == "excited" and None in (
+            scanner["excitation_amplitude_mt"], scanner["excitation_frequency_hz"]
+        ):
+            raise ValueError(
+                "[scanner] trajectory = excited needs excitation_amplitude_mt and "
+                "excitation_frequency_hz"
+            )
         if scanner["trajectory_file"] is not None and scanner["trajectory"] != "file":
             raise ValueError(
                 f"[scanner] trajectory_file = {scanner['trajectory_file']} is only read with "
@@ -457,17 +470,16 @@ class _Run:
 
     def _trajectory(self):
         """The trajectory the resolved config names: analytic ones are
-        regenerated, a file is read; either is then decimated."""
+        regenerated, a file is read; either is then decimated.  ``validate``
+        has already rejected any other kind."""
         v = self.config.values["scanner"]
         kind = v["trajectory"]
         if kind == "lissajous":
             traj = lissajous(self.config.scanner())
         elif kind == "excited":
             traj = excited_trajectory(self.config.scanner())
-        elif kind == "file":
-            traj = load_trajectory(self.config.path("scanner", "trajectory_file"))
         else:
-            raise ValueError(f"unknown trajectory kind {kind!r}")
+            traj = load_trajectory(self.config.path("scanner", "trajectory_file"))
         return decimate(traj, v["decimate"]) if v["decimate"] > 1 else traj
 
     def simulate_stage(self):

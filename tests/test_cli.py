@@ -275,6 +275,26 @@ gamma = {gamma}
         assert "trajectory = lissajous" in err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize(
+        "kind, message",
+        [
+            ("spiral", "unknown trajectory kind 'spiral'"),
+            ("excited", "trajectory = excited needs excitation_amplitude_mt"),
+        ],
+        ids=["unknown", "excited-keys"],
+    )
+    def test_bad_trajectory_kind_fails_before_any_stage(self, config_file, tmp_path, capsys,
+                                                        kind, message):
+        path, out = config_file
+        text = open(path).read().replace(
+            "repetition_time_s = 1.0", f"repetition_time_s = 1.0\ntrajectory = {kind}"
+        )
+        config = tmp_path / f"{kind}.ini"
+        config.write_text(text)
+        assert main(["run", "--config", str(config)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: [config] [scanner] {message}")
+        assert not os.path.exists(out)
+
     def test_bad_phantom_geometry_tagged(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
         bad.write_text(

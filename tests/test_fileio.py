@@ -107,6 +107,15 @@ class TestImageTriple:
         assert np.array_equal(load_image(base).values, values)
 
     @pytest.mark.filterwarnings("error")
+    def test_preview_of_a_subnormal_span(self, tmp_path):
+        # 255 / (max - min) overflows to inf; the preview still spans 0..255
+        grid = GridGeometry(shape=(2, 2), spacing=(1.0, 1.0), origin=(0.0, 0.0))
+        values = np.array([[0.0, 5e-324], [1e-320, 0.0]])
+        save_image(str(tmp_path / "tiny"), values, grid)
+        lines = (tmp_path / "tiny.pgm").read_text().splitlines()
+        assert [row.split() for row in lines[3:]] == [["0", "0"], ["255", "0"]]
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad, shown", [(np.nan, 0), (-np.inf, 0), (np.inf, 255)])
     def test_preview_of_a_non_finite_pixel(self, tmp_path, bad, shown):
         # the finite pixels keep the preview of the all-finite image

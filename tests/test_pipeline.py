@@ -9,14 +9,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mpirecon.core_stage import CoreStageConfig
-from mpirecon.fileio import load_image, read_manifest, save_trajectory
-from mpirecon.geometry import GridGeometry
+from mpirecon.core_stage import CoreStageConfig, extract_trace, solve_core_stage
+from mpirecon.fileio import load_image, load_signal, read_manifest, save_signal, save_trajectory
+from mpirecon.forward import ScanSignal, simulate_signal
+from mpirecon.geometry import ConcentrationImage, GridGeometry
 from mpirecon.interpolation import InterpolationScheme
 from mpirecon.kernels import KernelSpec
-from mpirecon.phantoms import PhantomSpec
-from mpirecon.pnp import PnPConfig
-from mpirecon.scanner import lissajous
+from mpirecon.phantoms import PhantomSpec, generate_phantom
+from mpirecon.pnp import PnPConfig, zero_shot_pnp
+from mpirecon.scanner import Trajectory, lissajous
 from mpirecon.pipeline import (
     FLOAT,
     INT,
@@ -32,6 +33,7 @@ from mpirecon.pipeline import (
 )
 
 CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "configs", "*.ini")))
+TWO_BAR_33 = os.path.join(os.path.dirname(__file__), "..", "configs", "two_bar_33.ini")
 GETTERS = (
     "stages", "out_dir", "seed", "noise_level", "grid", "scanner", "particle", "kernel_spec",
     "core", "interpolation", "denoiser", "pnp", "phantom", "sweep_pairs",
@@ -89,6 +91,19 @@ bar_width_mm = 1.2
 margin_mm = 2.4
 """
     return base
+
+
+def two_bar_33_text(out_dir, noise_level):
+    with open(TWO_BAR_33) as f:
+        text = f.read()
+    assert "out = runs/two_bar_33" in text and "noise_level = 0.0" in text
+    return text.replace("out = runs/two_bar_33", f"out = {out_dir}").replace(
+        "noise_level = 0.0", f"noise_level = {noise_level!r}"
+    )
+
+
+def assert_close(actual, expected, rtol):
+    assert np.max(np.abs(actual - expected)) <= rtol * np.max(np.abs(expected))
 
 
 def make_config(tmp_path, name="run", **overrides):
@@ -394,6 +409,59 @@ class TestStageSelection:
         message = r"^\[simulate\] trajectory positions are not finite at sample 4$"
         with pytest.raises(PipelineError, match=message):
             run_pipeline(config)
+
+
+class TestEndToEndRelations:
+    """Relations between whole runs that hold whatever the solvers'
+    accuracy, so they keep guarding the pipeline through numerical
+    changes; the split-vs-one-shot run above is the third."""
+
+    def test_scaled_signal_scales_trace_and_recon(self, tmp_path):
+        # every stage after the signal is positively homogeneous of degree 1
+        run_pipeline(
+            PipelineConfig.from_string(two_bar_33_text(tmp_path / "c1", 1e-3)),
+            stages=("simulate",),
+        )
+        signal = load_signal(str(tmp_path / "c1" / "signal.csv"))
+        images = {}
+        for c in (1.0, 2.0, 3.0):
+            out = tmp_path / f"c{c:g}"
+            text = two_bar_33_text(out, 1e-3)
+            if c != 1.0:
+                scaled = ScanSignal(c * signal.values, signal.sample_rate)
+                save_signal(str(tmp_path / f"signal_{c:g}.csv"), scaled)
+                text += f"\n[preprocess]\nsignal_file = signal_{c:g}.csv\n"
+            config = PipelineConfig.from_string(text, base_dir=str(tmp_path))
+            run_pipeline(config, stages=("core", "deconvolve"))
+            images[c] = {name: load_image(str(out / name)).values for name in ("trace", "recon")}
+        for name, unscaled in images[1.0].items():
+            assert np.array_equal(images[2.0][name], 2.0 * unscaled), name
+            assert_close(images[3.0][name], 3.0 * unscaled, 1e-12)
+
+    def test_swapped_axes_transpose_core_field_and_recon(self):
+        # transposed phantom and swapped x/y columns: a mirror of the same scan
+        config = PipelineConfig.from_file(TWO_BAR_33)
+        scanner, spec, scheme = config.scanner(), config.kernel_spec(), config.interpolation()
+        phantom = generate_phantom(config.phantom())
+        straight = lissajous(scanner)
+        swapped = Trajectory(
+            straight.times, straight.positions[:, ::-1], straight.velocities[:, ::-1],
+            straight.source,
+        )
+        transposed = ConcentrationImage(phantom.values.T, phantom.geometry)
+        kernel = _deconvolution_kernel(config, phantom.geometry, scanner)
+        runs = []
+        for rho, trajectory in ((phantom, straight), (transposed, swapped)):
+            signal = simulate_signal(rho, trajectory, spec, scanner, scheme)
+            field = solve_core_stage(
+                signal.values, trajectory.positions, trajectory.velocities, config.core(), scheme
+            ).field
+            runs.append((field, zero_shot_pnp(extract_trace(field), kernel, config.pnp()).image))
+        (field, recon), (mirrored_field, mirrored_recon) = runs
+        for j in range(2):
+            for k in range(2):
+                assert_close(mirrored_field.entry(j, k), field.entry(1 - j, 1 - k).T, 1e-12)
+        assert_close(mirrored_recon, recon.T, 1e-12)
 
 
 class TestExcitedTrajectoryRun:
