@@ -80,8 +80,8 @@ def save_image(base: str, values: np.ndarray, geometry: GridGeometry) -> list:
     h, w = values.shape
     with open(paths[0], "w") as f:
         f.write(f"P2\n{w} {h}\n255\n")
-        for row in preview:
-            f.write(" ".join(str(v) for v in row) + "\n")
+        for row in preview.tolist():
+            f.write(" ".join(map(str, row)) + "\n")
 
     with open(paths[1], "w") as f:
         f.write(f"height = {h}\n")

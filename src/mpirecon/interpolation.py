@@ -37,7 +37,11 @@ class InterpolationScheme:
 
 def _ramp(frac: np.ndarray, kind: str) -> np.ndarray:
     if kind == "cosine":
-        return 0.5 * (1.0 - np.cos(np.pi * frac))
+        ramp = np.multiply(frac, np.pi)
+        np.cos(ramp, out=ramp)
+        np.subtract(1.0, ramp, out=ramp)
+        ramp *= 0.5
+        return ramp
     return frac
 
 
@@ -67,11 +71,16 @@ def interp_weights(
     iy, fy = _axis_cells(points[:, 1], grid.origin[1], grid.spacing[1], h)
     wx = _ramp(fx, scheme.kind)
     wy = _ramp(fy, scheme.kind)
-    weights = np.stack(
-        [(1 - wy) * (1 - wx), (1 - wy) * wx, wy * (1 - wx), wy * wx], axis=-1
-    )
+    vx, vy = 1 - wx, 1 - wy
+    weights = np.empty((len(points), 4))
+    np.multiply(vy, vx, out=weights[:, 0])
+    np.multiply(vy, wx, out=weights[:, 1])
+    np.multiply(wy, vx, out=weights[:, 2])
+    np.multiply(wy, wx, out=weights[:, 3])
     base = iy * w + ix
-    indices = np.stack([base, base + 1, base + w, base + w + 1], axis=-1)
+    indices = np.empty((len(points), 4), dtype=base.dtype)
+    for col, offset in enumerate((0, 1, w, w + 1)):
+        np.add(base, offset, out=indices[:, col])
     return indices, weights
 
 
@@ -112,15 +121,16 @@ def stencil_gram(
     n_pix = grid.n_pixels
     stencil = (0, 1, w, w + 1)
     weights = sample_matrix.data.reshape(-1, 4)
-    base = sample_matrix.indices.reshape(-1, 4)[:, 0]
+    base = sample_matrix.indices[::4].astype(np.intp)
     upper: dict[int, np.ndarray] = {}
     for a in range(4):
-        rows = base + stencil[a]
         scaled = coefficients * weights[:, a]
         for b in range(a, 4):
             offset = stencil[b] - stencil[a]
-            band = np.bincount(rows, weights=scaled * weights[:, b], minlength=n_pix)
-            band = band[: n_pix - offset]
+            # node base + stencil[a] is bin base shifted by stencil[a]
+            counts = np.bincount(base, weights=scaled * weights[:, b], minlength=n_pix)
+            band = np.zeros(n_pix - offset)
+            band[stencil[a]:] = counts[: n_pix - offset - stencil[a]]
             upper[offset] = upper[offset] + band if offset in upper else band
     offsets = [d for d in upper if d > 0]
     return sp.diags(

@@ -11,7 +11,10 @@ reconstruction), CSV signals, a deterministic
 naming every file written.  Later stages can start from files on disk,
 so a run can begin at any stage.  The trajectory is written only when
 it came from a file; a later stage regenerates an analytic one from
-the config.
+the config.  When a stage follows ``simulate``, its scan CSVs, which
+no later stage of the same run reads back, may be written by forked
+child processes while the run goes on; the run waits for them before
+it writes its reports.
 
 Configuration is INI text whose keys carry their unit in the name.
 ``SCHEMA`` lists every section and key with its type, default and doc;
@@ -336,9 +339,10 @@ class PipelineConfig:
     def sweep_pairs(self) -> list:
         return list(self.values["sweep"]["pairs"])
 
-    def validate(self) -> None:
+    def validate(self, inputs: bool = True) -> None:
         """Every getter's dataclass accepts its values; a trajectory file
-        is named exactly when it is read; referenced input files exist."""
+        is named exactly when it is read; with ``inputs``, referenced
+        input files exist."""
         getters = (
             ("grid", self.grid),
             ("scanner", self.scanner),
@@ -374,7 +378,7 @@ class PipelineConfig:
             )
         if scanner["trajectory"] == "file" and scanner["trajectory_file"] is None:
             raise ValueError("[scanner] trajectory = file needs a trajectory_file")
-        for section, key, suffix in _INPUTS:
+        for section, key, suffix in _INPUTS if inputs else ():
             path = self.path(section, key)
             if path is not None and not os.path.exists(path + suffix):
                 value = self.values[section][key]
@@ -441,6 +445,16 @@ def _deconvolution_kernel(config: PipelineConfig, grid, scanner, h_override=None
     return kernel / total
 
 
+def _one_thread() -> bool:
+    """True where the OS lists one thread for this process.  Only Linux
+    lists them, under ``/proc/self/task``; elsewhere False.  Native
+    threads count too: an OpenBLAS not pinned to one thread has some."""
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
 class _Run:
     """Single pipeline execution with disk/memory stage handoff."""
 
@@ -457,6 +471,8 @@ class _Run:
         self.signal = None
         self.core_solution = None
         self.deconv_input = None  # (values, geometry)
+        self.stages: tuple = ()  # set by execute
+        self.writers: list = []  # (stage, path, process) of pending background writes
 
     def _save_image(self, name, values, geometry):
         base = os.path.join(self.out, name)
@@ -498,13 +514,58 @@ class _Run:
         if self.config.values["scanner"]["trajectory"] == "file":
             # the only trajectory the config cannot regenerate
             traj_path = os.path.join(self.out, "trajectory.csv")
-            save_trajectory(traj_path, traj)
-            self.files.append(traj_path)
+            self._write_behind("simulate", save_trajectory, traj_path, traj)
             self.artifacts["trajectory"] = traj_path
         sig_path = os.path.join(self.out, "signal.csv")
-        save_signal(sig_path, signal)
-        self.files.append(sig_path)
+        self._write_behind("simulate", save_signal, sig_path, signal)
         self.artifacts["signal"] = sig_path
+
+    def _write_behind(self, stage, write, path, data):
+        """``write(path, data)`` in a forked child while the later stages
+        run; ``execute`` joins it.  Only for files no later stage of the
+        run reads back.  A process, not a thread, because formatting text
+        holds the interpreter lock; ``fork`` hands ``data`` over without
+        pickling.  Inline when no stage follows, since nothing would
+        overlap; in a daemonic process, which may not have children; and
+        unless the process runs one thread (``_one_thread``), since a lock
+        another thread holds at the fork stays held in the child."""
+        self.files.append(path)
+        if stage != self.stages[-1] and _one_thread():
+            import multiprocessing
+
+            if not multiprocessing.current_process().daemon:
+                child = multiprocessing.get_context("fork").Process(
+                    target=write, args=(path, data)
+                )
+                child.start()
+                self.writers.append((stage, path, child))
+                return
+        write(path, data)
+
+    def _join_writers(self, error):
+        """Wait for every background write, timing the wait as
+        ``write_wait``.  Return the error to raise: ``error``, a failed
+        stage, extended to name any write that failed too, so its partial
+        file is not taken for a good one; else the failed writes', tagged
+        with the stage that started the first; else None."""
+        failed = []
+        if self.writers:
+            start = time.perf_counter()
+            for stage, path, child in self.writers:
+                child.join()
+                if child.exitcode != 0:
+                    failed.append((stage, f"writing {path} failed (exit code {child.exitcode})"))
+            self.writers = []
+            self.timings["write_wait"] = time.perf_counter() - start
+        if not failed:
+            return error
+        messages = [message for _, message in failed]
+        if error is None:
+            return PipelineError(failed[0][0], RuntimeError("; ".join(messages)))
+        messages.insert(0, str(error.cause))
+        combined = PipelineError(error.stage, RuntimeError("; ".join(messages)))
+        combined.__cause__ = error
+        return combined
 
     def _load_signal_if_needed(self):
         if self.signal is None:
@@ -614,15 +675,25 @@ class _Run:
             "core": self.core_stage,
             "deconvolve": self.deconvolve_stage,
         }
-        for stage in stages:
-            start = time.perf_counter()
-            try:
-                runners[stage]()
-            except PipelineError:
-                raise
-            except Exception as exc:
-                raise PipelineError(stage, exc) from exc
-            self.timings[stage] = time.perf_counter() - start
+        self.stages = tuple(stages)
+        error = None
+        try:
+            for stage in stages:
+                start = time.perf_counter()
+                try:
+                    runners[stage]()
+                except PipelineError:
+                    raise
+                except Exception as exc:
+                    raise PipelineError(stage, exc) from exc
+                self.timings[stage] = time.perf_counter() - start
+        except PipelineError as exc:
+            error = exc
+        finally:
+            # every exit waits, so no writer outlives the call
+            error = self._join_writers(error)
+        if error is not None:
+            raise error
         self._write_reports()
         return PipelineResult(
             out_dir=self.out,
@@ -656,7 +727,9 @@ def run_pipeline(
     stages: tuple | None = None,
 ) -> PipelineResult:
     """Execute the configured stages; deterministic for a given seed
-    (wall-clock timings aside)."""
+    (wall-clock timings aside).  When a stage follows ``simulate``, the
+    calling process may fork a child that writes ``signal.csv`` (see
+    ``_Run._write_behind``); the call waits for it before returning."""
     config.validate()
     run = _Run(config, out_dir=out_dir, seed=seed)
     return run.execute(stages if stages is not None else config.stages())
@@ -665,7 +738,10 @@ def run_pipeline(
 def generate_phantom_only(
     config: PipelineConfig, out_dir: str | None = None
 ) -> PipelineResult:
-    """Rasterize and write just the configured phantom."""
+    """Rasterize and write just the configured phantom.  The config is
+    validated as for a run, except that the input files it names need not
+    exist yet: the phantom may be one of them."""
+    config.validate(inputs=False)
     return _Run(config, out_dir=out_dir).execute(("phantom",))
 
 

@@ -45,6 +45,7 @@ def conjugate_gradient(
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
     r = b - operator(x) if x0 is not None else b.copy()
     p = r.copy()
+    step = np.empty_like(b)  # holds alpha p, then alpha Ap
     rr = float(r @ r)
     residuals = [np.sqrt(rr) / b_norm]
     iterations = 0
@@ -56,11 +57,12 @@ def conjugate_gradient(
         if pap <= 0.0:
             break  # operator numerically lost definiteness along p
         alpha = rr / pap
-        x += alpha * p
-        r -= alpha * ap
+        x += np.multiply(alpha, p, out=step)
+        r -= np.multiply(alpha, ap, out=step)
         rr_next = float(r @ r)
         residuals.append(np.sqrt(rr_next) / b_norm)
-        p = r + (rr_next / rr) * p
+        p *= rr_next / rr
+        p += r
         rr = rr_next
         iterations += 1
     return CgResult(

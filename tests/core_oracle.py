@@ -1,11 +1,34 @@
-"""Matrix-free normal operator of the core stage, kept as a test oracle.
+"""Core-stage test oracles.
 
-It applies ``S^T diag(v_j) (sum_k diag(v_k) S x_k) / L + gamma R x_j``
-sample by sample, straight from the least-squares misfit, so it shares
-no assembly code with the banded normal matrix the library builds.
+``normal_operator`` applies ``S^T diag(v_j) (sum_k diag(v_k) S x_k) / L +
+gamma R x_j`` sample by sample, straight from the least-squares misfit,
+so it shares no assembly code with the banded normal matrix the library
+builds.  ``stencil_gram_bands`` is the straightforward per-stencil-pair
+bincount of the banded Gram product; the library's ``stencil_gram`` must
+match it bit for bit.
 """
 
 import numpy as np
+
+
+def stencil_gram_bands(grid, sample_matrix, coefficients):
+    """Upper bands ``{offset: values}`` of ``S^T diag(coefficients) S``,
+    one bincount per stencil pair on the node indices it touches."""
+    w = grid.shape[1]
+    n_pix = grid.n_pixels
+    stencil = (0, 1, w, w + 1)
+    weights = sample_matrix.data.reshape(-1, 4)
+    base = sample_matrix.indices.reshape(-1, 4)[:, 0]
+    upper = {}
+    for a in range(4):
+        rows = base + stencil[a]
+        scaled = coefficients * weights[:, a]
+        for b in range(a, 4):
+            offset = stencil[b] - stencil[a]
+            band = np.bincount(rows, weights=scaled * weights[:, b], minlength=n_pix)
+            band = band[: n_pix - offset]
+            upper[offset] = upper[offset] + band if offset in upper else band
+    return upper
 
 
 def normal_operator(sample_matrix, velocities, gamma, reg, n_kept):

@@ -1,11 +1,13 @@
 """Command-line interface: stage commands, profiles, exit codes."""
 
 import configparser
+import multiprocessing
 import os
 
 import numpy as np
 import pytest
 
+from mpirecon import pipeline
 from mpirecon.cli import main
 from mpirecon.fileio import load_image
 from mpirecon.pipeline import PipelineConfig
@@ -294,6 +296,38 @@ gamma = {gamma}
         assert main(["run", "--config", str(config)]) == 1
         assert capsys.readouterr().err.startswith(f"error: [config] [scanner] {message}")
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize(
+        "line, bad, message",
+        [
+            ("nu0 = 1e-5", "nu0 = -1", "[pnp] nu0 must be positive"),
+            ("repetition_time_s = 1.0", "trajectory = spiral",
+             "[scanner] unknown trajectory kind 'spiral'"),
+        ],
+        ids=["nu0", "trajectory"],
+    )
+    def test_phantom_command_validates_its_config(self, config_file, tmp_path, capsys, line,
+                                                  bad, message):
+        path, out = config_file
+        text = open(path).read().replace(line, bad)
+        config = tmp_path / "bad.ini"
+        config.write_text(text)
+        assert main(["phantom", "--config", str(config)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: [config] {message}")
+        assert not os.path.exists(out)
+
+    def test_failed_background_write_is_tagged(self, config_file, capsys, monkeypatch):
+        def broken(path, data):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(pipeline, "save_signal", broken)
+        path, out = config_file
+        assert main(["run", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [simulate] writing ")
+        assert "signal.csv failed (exit code 1)" in err
+        assert multiprocessing.active_children() == []
+        assert not os.path.exists(os.path.join(out, "manifest.txt"))
 
     def test_bad_phantom_geometry_tagged(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"

@@ -1,4 +1,5 @@
-"""Start-up cost: each scipy module loads only in the stage that uses it."""
+"""Start-up cost: each scipy module loads only in the stage that uses it,
+and ``multiprocessing`` only when a run writes a file in the background."""
 
 import json
 import os
@@ -63,3 +64,18 @@ def test_deconvolve_only_run_imports_no_sparse_or_ndimage(tmp_path):
     assert loaded["after_deconvolve"] == []
     assert "scipy.sparse" in loaded["after_core"]
     assert not any(m.startswith("scipy.ndimage") for m in loaded["after_core"])
+
+
+def test_import_and_validate_load_no_multiprocessing():
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    config = os.path.join(ROOT, "configs", "two_bar_33.ini")
+    script = (
+        "import sys, mpirecon; mpirecon.PipelineConfig.from_file(sys.argv[1]).validate(); "
+        "print('multiprocessing' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, config], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from core_oracle import stencil_gram_bands
 from grid_oracle import interpolate, interpolation_adjoint
 
 from mpirecon.geometry import GridGeometry
@@ -125,6 +126,25 @@ class TestMatrix:
         w = GRID.shape[1]
         bands = {0, 1, w - 1, w, w + 1}
         assert set(np.abs(gram.tocoo().col - gram.tocoo().row)) <= bands
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("scheme", [COSINE, BILINEAR])
+    def test_stencil_gram_is_bit_equal_to_the_per_pair_loop(self, scheme, seed):
+        rng = np.random.default_rng(100 + seed)
+        h, w = rng.integers(2, 13, size=2)
+        grid = GridGeometry(shape=(h, w), spacing=(0.5, 0.25), origin=(-1.0, -2.0))
+        n = int(rng.integers(1, 400))
+        x_end = grid.origin[0] + grid.spacing[0] * (w - 1)
+        y_end = grid.origin[1] + grid.spacing[1] * (h - 1)
+        pts = np.stack([rng.uniform(grid.origin[0], x_end, n),
+                        rng.uniform(grid.origin[1], y_end, n)], axis=-1)
+        pts[: min(n, 2)] = [[x_end, y_end], [grid.origin[0], grid.origin[1]]][: min(n, 2)]
+        coefficients = rng.normal(size=n) * rng.normal(size=n)
+        mat = interpolation_matrix(grid, pts, scheme)
+        gram = stencil_gram(grid, mat, coefficients)
+        for offset, band in stencil_gram_bands(grid, mat, coefficients).items():
+            assert gram.diagonal(offset).tobytes() == band.tobytes(), offset
+            assert gram.diagonal(-offset).tobytes() == band.tobytes(), -offset
 
 
 def test_unknown_kind_rejected():

@@ -2,16 +2,21 @@
 
 import configparser
 import glob
+import multiprocessing
 import os
+import re
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from mpirecon import fileio, pipeline
 from mpirecon.core_stage import CoreStageConfig, extract_trace, solve_core_stage
 from mpirecon.fileio import load_image, load_signal, read_manifest, save_signal, save_trajectory
-from mpirecon.forward import ScanSignal, simulate_signal
+from mpirecon.forward import ScanSignal, add_noise, simulate_signal
 from mpirecon.geometry import ConcentrationImage, GridGeometry
 from mpirecon.interpolation import InterpolationScheme
 from mpirecon.kernels import KernelSpec
@@ -314,6 +319,101 @@ class TestFullRun:
         assert os.path.exists(os.path.join(out, "core_A01.float.txt"))
         assert not os.path.exists(os.path.join(out, "core_A11.float.txt"))
         assert os.path.exists(os.path.join(out, "recon.float.txt"))
+
+
+class TestBackgroundWriter:
+    """A stage after ``simulate`` lets a forked child write the scan CSV;
+    the run joins it."""
+
+    def test_signal_csv_equals_an_inline_write(self, tmp_path):
+        config = make_config(tmp_path, noise_level=0.05)
+        result = run_pipeline(config, stages=("simulate", "core"))
+        scanner = config.scanner()
+        signal = simulate_signal(
+            generate_phantom(config.phantom()), lissajous(scanner), config.kernel_spec(),
+            scanner, config.interpolation(),
+        )
+        save_signal(str(tmp_path / "inline.csv"), add_noise(signal, 0.05, config.seed()))
+        assert result.artifacts["signal"] == str(tmp_path / "run" / "signal.csv")
+        assert (tmp_path / "run" / "signal.csv").read_bytes() == (
+            tmp_path / "inline.csv"
+        ).read_bytes()
+        assert list(result.timings) == ["simulate", "core", "write_wait"]
+        timings = (tmp_path / "run" / "timings.csv").read_text().splitlines()
+        assert timings[-1].startswith("write_wait,")
+        assert multiprocessing.active_children() == []
+
+    def _record_writer_pids(self, monkeypatch):
+        pids = []  # a forked child appends to its own copy
+
+        def recording_save_signal(path, data):
+            pids.append(os.getpid())
+            fileio.save_signal(path, data)
+
+        monkeypatch.setattr(pipeline, "save_signal", recording_save_signal)
+        return pids
+
+    def test_simulate_as_the_last_stage_writes_inline(self, tmp_path, monkeypatch):
+        pids = self._record_writer_pids(monkeypatch)
+        result = run_pipeline(make_config(tmp_path), stages=("simulate",))
+        assert pids == [os.getpid()]
+        assert list(result.timings) == ["simulate"]
+        assert load_signal(result.artifacts["signal"]).n_samples == 14112
+
+    def test_a_threaded_caller_writes_inline(self, tmp_path, monkeypatch):
+        pids = self._record_writer_pids(monkeypatch)
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            result = run_pipeline(make_config(tmp_path), stages=("simulate", "core"))
+        finally:
+            release.set()
+            waiter.join()
+        assert pids == [os.getpid()]
+        assert "write_wait" not in result.timings
+        assert load_signal(result.artifacts["signal"]).n_samples == 14112
+
+    @pytest.mark.parametrize("write_fails", [False, True], ids=["write-ok", "write-fails"])
+    def test_a_later_stage_failure_still_joins_the_writer(self, tmp_path, monkeypatch,
+                                                          write_fails):
+        def slow_save_signal(path, data):
+            time.sleep(0.5)
+            if write_fails:
+                with open(path, "w") as f:
+                    f.write("t,u0,u1\n0,")
+                raise OSError("disk full")
+            fileio.save_signal(path, data)
+
+        def failing_core(*args, **kwargs):
+            raise ValueError("core failed")
+
+        monkeypatch.setattr(pipeline, "save_signal", slow_save_signal)
+        monkeypatch.setattr(pipeline, "solve_core_stage", failing_core)
+        config = make_config(tmp_path)
+        signal_path = str(tmp_path / "run" / "signal.csv")
+        message = r"^\[core\] core failed$"
+        if write_fails:
+            # the partial signal.csv is named, so it is not taken for a good one
+            message = (r"^\[core\] core failed; writing " + re.escape(signal_path)
+                       + r" failed \(exit code 1\)$")
+        with pytest.raises(PipelineError, match=message):
+            run_pipeline(config)
+        assert multiprocessing.active_children() == []
+        if not write_fails:
+            assert load_signal(signal_path).n_samples == 14112
+
+    def test_a_daemonic_caller_writes_inline(self, tmp_path):
+        # a daemonic process, such as a pool worker, may not start children
+        config = make_config(tmp_path)
+        caller = multiprocessing.get_context("fork").Process(
+            target=run_pipeline, args=(config,), kwargs={"stages": ("simulate", "core")},
+            daemon=True,
+        )
+        caller.start()
+        caller.join(60)
+        assert caller.exitcode == 0
+        assert "signal.csv" in read_manifest(str(tmp_path / "run"))
 
 
 class TestPreprocessStage:
