@@ -27,29 +27,27 @@ from .solvers import CgResult, conjugate_gradient
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
-LAPLACIAN_UNITS = ("pixel", "physical")
 
-
-def _second_difference(n: int, step: float) -> sp.csr_matrix:
+def _second_difference(n: int) -> sp.csr_matrix:
     """1D second difference with replicate (Neumann) boundary."""
     import scipy.sparse as sp
 
     main = np.full(n, -2.0)
     main[0] = main[-1] = -1.0
     off = np.ones(n - 1)
-    return sp.diags([off, main, off], offsets=(-1, 0, 1), format="csr") / step**2
+    return sp.diags([off, main, off], offsets=(-1, 0, 1), format="csr")
 
 
-def laplacian_matrix(shape: tuple, spacing: tuple = (1.0, 1.0)) -> sp.csr_matrix:
-    """5-point Laplacian on raveled row-major images, replicate boundary."""
+def laplacian_matrix(shape: tuple) -> sp.csr_matrix:
+    """5-point Laplacian in pixel units on raveled row-major images,
+    replicate boundary."""
     h, w = shape
     if h < 3 or w < 3:
         raise ValueError(f"Laplacian needs a grid of at least 3 x 3, got {shape}")
     import scipy.sparse as sp
 
-    dx, dy = spacing
-    return sp.kron(sp.eye(h), _second_difference(w, dx)) + sp.kron(
-        _second_difference(h, dy), sp.eye(w)
+    return sp.kron(sp.eye(h), _second_difference(w)) + sp.kron(
+        _second_difference(h), sp.eye(w)
     )
 
 
@@ -58,10 +56,9 @@ class CoreStageConfig:
     """Regularization, solver budget and reconstruction target.
 
     ``rows`` lists the core-operator matrix rows to recover; partial data
-    provides the matching signal channels only.  ``laplacian_units``
-    selects whether the regularizer acts in pixel units (default; makes
-    gamma resolution-coupled and keeps its working value light) or in
-    physical meters.
+    provides the matching signal channels only.  The regularizer acts in
+    pixel units, which makes gamma resolution-coupled and keeps its
+    working value light.
     """
 
     grid: GridGeometry
@@ -69,7 +66,6 @@ class CoreStageConfig:
     cg_tolerance: float = 1e-3
     cg_max_iterations: int = 10_000
     rows: tuple = (0, 1)
-    laplacian_units: str = "pixel"
 
     def __post_init__(self):
         if self.gamma < 0:
@@ -78,13 +74,6 @@ class CoreStageConfig:
             raise ValueError("cg_tolerance must be positive")
         if len(self.rows) == 0:
             raise ValueError("rows must be nonempty")
-        if self.laplacian_units not in LAPLACIAN_UNITS:
-            raise ValueError(f"laplacian_units must be one of {LAPLACIAN_UNITS}")
-
-    def laplacian_spacing(self) -> tuple:
-        if self.laplacian_units == "physical":
-            return self.grid.spacing
-        return (1.0, 1.0)
 
 
 @dataclasses.dataclass
@@ -173,7 +162,7 @@ def solve_core_stage(
     kept_v = velocities[inside]
     kept_s = signal_values[inside]
 
-    lap = laplacian_matrix(grid.shape, config.laplacian_spacing())
+    lap = laplacian_matrix(grid.shape)
     blocks = _normal_blocks(grid, sample_matrix, kept_v, config.gamma, lap.T @ lap, n_kept)
     if config.gamma == 0:
         pixel_blocks = np.array([[blocks[j][k].diagonal() for k in range(n)] for j in range(n)])

@@ -92,26 +92,22 @@ def core_operator(
     kernel evaluation; the kernel symmetry is exploited by computing each
     unordered entry pair once.
     """
-    if config.dimension != spec.dimension:
-        raise ValueError(
-            f"scanner dimension {config.dimension} != kernel dimension {spec.dimension}"
-        )
-    if spec.dimension != 2:
-        raise ValueError("core operator fields are 2D")
+    if config.dimension != 2:
+        raise ValueError(f"core operator fields are 2D, got a {config.dimension}D scanner")
     grid = rho.geometry
     gradient = config.gradient_field()
     entries = {}
-    for row in range(spec.dimension):
-        for col in range(row, spec.dimension):
+    for row in range(2):
+        for col in range(row, 2):
             kernel_img = discretize_kernel(grid, spec, (row, col), gradient)
             entries[(row, col)] = fft_convolve(rho.values, kernel_img, grid.pixel_area)
             if col != row:
                 entries[(col, row)] = entries[(row, col)]
     return CoreOperatorField(
         entries=entries,
-        dimension=spec.dimension,
+        dimension=2,
         geometry=grid,
-        populated_rows=tuple(range(spec.dimension)),
+        populated_rows=(0, 1),
     )
 
 
@@ -123,8 +119,8 @@ def simulate_signal(
     interpolation: InterpolationScheme | None = None,
 ) -> ScanSignal:
     """Evaluate the core operator along the trajectory and project on the
-    velocity: ``s_i(t_k) = sum_j I[A_ij](r_k) v_j(k)``, then apply the
-    constant receive sensitivity."""
+    velocity: ``s_i(t_k) = sum_j I[A_ij](r_k) v_j(k)``.  Channel i is row i
+    of the core operator: the receive chain is the identity."""
     if interpolation is None:
         interpolation = InterpolationScheme()
     grid = rho.geometry
@@ -134,16 +130,12 @@ def simulate_signal(
             f"{np.count_nonzero(~inside)} trajectory samples exit the image geometry"
         )
     field = core_operator(rho, spec, config)
-    n = spec.dimension
     sample_matrix = interpolation_matrix(grid, trajectory.positions, interpolation)
-    signal = np.zeros((len(trajectory), n))
-    for row in range(n):
-        for col in range(n):
+    signal = np.zeros((len(trajectory), 2))
+    for row in range(2):
+        for col in range(2):
             values = sample_matrix @ field.entry(row, col).ravel()
             signal[:, row] += values * trajectory.velocities[:, col]
-    sens = config.sensitivity_matrix()
-    if not np.array_equal(sens, np.eye(n)):
-        signal = signal @ sens.T
     return ScanSignal(values=signal, sample_rate=config.sample_rate)
 
 

@@ -36,8 +36,6 @@ class ParticleModel:
     temperature: float  # K
     saturation_magnetization: float  # J/(m^3 T)
     core_diameter: float  # m
-    boltzmann_constant: float = BOLTZMANN_CONSTANT  # J/K
-    vacuum_permeability: float = VACUUM_PERMEABILITY  # H/m
 
     def __post_init__(self):
         for name in dataclasses.fields(self):
@@ -48,19 +46,13 @@ class ParticleModel:
 
 @dataclasses.dataclass(frozen=True)
 class KernelSpec:
-    """Resolution scale ``h`` (A/m), scan dimension and series cutoff."""
+    """Resolution scale ``h`` (A/m) of the 2D kernel."""
 
     h: float
-    dimension: int = 2
-    taylor_cutoff: float = TAYLOR_CUTOFF
 
     def __post_init__(self):
         if not (self.h > 0 and np.isfinite(self.h)):
             raise ValueError(f"kernel resolution h must be positive, got {self.h}")
-        if self.dimension not in (1, 2, 3):
-            raise ValueError(f"dimension must be 1, 2 or 3, got {self.dimension}")
-        if self.taylor_cutoff <= 0:
-            raise ValueError("taylor_cutoff must be positive")
 
 
 def saturation_field(model: ParticleModel) -> float:
@@ -71,23 +63,23 @@ def saturation_field(model: ParticleModel) -> float:
     """
     core_volume = (np.pi / 6.0) * model.core_diameter**3
     return float(
-        model.boltzmann_constant
+        BOLTZMANN_CONSTANT
         * model.temperature
-        / (model.vacuum_permeability * model.saturation_magnetization * core_volume)
+        / (VACUUM_PERMEABILITY * model.saturation_magnetization * core_volume)
     )
 
 
-def langevin(z, cutoff: float = TAYLOR_CUTOFF):
+def langevin(z):
     """Langevin function ``coth(z) - 1/z``.
 
     Odd, bounded by 1 in magnitude, saturating to +-1 for large arguments.
-    Below ``cutoff`` the series ``z/3 - z^3/45 + 2 z^5/945`` is used.
+    Below ``TAYLOR_CUTOFF`` the series ``z/3 - z^3/45 + 2 z^5/945`` is used.
     """
     z = np.asarray(z, dtype=float)
     scalar = z.ndim == 0
     z = np.atleast_1d(z)
     out = np.empty_like(z)
-    small = np.abs(z) < cutoff
+    small = np.abs(z) < TAYLOR_CUTOFF
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         zz = z[~small]
         out[~small] = 1.0 / np.tanh(zz) - 1.0 / zz
@@ -96,11 +88,11 @@ def langevin(z, cutoff: float = TAYLOR_CUTOFF):
     return float(out[0]) if scalar else out
 
 
-def langevin_prime(z, cutoff: float = TAYLOR_CUTOFF):
+def langevin_prime(z):
     """Derivative of the Langevin function, ``1/z^2 - 1/sinh(z)^2``.
 
     Even, with values in (0, 1/3]; the limit at zero is 1/3.  Below
-    ``cutoff`` the series ``1/3 - z^2/15 + 2 z^4/189`` is used; for very
+    ``TAYLOR_CUTOFF`` the series ``1/3 - z^2/15 + 2 z^4/189`` is used; for very
     large arguments ``1/sinh^2`` overflows and the term is dropped,
     leaving ``1/z^2``.
     """
@@ -108,7 +100,7 @@ def langevin_prime(z, cutoff: float = TAYLOR_CUTOFF):
     scalar = z.ndim == 0
     z = np.atleast_1d(z)
     out = np.empty_like(z)
-    small = np.abs(z) < cutoff
+    small = np.abs(z) < TAYLOR_CUTOFF
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         zz = z[~small]
         sinh2 = np.sinh(zz) ** 2
@@ -119,11 +111,11 @@ def langevin_prime(z, cutoff: float = TAYLOR_CUTOFF):
     return float(out[0]) if scalar else out
 
 
-def _langevin_over_z(z, cutoff: float):
+def _langevin_over_z(z):
     """``L(z)/z`` with its even series ``1/3 - z^2/45 + 2 z^4/945`` near zero."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
     out = np.empty_like(z)
-    small = np.abs(z) < cutoff
+    small = np.abs(z) < TAYLOR_CUTOFF
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         zz = z[~small]
         out[~small] = (1.0 / np.tanh(zz) - 1.0 / zz) / zz
@@ -132,17 +124,17 @@ def _langevin_over_z(z, cutoff: float):
     return out
 
 
-def _anisotropic_coefficient(z, cutoff: float):
+def _anisotropic_coefficient(z):
     """``(L'(z) - L(z)/z) / z^2``, the weight of the rank-one part.
 
     Near zero the closed form is a 0/0 cancellation; the series
-    ``-2/45 + 8 z^2/945`` takes over below ``cutoff``.
+    ``-2/45 + 8 z^2/945`` takes over below ``TAYLOR_CUTOFF``.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     out = np.empty_like(z)
-    small = np.abs(z) < cutoff
+    small = np.abs(z) < TAYLOR_CUTOFF
     zz = z[~small]
-    out[~small] = (langevin_prime(zz, cutoff) - _langevin_over_z(zz, cutoff)) / zz**2
+    out[~small] = (langevin_prime(zz) - _langevin_over_z(zz)) / zz**2
     zs = z[small]
     out[small] = -2.0 / 45.0 + 8.0 * zs**2 / 945.0
     return out
@@ -152,10 +144,8 @@ def _normalized_field(y, spec: KernelSpec):
     """``(y/h, |y/h|)`` with at least one batch axis; single shared code
     path so that identities between kernel flavours hold bit-for-bit."""
     y = np.asarray(y, dtype=float)
-    if y.shape[-1] != spec.dimension:
-        raise ValueError(
-            f"expected trailing axis of size {spec.dimension}, got shape {y.shape}"
-        )
+    if y.shape[-1] != 2:
+        raise ValueError(f"expected trailing axis of size 2, got shape {y.shape}")
     yh = np.atleast_2d(y) / spec.h
     return yh, np.linalg.norm(yh, axis=-1)
 
@@ -167,46 +157,41 @@ def kernel_matrix(y, spec: KernelSpec) -> np.ndarray:
     orthogonal complement, both divided by ``h``; continuous limit
     ``I/(3h)`` at the origin.  Symmetric positive semidefinite.
     """
-    n = spec.dimension
     y = np.asarray(y, dtype=float)
-    if y.shape != (n,):
-        raise ValueError(f"expected field vector of shape ({n},), got {y.shape}")
+    if y.shape != (2,):
+        raise ValueError(f"expected field vector of shape (2,), got {y.shape}")
     yh, z = _normalized_field(y, spec)
-    iso = _langevin_over_z(z, spec.taylor_cutoff)[0]
-    aniso = _anisotropic_coefficient(z, spec.taylor_cutoff)[0]
-    return (iso * np.eye(n) + aniso * np.outer(yh[0], yh[0])) / spec.h
+    iso = _langevin_over_z(z)[0]
+    aniso = _anisotropic_coefficient(z)[0]
+    return (iso * np.eye(2) + aniso * np.outer(yh[0], yh[0])) / spec.h
 
 
 def kernel_entry(y, row: int, col: int, spec: KernelSpec):
     """Single entry of the matrix kernel; ``y`` may carry leading batch axes."""
-    n = spec.dimension
-    if not (0 <= row < n and 0 <= col < n):
-        raise IndexError(f"entry ({row}, {col}) out of range for dimension {n}")
+    if not (0 <= row < 2 and 0 <= col < 2):
+        raise IndexError(f"entry ({row}, {col}) out of range for dimension 2")
     y = np.asarray(y, dtype=float)
     scalar = y.ndim == 1
     yh, z = _normalized_field(y, spec)
-    aniso = _anisotropic_coefficient(z, spec.taylor_cutoff)
+    aniso = _anisotropic_coefficient(z)
     value = aniso * yh[..., row] * yh[..., col]
     if row == col:
-        value = value + _langevin_over_z(z, spec.taylor_cutoff)
+        value = value + _langevin_over_z(z)
     value = value / spec.h
     return float(value[0]) if scalar else value
 
 
 def trace_kernel(y, spec: KernelSpec):
-    """Trace of the matrix kernel: ``(L'(z) + (n-1) L(z)/z) / h`` with
+    """Trace of the matrix kernel: ``(L'(z) + L(z)/z) / h`` with
     ``z = |y/h|``.
 
-    Radially symmetric, strictly positive, peaking at ``n/(3h)`` in the
+    Radially symmetric, strictly positive, peaking at ``2/(3h)`` in the
     origin.  ``y`` may carry leading batch axes.
     """
     y = np.asarray(y, dtype=float)
     scalar = y.ndim == 1
     _, z = _normalized_field(y, spec)
-    value = (
-        langevin_prime(z, spec.taylor_cutoff)
-        + (spec.dimension - 1) * _langevin_over_z(z, spec.taylor_cutoff)
-    ) / spec.h
+    value = (langevin_prime(z) + _langevin_over_z(z)) / spec.h
     return float(value[0]) if scalar else value
 
 
@@ -232,8 +217,6 @@ def discretize_kernel(
     circular-convolution convention (values are raw kernel samples, no
     pixel-area factor).
     """
-    if spec.dimension != 2:
-        raise ValueError("kernel discretization is defined for 2D scans only")
     gradient = np.asarray(gradient, dtype=float).reshape(-1)
     if gradient.shape != (2,):
         raise ValueError(f"expected 2 gradient diagonal entries, got {gradient.shape}")

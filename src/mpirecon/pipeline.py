@@ -116,17 +116,13 @@ SCHEMA = {
         ("saturation_magnetization_j_per_m3_t", FLOAT, 4.74e5, "core saturation magnetization"),
         ("core_diameter_nm", FLOAT, 21.0, "magnetic core diameter"),
     ),
-    "kernel": (
-        ("h_sat_a_per_m", FLOAT, None, "kernel field scale; empty: the particle's"),
-        ("taylor_cutoff", FLOAT, KernelSpec.taylor_cutoff, "below it the kernel uses its series"),
-    ),
+    "kernel": (("h_sat_a_per_m", FLOAT, None, "kernel field scale; empty: the particle's"),),
     "core": (
         ("gamma", FLOAT, CoreStageConfig.gamma, "weight of the Laplacian smoothness term"),
         ("cg_tolerance", FLOAT, CoreStageConfig.cg_tolerance, "relative CG residual to stop at"),
         ("cg_max_iterations", INT, CoreStageConfig.cg_max_iterations, "CG cap per row"),
         ("rows", INTS, CoreStageConfig.rows, "operator rows to recover; one: partial data"),
         ("interpolation", TEXT, InterpolationScheme.kind, "cosine or bilinear"),
-        ("laplacian_units", TEXT, CoreStageConfig.laplacian_units, "pixel or physical"),
     ),
     "pnp": (
         ("nu0", FLOAT, PnPConfig.nu0, "initial coupling of the Tikhonov step"),
@@ -286,7 +282,7 @@ class PipelineConfig:
         h = h_override if h_override is not None else v["h_sat_a_per_m"]
         if h is None:
             h = saturation_field(self.particle())
-        return KernelSpec(h=h, dimension=2, taylor_cutoff=v["taylor_cutoff"])
+        return KernelSpec(h=h)
 
     def core(self) -> CoreStageConfig:
         v = self.values["core"]
@@ -296,7 +292,6 @@ class PipelineConfig:
             cg_tolerance=v["cg_tolerance"],
             cg_max_iterations=v["cg_max_iterations"],
             rows=v["rows"],
-            laplacian_units=v["laplacian_units"],
         )
 
     def interpolation(self) -> InterpolationScheme:
@@ -636,23 +631,35 @@ class _Run:
         self.deconv_input = (target, grid)
         self._save_image(name, target, grid)
 
-    def deconvolve_stage(self):
-        trace_base = self.config.path("deconvolve", "input_trace")
+    def _load_deconv_input(self):
+        """The image to deconvolve and its geometry: the core stage's, else
+        the configured ``input_trace``, else ``<out>/trace``."""
         if self.deconv_input is None:
+            trace_base = self.config.path("deconvolve", "input_trace")
             if trace_base is None:
                 candidate = os.path.join(self.out, "trace")
                 if not os.path.exists(candidate + ".float.txt"):
                     raise ValueError(
-                        "deconvolve stage needs a trace (run core or set "
+                        "deconvolution needs a trace (run core or set "
                         "[deconvolve] input_trace)"
                     )
                 trace_base = candidate
             image = load_image(trace_base)
             self.deconv_input = (image.values, image.geometry)
-        values, grid = self.deconv_input
-        scanner = self.config.scanner()
-        kernel = _deconvolution_kernel(self.config, grid, scanner)
-        result = zero_shot_pnp(values, kernel, self.config.pnp())
+        return self.deconv_input
+
+    def _deconvolve(self, h_sat=None, nu0=None):
+        """Deconvolve the input with the kernel at ``h_sat`` and coupling
+        ``nu0`` (config values where None); return the kernel, the PnP
+        result and the centre-row dip ratio of its image."""
+        values, grid = self._load_deconv_input()
+        kernel = _deconvolution_kernel(self.config, grid, self.config.scanner(), h_sat)
+        result = zero_shot_pnp(values, kernel, self.config.pnp(nu0))
+        _, profile = extract_profile(result.image, "row", grid.shape[0] // 2, grid)
+        return kernel, result, dip_ratio(profile)
+
+    def deconvolve_stage(self):
+        _, result, dip = self._deconvolve()
         for rec in result.diagnostics.records:
             k = f"iter{rec.iteration}"
             self.rows.append(("deconvolve", k, "nu", rec.nu))
@@ -661,10 +668,8 @@ class _Run:
         self.rows.append(
             ("deconvolve", "all", "degenerate", int(result.diagnostics.degenerate))
         )
-        center = grid.shape[0] // 2
-        _, profile = extract_profile(result.image, "row", center, grid)
-        self.rows.append(("deconvolve", "all", "center_row_dip_ratio", dip_ratio(profile)))
-        self._save_image("recon", result.image, grid)
+        self.rows.append(("deconvolve", "all", "center_row_dip_ratio", dip))
+        self._save_image("recon", result.image, self.deconv_input[1])
 
     def execute(self, stages):
         os.makedirs(self.out, exist_ok=True)
@@ -769,26 +774,14 @@ def sweep(
     prelude = tuple(s for s in config.stages() if s != "deconvolve")
     base = run.execute(prelude)
 
-    if run.deconv_input is None:
-        trace_base = config.path("deconvolve", "input_trace")
-        if trace_base is None:
-            raise ValueError("sweep needs a trace: include the core stage or input_trace")
-        image = load_image(trace_base)
-        run.deconv_input = (image.values, image.geometry)
-    values, grid = run.deconv_input
-    scanner = config.scanner()
+    values, _ = run._load_deconv_input()
     is_bar_phantom = config.values["phantom"]["kind"] == "two-bar"
 
     results = []
     for h_sat, nu0 in pairs:
         try:
-            kernel = _deconvolution_kernel(config, grid, scanner, h_override=h_sat)
-            result = zero_shot_pnp(values, kernel, config.pnp(nu0_override=nu0))
-            if is_bar_phantom:
-                center = grid.shape[0] // 2
-                _, profile = extract_profile(result.image, "row", center, grid)
-                score = dip_ratio(profile)
-            else:
+            kernel, result, score = run._deconvolve(h_sat, nu0)
+            if not is_bar_phantom:
                 blurred = fft_convolve(result.image, kernel, 1.0)
                 score = -float(
                     np.linalg.norm(blurred - values) / max(np.linalg.norm(values), 1e-300)

@@ -130,17 +130,12 @@ def _check_bins(signal: ScanSignal, n_bins: int, n_channels: int, what: str) -> 
         raise ValueError(f"{what} channel count {n_channels} != signal {signal.n_channels}")
 
 
-def correct_transfer_function(
-    signal: ScanSignal, tf: TransferFunction, zero_fill: bool = True
-) -> ScanSignal:
+def correct_transfer_function(signal: ScanSignal, tf: TransferFunction) -> ScanSignal:
     """Divide the signal spectrum by the transfer function per channel.
 
-    Unusable bins are zero-filled (treated as absent data) when
-    ``zero_fill`` is set, otherwise they raise.
+    Unusable bins are zero-filled: they are treated as absent data.
     """
     _check_bins(signal, tf.n_bins, tf.spectra.shape[0], "transfer function")
-    if not zero_fill and not np.all(tf.usable):
-        raise ValueError("transfer function has unusable bins and zero_fill is disabled")
     spectrum = np.fft.rfft(signal.values, axis=0).T  # (C, F)
     corrected = np.zeros_like(spectrum)
     np.divide(spectrum, tf.spectra, out=corrected, where=tf.usable)

@@ -27,7 +27,9 @@ class ScannerConfig:
     sample_rate       -- acquisition rate in Hz
     repetition_time   -- length of one drive period in s
     excitation_*      -- optional fast 1D excitation superposed on x
-    sensitivity       -- constant receive-coil sensitivity matrix
+
+    The receive chain is the identity: channel i records the signal of
+    row i of the core operator.
     """
 
     gradient: tuple
@@ -37,8 +39,6 @@ class ScannerConfig:
     repetition_time: float
     excitation_amplitude: float | None = None
     excitation_frequency: float | None = None
-    sensitivity: np.ndarray | None = None
-    vacuum_permeability: float = VACUUM_PERMEABILITY
 
     def __post_init__(self):
         g = np.asarray(self.gradient, dtype=float)
@@ -61,18 +61,13 @@ class ScannerConfig:
 
     def gradient_field(self) -> np.ndarray:
         """Per-axis gradient diagonal in (A/m) per meter."""
-        return np.asarray(self.gradient, dtype=float) / self.vacuum_permeability
+        return np.asarray(self.gradient, dtype=float) / VACUUM_PERMEABILITY
 
     def position_amplitudes(self) -> np.ndarray:
         """Per-axis FFP excursion in meters: drive amplitude over |gradient|."""
         return np.asarray(self.drive_amplitudes, dtype=float) / np.abs(
             np.asarray(self.gradient, dtype=float)
         )
-
-    def sensitivity_matrix(self) -> np.ndarray:
-        if self.sensitivity is None:
-            return np.eye(self.dimension)
-        return np.asarray(self.sensitivity, dtype=float)
 
 
 @dataclasses.dataclass(frozen=True)

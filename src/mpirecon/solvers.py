@@ -30,9 +30,8 @@ def conjugate_gradient(
     b: np.ndarray,
     tolerance: float,
     max_iterations: int,
-    x0: np.ndarray | None = None,
 ) -> CgResult:
-    """Solve ``operator(x) = b`` by plain (unpreconditioned) CG.
+    """Solve ``operator(x) = b`` by plain (unpreconditioned) CG from x = 0.
 
     ``operator`` must be a symmetric positive semidefinite callable.
     Terminates when the relative residual norm drops to ``tolerance`` or
@@ -42,8 +41,8 @@ def conjugate_gradient(
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
         return CgResult(x=np.zeros_like(b), iterations=0, residuals=[0.0], converged=True)
-    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
-    r = b - operator(x) if x0 is not None else b.copy()
+    x = np.zeros_like(b)
+    r = b.copy()
     p = r.copy()
     step = np.empty_like(b)  # holds alpha p, then alpha Ap
     rr = float(r @ r)

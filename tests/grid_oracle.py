@@ -36,12 +36,10 @@ def interpolation_adjoint(points, values, grid, scheme):
     return out.reshape(grid.shape)
 
 
-def laplacian_apply(field, spacing=(1.0, 1.0)):
-    """Replicate-boundary 5-point Laplacian of a grid image; ``spacing``
-    is (dx, dy), with x along columns."""
+def laplacian_apply(field):
+    """Replicate-boundary 5-point Laplacian of a grid image in pixel units."""
     field = np.asarray(field, dtype=float)
-    dx, dy = spacing
     p = np.pad(field, 1, mode="edge")
-    d2x = (p[1:-1, 2:] - 2.0 * field + p[1:-1, :-2]) / dx**2
-    d2y = (p[2:, 1:-1] - 2.0 * field + p[:-2, 1:-1]) / dy**2
+    d2x = p[1:-1, 2:] - 2.0 * field + p[1:-1, :-2]
+    d2y = p[2:, 1:-1] - 2.0 * field + p[:-2, 1:-1]
     return d2x + d2y

@@ -3,6 +3,7 @@
 import configparser
 import multiprocessing
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,7 +179,7 @@ class TestFailures:
             ("grid", "height", "0", "degenerate grid shape (0, 21)"),
             ("scanner", "gradient_x_t_per_m", "0", "gradient diagonal entries must be nonzero"),
             ("particle", "temperature_k", "-1", "ParticleModel.temperature must be strictly"),
-            ("kernel", "taylor_cutoff", "0", "taylor_cutoff must be positive"),
+            ("kernel", "h_sat_a_per_m", "-1", "kernel resolution h must be positive"),
             ("core", "gamma", "-1", "gamma must be nonnegative"),
             ("core", "interpolation", "cubic", "unknown interpolation kind 'cubic'"),
             ("pnp", "nu0", "-1", "nu0 must be positive"),
@@ -219,7 +220,7 @@ class TestFailures:
     def test_singular_core_system_is_tagged(self, config_file, tmp_path, capsys):
         path, _ = config_file
         # 70 samples cannot visit all 441 pixels; only gamma > 0 fills them in
-        sparse = open(path).read().replace(
+        sparse = Path(path).read_text().replace(
             "repetition_time_s = 1.0", "repetition_time_s = 1.0\ndecimate = 200"
         )
         for gamma, code in (("0", 1), ("1e-7", 0)):
@@ -266,7 +267,7 @@ gamma = {gamma}
     def test_ignored_trajectory_file_fails_before_any_stage(self, config_file, tmp_path, capsys):
         path, out = config_file
         (tmp_path / "traj.csv").write_text("t,x,y\n0,0,0\n1,0,0\n")
-        text = open(path).read().replace(
+        text = Path(path).read_text().replace(
             "repetition_time_s = 1.0", "repetition_time_s = 1.0\ntrajectory_file = traj.csv"
         )
         config = tmp_path / "ignored.ini"
@@ -288,7 +289,7 @@ gamma = {gamma}
     def test_bad_trajectory_kind_fails_before_any_stage(self, config_file, tmp_path, capsys,
                                                         kind, message):
         path, out = config_file
-        text = open(path).read().replace(
+        text = Path(path).read_text().replace(
             "repetition_time_s = 1.0", f"repetition_time_s = 1.0\ntrajectory = {kind}"
         )
         config = tmp_path / f"{kind}.ini"
@@ -309,7 +310,7 @@ gamma = {gamma}
     def test_phantom_command_validates_its_config(self, config_file, tmp_path, capsys, line,
                                                   bad, message):
         path, out = config_file
-        text = open(path).read().replace(line, bad)
+        text = Path(path).read_text().replace(line, bad)
         config = tmp_path / "bad.ini"
         config.write_text(text)
         assert main(["phantom", "--config", str(config)]) == 1

@@ -34,7 +34,7 @@ def dense_scan(n, samples_per_cell, fx, fy):
         repetition_time=1.0,
     )
     field_step = abs(config.gradient_field()[0]) * grid.spacing[0]
-    spec = KernelSpec(h=2.0 * field_step, dimension=2)
+    spec = KernelSpec(h=2.0 * field_step)
     return grid, config, spec
 
 
@@ -55,8 +55,8 @@ def delta_round_trip_error(n, samples_per_cell, fx=33.0, fy=32.0):
     return err, sol
 
 
-def laplacian_via_matrix(field, spacing=(1.0, 1.0)):
-    return (laplacian_matrix(field.shape, spacing) @ field.ravel()).reshape(field.shape)
+def laplacian_via_matrix(field):
+    return (laplacian_matrix(field.shape) @ field.ravel()).reshape(field.shape)
 
 
 # every stencil check runs on the library's sparse matrix and on the
@@ -79,12 +79,11 @@ class TestLaplacian:
     def test_spike_stencil_values(self):
         field = np.zeros((5, 5))
         field[2, 2] = 1.0
-        h = 0.5
         for apply in LAPLACIANS:
-            out = apply(field, spacing=(h, h))
-            assert out[2, 2] == pytest.approx(-4.0 / h**2)
+            out = apply(field)
+            assert out[2, 2] == -4.0
             for iy, ix in [(1, 2), (3, 2), (2, 1), (2, 3)]:
-                assert out[iy, ix] == pytest.approx(1.0 / h**2)
+                assert out[iy, ix] == 1.0
             assert out[0, 0] == 0.0
 
     def test_replicate_boundary_edge_row(self):
@@ -102,8 +101,7 @@ class TestLaplacian:
     def test_matrix_matches_apply(self):
         rng = np.random.default_rng(0)
         field = rng.normal(size=(6, 8))
-        via_matrix = laplacian_via_matrix(field, (0.3, 0.7))
-        assert np.allclose(via_matrix, laplacian_apply(field, (0.3, 0.7)), rtol=1e-14)
+        assert np.allclose(laplacian_via_matrix(field), laplacian_apply(field), rtol=1e-14)
 
 
 def random_normal_instance(rng, scheme, n_samples):
@@ -131,7 +129,7 @@ def oracle_solve(signal_values, positions, velocities, config, scheme):
     """Row solves of ``solve_core_stage`` run on the matrix-free oracle."""
     grid = config.grid
     mat = interpolation_matrix(grid, positions, scheme)
-    lap = laplacian_matrix(grid.shape, config.laplacian_spacing())
+    lap = laplacian_matrix(grid.shape)
     op = normal_operator(mat, velocities, config.gamma, (lap.T @ lap).tocsr(), len(positions))
     results = {}
     for idx, row in enumerate(config.rows):

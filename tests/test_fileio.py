@@ -43,6 +43,11 @@ ANY_FLOAT = st.floats() | st.sampled_from(
 )
 
 
+def first_line(path):
+    with open(path) as f:
+        return f.readline().strip()
+
+
 def finite_arrays(rows, columns):
     return arrays(np.float64, st.tuples(rows, columns), elements=FINITE)
 
@@ -167,7 +172,7 @@ class TestSignalCsv:
         sig = ScanSignal(values=rng.normal(size=(64, 2)), sample_rate=2.5e6)
         path = str(tmp_path / "signal.csv")
         save_signal(path, sig)
-        header = open(path).readline().strip()
+        header = first_line(path)
         assert header == "t,s_x,s_y"
         loaded = load_signal(path)
         assert np.array_equal(loaded.values, sig.values)
@@ -177,7 +182,7 @@ class TestSignalCsv:
         sig = ScanSignal(values=np.arange(10.0)[:, None], sample_rate=100.0)
         path = str(tmp_path / "signal.csv")
         save_signal(path, sig)
-        assert open(path).readline().strip() == "t,s_x"
+        assert first_line(path) == "t,s_x"
         loaded = load_signal(path)
         assert loaded.n_channels == 1
 
@@ -223,7 +228,7 @@ class TestTrajectoryCsv:
         )
         path = str(tmp_path / "traj.csv")
         save_trajectory(path, traj)
-        assert open(path).readline().strip() == "t,x,y,vx,vy"
+        assert first_line(path) == "t,x,y,vx,vy"
         loaded = load_trajectory(path)
         assert np.array_equal(loaded.positions, traj.positions)
         assert np.array_equal(loaded.velocities, traj.velocities)

@@ -35,7 +35,7 @@ def desk_grid(n=17):
 def desk_spec(grid, config, pixels=2.0):
     """Kernel resolution of ``pixels`` grid steps in field units."""
     field_step = abs(config.gradient_field()[0]) * grid.spacing[0]
-    return KernelSpec(h=pixels * field_step, dimension=2)
+    return KernelSpec(h=pixels * field_step)
 
 
 def naive_circular_convolution(image, kernel, pixel_area):
@@ -190,25 +190,6 @@ class TestSimulateSignal:
         expected = a * s1.values + b * s2.values
         scale = np.abs(expected).max()
         assert np.abs(combo.values - expected).max() <= 1e-8 * scale
-
-    def test_sensitivity_matrix_mixes_channels(self):
-        grid = desk_grid(17)
-        plain = desk_config()
-        mixed = ScannerConfig(
-            gradient=plain.gradient,
-            drive_amplitudes=plain.drive_amplitudes,
-            drive_frequencies=plain.drive_frequencies,
-            sample_rate=plain.sample_rate,
-            repetition_time=plain.repetition_time,
-            sensitivity=np.array([[0.0, 1.0], [2.0, 0.0]]),
-        )
-        rho = np.random.default_rng(6).uniform(size=grid.shape)
-        traj = lissajous(plain, 128)
-        spec = desk_spec(grid, plain)
-        base = simulate_signal(ConcentrationImage(rho, grid), traj, spec, plain)
-        swapped = simulate_signal(ConcentrationImage(rho, grid), traj, spec, mixed)
-        assert np.allclose(swapped.values[:, 0], base.values[:, 1], rtol=1e-12)
-        assert np.allclose(swapped.values[:, 1], 2.0 * base.values[:, 0], rtol=1e-12)
 
     def test_trajectory_outside_geometry_rejected(self):
         grid = GridGeometry.node_centered((12e-3, 12e-3), (9, 9))  # half the scan FoV

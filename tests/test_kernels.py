@@ -142,7 +142,7 @@ class TestSaturationField:
 
 
 class TestKernelMatrix:
-    spec = KernelSpec(h=2.0, dimension=2)
+    spec = KernelSpec(h=2.0)
 
     def test_origin_is_identity_over_3h(self):
         K = kernel_matrix(np.zeros(2), self.spec)
@@ -174,7 +174,7 @@ class TestKernelMatrix:
 
 
 class TestTraceKernel:
-    spec = KernelSpec(h=0.5, dimension=2)
+    spec = KernelSpec(h=0.5)
 
     def test_peak_value(self):
         assert trace_kernel(np.zeros(2), self.spec) == pytest.approx(
@@ -203,7 +203,7 @@ class TestTraceKernel:
 
 
 class TestKernelEntry:
-    spec = KernelSpec(h=1.5, dimension=2)
+    spec = KernelSpec(h=1.5)
 
     def test_off_diagonal_vanishes_on_axis(self):
         assert kernel_entry(np.array([0.7, 0.0]), 0, 1, self.spec) == pytest.approx(0.0, abs=1e-15)
@@ -232,7 +232,7 @@ class TestKernelEntry:
 
 
 class TestDiscretizeKernel:
-    spec = KernelSpec(h=2.0, dimension=2)
+    spec = KernelSpec(h=2.0)
     grid = GridGeometry(shape=(33, 33), spacing=(1.0, 1.0), origin=(-16.0, -16.0))
     gradient = (1.0, 1.0)
 
@@ -271,7 +271,7 @@ class TestDiscretizeKernel:
         # Positive definiteness shows up numerically once the kernel is
         # resolved by the grid (h at or below about one pixel field step);
         # under-resolved kernels leave truncation ripple at ~1e-4 of peak.
-        sharp = KernelSpec(h=0.5, dimension=2)
+        sharp = KernelSpec(h=0.5)
         img = discretize_kernel(self.grid, sharp, "trace", self.gradient)
         spectrum = np.fft.fft2(img)
         peak = np.abs(spectrum).max()

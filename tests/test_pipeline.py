@@ -7,6 +7,7 @@ import os
 import re
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -170,7 +171,7 @@ class TestSchema:
         raw.read_string(text)
         assert [(s, k) for s in raw.sections() for k in raw[s]] == KEYS
         # keys that neither the shipped configs nor the tests set
-        unset = {"taylor_cutoff", "bar_axis", "denoiser_command", "denoiser_timeout_s", "pairs"}
+        unset = {"bar_axis", "denoiser_command", "denoiser_timeout_s", "pairs"}
         assert unset <= {k for _, k in KEYS}
 
     def test_defaults_of_dataclass_backed_keys_come_from_the_dataclasses(self):
@@ -203,8 +204,12 @@ class TestSchema:
             ("[core]\nrows = 0,x\n", r"^\[core\] rows = 0,x: invalid literal"),
             ("[sweep]\npairs = 800,1e-5;800\n", r"^\[sweep\] pairs = .*'800' is not h_sat,nu0"),
             ("[DEFAULT]\ngamma = 5\n", r"^\[DEFAULT\] unknown section"),
+            # removed keys: the Laplacian is in pixel units, the series cutoff a constant
+            ("[core]\nlaplacian_units = pixel\n", r"^\[core\] laplacian_units: unknown key"),
+            ("[kernel]\ntaylor_cutoff = 0.02\n", r"^\[kernel\] taylor_cutoff: unknown key"),
         ],
-        ids=["typo", "section", "float", "ints", "pairs", "default-section"],
+        ids=["typo", "section", "float", "ints", "pairs", "default-section", "laplacian-units",
+             "taylor-cutoff"],
     )
     def test_bad_config_rejected_when_read(self, text, message):
         with pytest.raises(ValueError, match=message):
@@ -267,7 +272,7 @@ class TestFullRun:
         assert {"trace.float.txt", "recon.float.txt", "diagnostics.csv"} <= set(listed)
         for name in listed:
             if name != "timings.csv":
-                first, second = (open(os.path.join(out, name), "rb").read() for out in outs)
+                first, second = (Path(out, name).read_bytes() for out in outs)
                 assert first == second, name
 
     def test_recon_separates_bars(self, tmp_path):
@@ -674,6 +679,13 @@ class TestSweep:
         ranked = sweep(config, pairs=[(-5.0, 1e-5), (h_default, 1e-5)])
         status = sorted(r["status"] == "ok" for r in ranked)
         assert status == [False, True]
+
+    def test_missing_trace_raises_instead_of_failing_every_pair(self, tmp_path):
+        config = PipelineConfig.from_string(
+            "[pipeline]\nstages = deconvolve\n", base_dir=str(tmp_path)
+        )
+        with pytest.raises(ValueError, match="needs a trace"):
+            sweep(config, pairs=[(800.0, 1e-5), (900.0, 1e-4)])
 
     def test_score_invariant_under_reordering(self, tmp_path):
         config = make_config(tmp_path, "ordered")

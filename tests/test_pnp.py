@@ -24,7 +24,7 @@ def desk_kernel(h_pixels=0.75):
     grid = GridGeometry.node_centered((24e-3, 24e-3), (GRID_N, GRID_N))
     gradient = np.array([-1.0, -1.0]) / 1.2566370614359173e-6
     field_step = abs(gradient[0]) * grid.spacing[0]
-    spec = KernelSpec(h=h_pixels * field_step, dimension=2)
+    spec = KernelSpec(h=h_pixels * field_step)
     kernel = discretize_kernel(grid, spec, "trace", gradient)
     return kernel / kernel.sum()
 

@@ -105,16 +105,6 @@ class TestCorrectTransferFunction:
         out = correct_transfer_function(sig, tf)
         assert np.allclose(out.values, 0.5 * sig.values, atol=1e-12)
 
-    def test_unusable_bins_without_zero_fill_rejected(self):
-        rng = np.random.default_rng(7)
-        sig = random_signal(rng)
-        n_bins = sig.n_samples // 2 + 1
-        usable = np.ones((2, n_bins), dtype=bool)
-        usable[0, 3] = False
-        tf = TransferFunction(spectra=np.ones((2, n_bins), dtype=complex), usable=usable)
-        with pytest.raises(ValueError):
-            correct_transfer_function(sig, tf, zero_fill=False)
-
     def test_output_is_real_valued(self):
         rng = np.random.default_rng(8)
         sig = random_signal(rng)

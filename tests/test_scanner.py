@@ -226,7 +226,7 @@ class TestFieldAt:
         traj = lissajous(config, 64)
         x = traj.positions[0] + np.array([1e-3, 0.0])
         h = field_at(config, x, 0, traj)
-        assert h[0] * config.vacuum_permeability == pytest.approx(-1e-3, rel=1e-12)
+        assert h[0] * VACUUM_PERMEABILITY == pytest.approx(-1e-3, rel=1e-12)
 
 
 class TestTrajectoryType:

@@ -41,14 +41,3 @@ class TestConjugateGradient:
         assert not result.converged
         assert result.iterations == 2
         assert result.final_residual > 1e-14
-
-    def test_warm_start(self):
-        rng = np.random.default_rng(3)
-        a = random_spd(rng, 16)
-        x_true = rng.normal(size=16)
-        b = a @ x_true
-        result = conjugate_gradient(
-            lambda x: a @ x, b, tolerance=1e-12, max_iterations=100, x0=x_true
-        )
-        assert result.iterations == 0
-        assert result.converged
