@@ -9,7 +9,6 @@ particle concentration by zero-shot plug-and-play deconvolution.
 from .core_stage import (
     CoreStageConfig,
     CoreStageSolution,
-    extract_entry,
     extract_trace,
     solve_core_stage,
 )
@@ -111,7 +110,6 @@ __all__ = [
     "estimate_noise",
     "estimate_transfer_function",
     "excited_trajectory",
-    "extract_entry",
     "extract_profile",
     "extract_trace",
     "fft_convolve",

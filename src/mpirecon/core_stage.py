@@ -72,8 +72,8 @@ class CoreStageConfig:
             raise ValueError("gamma must be nonnegative")
         if self.cg_tolerance <= 0:
             raise ValueError("cg_tolerance must be positive")
-        if len(self.rows) == 0:
-            raise ValueError("rows must be nonempty")
+        if sorted(self.rows) not in ([0], [1], [0, 1]):
+            raise ValueError(f"rows must be distinct values of {{0, 1}}, got {self.rows}")
 
 
 @dataclasses.dataclass
@@ -90,19 +90,18 @@ def _normal_blocks(grid, sample_matrix, velocities, gamma, reg, n_kept):
     """Blocks ``N[j][k] = S^T diag(v_j v_k) S / L + [j == k] gamma R`` of
     the normal matrix, with ``N[k][j]`` the same object as ``N[j][k]``.
     With no kept sample the data term vanishes and only ``gamma R`` stays."""
-    n = velocities.shape[1]
     scale = 1.0 / max(n_kept, 1)
     reg = gamma * reg
-    blocks = [[None] * n for _ in range(n)]
-    for j in range(n):
-        for k in range(j, n):
+    blocks = [[None, None], [None, None]]
+    for j in range(2):
+        for k in range(j, 2):
             block = stencil_gram(grid, sample_matrix, velocities[:, j] * velocities[:, k] * scale)
             blocks[j][k] = blocks[k][j] = block + reg if j == k else block
     return blocks
 
 
 def _apply_normal(blocks, x):
-    xs = x.reshape(len(blocks), -1)
+    xs = x.reshape(2, -1)
     return np.concatenate([sum(block @ xk for block, xk in zip(row, xs)) for row in blocks])
 
 
@@ -116,11 +115,12 @@ def solve_core_stage(
     """Minimize the per-sample misfit ``|s_k - I[A](r_k) v_k|^2`` (mean
     over samples) plus ``gamma ||Laplacian A||^2`` entry-wise, row by row.
 
-    ``signal_values`` carries one column per entry of ``config.rows``.
-    Samples outside the grid hull are dropped with a warning; the row
-    solves run CG to ``cg_tolerance`` on the relative residual and report
-    non-convergence without discarding the iterate.  With gamma = 0,
-    raises ``ValueError`` when some pixel's n x n data block is
+    Positions and velocities are ``(L, 2)``; ``signal_values`` carries
+    one column per entry of ``config.rows``.  Samples outside the grid
+    hull are dropped with a warning; the row solves run CG to
+    ``cg_tolerance`` on the relative residual and report non-convergence
+    without discarding the iterate.  With gamma = 0, raises
+    ``ValueError`` when some pixel's 2 x 2 data block is
     numerically rank-deficient (no kept sample touches the pixel, or the
     velocities through it span too few directions): lambda_min <= 1e-12
     lambda_max, so by Cauchy interlacing cond(N) >= 1e12.  The check is
@@ -135,10 +135,12 @@ def solve_core_stage(
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
     velocities = np.atleast_2d(np.asarray(velocities, dtype=float))
     signal_values = np.atleast_2d(np.asarray(signal_values, dtype=float))
-    n = velocities.shape[1]
     rows = tuple(config.rows)
-    if any(not 0 <= r < n for r in rows):
-        raise ValueError(f"rows {rows} out of range for dimension {n}")
+    if positions.shape[1:] != (2,) or velocities.shape != positions.shape:
+        raise ValueError(
+            "positions and velocities must both have shape (samples, 2), got "
+            f"{positions.shape} and {velocities.shape}"
+        )
     if signal_values.shape[0] != positions.shape[0]:
         raise ValueError(
             f"signal has {signal_values.shape[0]} samples but the trajectory has "
@@ -165,7 +167,7 @@ def solve_core_stage(
     lap = laplacian_matrix(grid.shape)
     blocks = _normal_blocks(grid, sample_matrix, kept_v, config.gamma, lap.T @ lap, n_kept)
     if config.gamma == 0:
-        pixel_blocks = np.array([[blocks[j][k].diagonal() for k in range(n)] for j in range(n)])
+        pixel_blocks = np.array([[blocks[j][k].diagonal() for k in range(2)] for j in range(2)])
         eigenvalues = np.linalg.eigvalsh(np.moveaxis(pixel_blocks, -1, 0))
         singular = eigenvalues[:, 0] <= 1e-12 * eigenvalues[:, -1]
         if singular.any():
@@ -182,7 +184,7 @@ def solve_core_stage(
     cg_records: dict[int, CgResult] = {}
     for idx, row in enumerate(rows):
         b = np.concatenate(
-            [sample_matrix.T @ (kept_s[:, idx] * kept_v[:, j]) for j in range(n)]
+            [sample_matrix.T @ (kept_s[:, idx] * kept_v[:, j]) for j in range(2)]
         ) / max(n_kept, 1)
         result = conjugate_gradient(operator, b, config.cg_tolerance, config.cg_max_iterations)
         if not result.converged:
@@ -192,27 +194,20 @@ def solve_core_stage(
                 stacklevel=2,
             )
         cg_records[row] = result
-        solution = result.x.reshape(n, grid.n_pixels)
-        for j in range(n):
+        solution = result.x.reshape(2, grid.n_pixels)
+        for j in range(2):
             entries[(row, j)] = solution[j].reshape(grid.shape)
 
-    field = CoreOperatorField(
-        entries=entries, dimension=n, geometry=grid, populated_rows=rows
-    )
+    field = CoreOperatorField(entries=entries, geometry=grid, populated_rows=rows)
     return CoreStageSolution(field=field, cg=cg_records, dropped_samples=dropped)
 
 
 def extract_trace(field: CoreOperatorField) -> np.ndarray:
     """Pixel-wise sum of the diagonal entries; requires all of them."""
-    missing = [r for r in range(field.dimension) if not field.has_entry(r, r)]
+    missing = [r for r in range(2) if not field.has_entry(r, r)]
     if missing:
         raise ValueError(
             f"diagonal entries {missing} are not populated (partial data: "
-            "use extract_entry on an available row instead)"
+            "use field.entry on an available row instead)"
         )
-    return sum(field.entry(r, r) for r in range(field.dimension))
-
-
-def extract_entry(field: CoreOperatorField, row: int, col: int) -> np.ndarray:
-    """A single populated entry's image."""
-    return field.entry(row, col)
+    return sum(field.entry(r, r) for r in range(2))

@@ -114,7 +114,7 @@ def load_image(base: str) -> ConcentrationImage:
 
 
 def save_signal(path: str, signal: ScanSignal) -> None:
-    header = "t," + ",".join(f"s_{axis}" for axis in ("x", "y", "z")[: signal.n_channels])
+    header = "t," + ",".join(f"s_{axis}" for axis in ("x", "y")[: signal.n_channels])
     data = np.column_stack([signal.times(), signal.values])
     _write_rows(path, data, ",", header)
 
@@ -146,7 +146,6 @@ def load_trajectory(path: str) -> Trajectory:
             times=data[:, 0],
             positions=data[:, 1:3],
             velocities=data[:, 3:5],
-            source="sampled",
         )
     if data.shape[1] == 3:
         return trajectory_from_samples(data[:, 1:3], data[:, 0])
@@ -197,7 +196,7 @@ def save_core_field(directory: str, prefix: str, field: CoreOperatorField) -> li
     paths = []
     entries_path = os.path.join(directory, f"{prefix}_entries.txt")
     with open(entries_path, "w") as f:
-        f.write(f"dimension = {field.dimension}\n")
+        f.write("dimension = 2\n")
         f.write(f"rows = {','.join(str(r) for r in field.populated_rows)}\n")
         for (row, col) in sorted(field.entries):
             f.write(f"entry = {row},{col}\n")
@@ -210,14 +209,14 @@ def save_core_field(directory: str, prefix: str, field: CoreOperatorField) -> li
 
 def load_core_field(directory: str, prefix: str) -> CoreOperatorField:
     entries_path = os.path.join(directory, f"{prefix}_entries.txt")
-    dimension, rows, keys = None, (), []
+    rows, keys = (), []
     with open(entries_path) as f:
         for line in f:
             key, _, value = line.strip().partition("=")
             key, value = key.strip(), value.strip()
-            if key == "dimension":
-                dimension = int(value)
-            elif key == "rows":
+            if key == "dimension" and int(value) != 2:
+                raise ValueError(f"{entries_path}: core fields are 2D, got dimension = {value}")
+            if key == "rows":
                 rows = tuple(int(v) for v in value.split(",") if v)
             elif key == "entry":
                 row, col = value.split(",")
@@ -228,9 +227,7 @@ def load_core_field(directory: str, prefix: str) -> CoreOperatorField:
         image = load_image(os.path.join(directory, f"{prefix}_A{row}{col}"))
         entries[(row, col)] = image.values
         geometry = image.geometry
-    return CoreOperatorField(
-        entries=entries, dimension=dimension, geometry=geometry, populated_rows=rows
-    )
+    return CoreOperatorField(entries=entries, geometry=geometry, populated_rows=rows)
 
 
 def write_manifest(directory: str, paths: list) -> str:

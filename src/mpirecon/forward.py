@@ -24,15 +24,18 @@ from .scanner import ScannerConfig, Trajectory
 
 @dataclasses.dataclass
 class ScanSignal:
-    """Per-channel time series with its sampling rate."""
+    """Per-channel time series with its sampling rate: two channels (x and
+    y), or one for partial data (the measured row)."""
 
-    values: np.ndarray  # (L, C)
+    values: np.ndarray  # (L, C), C in {1, 2}
     sample_rate: float
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 2:
-            raise ValueError("signal values must be a (samples, channels) array")
+        if self.values.ndim != 2 or self.values.shape[1] not in (1, 2):
+            raise ValueError(
+                f"signal values must be a (samples, 1 or 2 channels) array, got {self.values.shape}"
+            )
         if not np.all(np.isfinite(self.values)):
             raise ValueError("signal carries non-finite values")
 
@@ -50,7 +53,7 @@ class ScanSignal:
 
 @dataclasses.dataclass
 class CoreOperatorField:
-    """Grid of n x n matrices stored entry-wise as scalar images.
+    """Grid of 2 x 2 matrices stored entry-wise as scalar images.
 
     ``populated_rows`` marks which matrix rows carry data; partial
     reconstructions populate a subset.  Entries built by forward
@@ -59,7 +62,6 @@ class CoreOperatorField:
     """
 
     entries: dict
-    dimension: int
     geometry: GridGeometry
     populated_rows: tuple
 
@@ -92,8 +94,6 @@ def core_operator(
     kernel evaluation; the kernel symmetry is exploited by computing each
     unordered entry pair once.
     """
-    if config.dimension != 2:
-        raise ValueError(f"core operator fields are 2D, got a {config.dimension}D scanner")
     grid = rho.geometry
     gradient = config.gradient_field()
     entries = {}
@@ -103,12 +103,7 @@ def core_operator(
             entries[(row, col)] = fft_convolve(rho.values, kernel_img, grid.pixel_area)
             if col != row:
                 entries[(col, row)] = entries[(row, col)]
-    return CoreOperatorField(
-        entries=entries,
-        dimension=2,
-        geometry=grid,
-        populated_rows=(0, 1),
-    )
+    return CoreOperatorField(entries=entries, geometry=grid, populated_rows=(0, 1))
 
 
 def simulate_signal(

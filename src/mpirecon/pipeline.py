@@ -622,7 +622,7 @@ class _Run:
             self.rows.append(("core", f"row{row}", "converged", int(record.converged)))
         self.rows.append(("core", "all", "dropped_samples", solution.dropped_samples))
         grid = solution.field.geometry
-        if len(rows) == solution.field.dimension:
+        if len(rows) == 2:
             target = extract_trace(solution.field)
             name = "trace"
         else:

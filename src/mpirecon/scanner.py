@@ -21,9 +21,9 @@ from .kernels import VACUUM_PERMEABILITY
 class ScannerConfig:
     """Static description of a 2D FFP scan sequence.
 
-    gradient          -- per-axis diagonal entries of mu0*G in T/m
-    drive_amplitudes  -- per-axis drive amplitude in T (mu0-scaled)
-    drive_frequencies -- per-axis drive frequency in Hz
+    gradient          -- (x, y) diagonal entries of mu0*G in T/m
+    drive_amplitudes  -- (x, y) drive amplitudes in T (mu0-scaled)
+    drive_frequencies -- (x, y) drive frequencies in Hz
     sample_rate       -- acquisition rate in Hz
     repetition_time   -- length of one drive period in s
     excitation_*      -- optional fast 1D excitation superposed on x
@@ -41,6 +41,9 @@ class ScannerConfig:
     excitation_frequency: float | None = None
 
     def __post_init__(self):
+        for name in ("gradient", "drive_amplitudes", "drive_frequencies"):
+            if len(getattr(self, name)) != 2:
+                raise ValueError(f"{name} needs an x and a y entry, got {getattr(self, name)}")
         g = np.asarray(self.gradient, dtype=float)
         if np.any(g == 0.0) or not np.all(np.isfinite(g)):
             raise ValueError("gradient diagonal entries must be nonzero and finite")
@@ -50,10 +53,6 @@ class ScannerConfig:
                 "sample_rate * repetition_time must be a positive integer, "
                 f"got {n_samples}"
             )
-
-    @property
-    def dimension(self) -> int:
-        return len(self.gradient)
 
     @property
     def samples_per_period(self) -> int:
@@ -72,27 +71,21 @@ class ScannerConfig:
 
 @dataclasses.dataclass(frozen=True)
 class Trajectory:
-    """Time-stamped FFP positions and velocities (SI units).
-
-    ``source`` records whether velocities are analytic derivatives or
-    forward differences of sampled positions.
-    """
+    """Time-stamped 2D FFP positions and velocities (SI units)."""
 
     times: np.ndarray  # (L,) s
-    positions: np.ndarray  # (L, n) m
-    velocities: np.ndarray  # (L, n) m/s
-    source: str  # "analytic" | "sampled"
+    positions: np.ndarray  # (L, 2) m
+    velocities: np.ndarray  # (L, 2) m/s
 
     def __post_init__(self):
         object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
         object.__setattr__(self, "positions", np.asarray(self.positions, dtype=float))
         object.__setattr__(self, "velocities", np.asarray(self.velocities, dtype=float))
-        if self.positions.shape != self.velocities.shape:
-            raise ValueError("positions and velocities must have equal shapes")
-        if self.positions.shape[0] != self.times.shape[0]:
-            raise ValueError("times length does not match positions")
-        if self.source not in ("analytic", "sampled"):
-            raise ValueError(f"unknown trajectory source {self.source!r}")
+        expected = (self.times.shape[0], 2)
+        for name in ("positions", "velocities"):
+            shape = getattr(self, name).shape
+            if shape != expected:
+                raise ValueError(f"trajectory {name} must have shape {expected}, got {shape}")
         for name in ("times", "positions", "velocities"):
             finite = np.isfinite(getattr(self, name))
             if not finite.all():
@@ -124,7 +117,7 @@ def lissajous(config: ScannerConfig, sample_count: int | None = None) -> Traject
     phase = 2.0 * np.pi * freqs[None, :] * t[:, None]
     positions = amps[None, :] * np.cos(phase)
     velocities = -2.0 * np.pi * freqs[None, :] * amps[None, :] * np.sin(phase)
-    return Trajectory(times=t, positions=positions, velocities=velocities, source="analytic")
+    return Trajectory(times=t, positions=positions, velocities=velocities)
 
 
 def excited_trajectory(config: ScannerConfig, sample_count: int | None = None) -> Trajectory:
@@ -145,7 +138,7 @@ def excited_trajectory(config: ScannerConfig, sample_count: int | None = None) -
     exc_phase = 2.0 * np.pi * f_exc * t
     positions[:, 0] += a_exc * np.sin(exc_phase)
     velocities[:, 0] += 2.0 * np.pi * f_exc * a_exc * np.cos(exc_phase)
-    return Trajectory(times=t, positions=positions, velocities=velocities, source="analytic")
+    return Trajectory(times=t, positions=positions, velocities=velocities)
 
 
 def trajectory_from_samples(positions: np.ndarray, times: np.ndarray) -> Trajectory:
@@ -166,7 +159,7 @@ def trajectory_from_samples(positions: np.ndarray, times: np.ndarray) -> Traject
     velocities = np.empty_like(positions)
     velocities[:-1] = np.diff(positions, axis=0) / dt[:, None]
     velocities[-1] = velocities[-2]
-    return Trajectory(times=times, positions=positions, velocities=velocities, source="sampled")
+    return Trajectory(times=times, positions=positions, velocities=velocities)
 
 
 def decimate(trajectory: Trajectory, keep_every: int) -> Trajectory:
@@ -179,7 +172,6 @@ def decimate(trajectory: Trajectory, keep_every: int) -> Trajectory:
         times=trajectory.times[sl],
         positions=trajectory.positions[sl],
         velocities=trajectory.velocities[sl],
-        source=trajectory.source,
     )
 
 

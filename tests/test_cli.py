@@ -181,13 +181,15 @@ class TestFailures:
             ("particle", "temperature_k", "-1", "ParticleModel.temperature must be strictly"),
             ("kernel", "h_sat_a_per_m", "-1", "kernel resolution h must be positive"),
             ("core", "gamma", "-1", "gamma must be nonnegative"),
+            ("core", "rows", "0,0", "rows must be distinct values of {0, 1}, got (0, 0)"),
+            ("core", "rows", "2", "rows must be distinct values of {0, 1}, got (2,)"),
             ("core", "interpolation", "cubic", "unknown interpolation kind 'cubic'"),
             ("pnp", "nu0", "-1", "nu0 must be positive"),
             ("pnp", "denoiser", "median", "unknown denoiser kind 'median'"),
             ("phantom", "margin_mm", "-1", "margin_mm must be nonnegative"),
         ],
-        ids=["grid", "scanner", "particle", "kernel", "core", "interpolation", "pnp", "denoiser",
-             "phantom"],
+        ids=["grid", "scanner", "particle", "kernel", "core", "rows-repeated", "rows-range",
+             "interpolation", "pnp", "denoiser", "phantom"],
     )
     def test_bad_value_fails_before_any_stage(self, config_file, capsys, section, key, value,
                                               message):
@@ -216,6 +218,18 @@ class TestFailures:
         assert code == 1
         err = capsys.readouterr().err
         assert "[deconvolve]" in err
+
+    def test_three_channel_signal_fails_core(self, config_file, capsys):
+        path, out = config_file
+        assert main(["simulate", "--config", path]) == 0
+        signal = Path(out) / "signal.csv"
+        header, *rows = signal.read_text().splitlines()
+        signal.write_text("\n".join([header + ",s_z"] + [row + ",0" for row in rows]) + "\n")
+        assert main(["core", "--config", path]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: [core] signal values must be a (samples, 1 or 2 channels) array, "
+            "got (14112, 3)"
+        )
 
     def test_singular_core_system_is_tagged(self, config_file, tmp_path, capsys):
         path, _ = config_file

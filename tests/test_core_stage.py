@@ -10,7 +10,6 @@ from mpirecon.core_stage import (
     CoreStageConfig,
     _apply_normal,
     _normal_blocks,
-    extract_entry,
     extract_trace,
     laplacian_matrix,
     solve_core_stage,
@@ -350,6 +349,22 @@ class TestSolveCoreStage:
                 np.zeros((3, 2)), np.ones((3, 2)), np.ones((3, 2)), cfg
             )
 
+    @pytest.mark.parametrize("position_axes, velocity_axes", [(2, 3), (3, 3), (3, 2)])
+    def test_third_axis_rejected(self, position_axes, velocity_axes):
+        grid = GridGeometry(shape=(5, 5), spacing=(1.0, 1.0), origin=(0.0, 0.0))
+        with pytest.raises(ValueError, match=r"must both have shape \(samples, 2\), got "
+                           rf"\(3, {position_axes}\) and \(3, {velocity_axes}\)$"):
+            solve_core_stage(
+                np.zeros((3, 2)), np.ones((3, position_axes)), np.ones((3, velocity_axes)),
+                CoreStageConfig(grid=grid),
+            )
+
+    @pytest.mark.parametrize("rows", [(), (0, 0), (2,), (1, 2), (0, 1, 0)])
+    def test_rows_must_be_distinct_zero_or_one(self, rows):
+        grid = GridGeometry(shape=(5, 5), spacing=(1.0, 1.0), origin=(0.0, 0.0))
+        with pytest.raises(ValueError, match=r"^rows must be distinct values of \{0, 1\}"):
+            CoreStageConfig(grid=grid, rows=rows)
+
     def test_signal_length_mismatch_names_both_counts(self):
         grid = GridGeometry(shape=(5, 5), spacing=(1.0, 1.0), origin=(0.0, 0.0))
         cfg = CoreStageConfig(grid=grid, rows=(0,))
@@ -382,7 +397,7 @@ class TestExtract:
 
     def test_extract_entry_partial_rows(self):
         field = self.make_field(rows=(0,))
-        assert extract_entry(field, 0, 0).shape == field.geometry.shape
-        assert extract_entry(field, 0, 1).shape == field.geometry.shape
+        assert field.entry(0, 0).shape == field.geometry.shape
+        assert field.entry(0, 1).shape == field.geometry.shape
         with pytest.raises(KeyError):
-            extract_entry(field, 1, 1)
+            field.entry(1, 1)

@@ -188,7 +188,7 @@ class TestSignalCsv:
 
     @settings(max_examples=50, deadline=None)
     @given(
-        values=finite_arrays(st.integers(2, 40), st.integers(1, 3)),
+        values=finite_arrays(st.integers(2, 40), st.integers(1, 2)),
         sample_rate=st.floats(min_value=1e-3, max_value=1e9),
     )
     def test_any_finite_signal_round_trips_exactly(self, tmp_path_factory, values, sample_rate):
@@ -224,7 +224,6 @@ class TestTrajectoryCsv:
             times=np.linspace(0, 1e-3, 20),
             positions=rng.normal(size=(20, 2)) * 1e-3,
             velocities=rng.normal(size=(20, 2)),
-            source="analytic",
         )
         path = str(tmp_path / "traj.csv")
         save_trajectory(path, traj)
@@ -241,14 +240,12 @@ class TestTrajectoryCsv:
             times=data.draw(finite_arrays(st.just(length), st.just(1)))[:, 0],
             positions=data.draw(finite_arrays(st.just(length), st.just(2))),
             velocities=data.draw(finite_arrays(st.just(length), st.just(2))),
-            source="sampled",
         )
         path = str(tmp_path_factory.mktemp("traj") / "traj.csv")
         save_trajectory(path, traj)
         loaded = load_trajectory(path)
         for name in ("times", "positions", "velocities"):
             assert np.array_equal(getattr(loaded, name), getattr(traj, name)), name
-        assert loaded.source == "sampled"
 
     def test_positions_only_get_forward_difference_velocities(self, tmp_path):
         t = np.linspace(0.0, 1.0, 11)
@@ -257,7 +254,6 @@ class TestTrajectoryCsv:
         rows = ["t,x,y"] + [f"{float(ti)!r},{float(x)!r},{float(y)!r}" for ti, (x, y) in zip(t, pos)]
         path.write_text("\n".join(rows) + "\n")
         loaded = load_trajectory(str(path))
-        assert loaded.source == "sampled"
         assert np.allclose(loaded.velocities, [[2.0, -1.0]] * 11)
 
 
@@ -288,18 +284,26 @@ class TestCoreFieldSet:
     def test_round_trip_partial_rows(self, tmp_path):
         rng = np.random.default_rng(5)
         entries = {(0, 0): rng.normal(size=GRID.shape), (0, 1): rng.normal(size=GRID.shape)}
-        field = CoreOperatorField(
-            entries=entries, dimension=2, geometry=GRID, populated_rows=(0,)
-        )
+        field = CoreOperatorField(entries=entries, geometry=GRID, populated_rows=(0,))
         paths = save_core_field(str(tmp_path), "core", field)
         assert any(p.endswith("core_entries.txt") for p in paths)
         loaded = load_core_field(str(tmp_path), "core")
-        assert loaded.dimension == 2
         assert loaded.populated_rows == (0,)
         assert sorted(loaded.entries) == [(0, 0), (0, 1)]
         for key in entries:
             assert np.array_equal(loaded.entries[key], entries[key])
         assert loaded.geometry == GRID
+
+    def test_other_dimension_rejected(self, tmp_path):
+        field = CoreOperatorField(entries={(0, 0): np.zeros(GRID.shape)}, geometry=GRID,
+                                  populated_rows=(0,))
+        save_core_field(str(tmp_path), "core", field)
+        path = tmp_path / "core_entries.txt"
+        text = path.read_text()
+        assert text.startswith("dimension = 2\n")
+        path.write_text(text.replace("dimension = 2", "dimension = 3"))
+        with pytest.raises(ValueError, match="core fields are 2D, got dimension = 3$"):
+            load_core_field(str(tmp_path), "core")
 
 
 class TestManifest:

@@ -150,7 +150,6 @@ class TestSimulateSignal:
             times=np.arange(64) / config.sample_rate,
             positions=np.zeros((64, 2)),
             velocities=np.zeros((64, 2)),
-            source="sampled",
         )
         sig = simulate_signal(ConcentrationImage(rho, grid), traj, desk_spec(grid, config), config)
         assert np.allclose(sig.values, 0.0, atol=1e-15)

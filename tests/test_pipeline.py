@@ -550,8 +550,7 @@ class TestEndToEndRelations:
         phantom = generate_phantom(config.phantom())
         straight = lissajous(scanner)
         swapped = Trajectory(
-            straight.times, straight.positions[:, ::-1], straight.velocities[:, ::-1],
-            straight.source,
+            straight.times, straight.positions[:, ::-1], straight.velocities[:, ::-1]
         )
         transposed = ConcentrationImage(phantom.values.T, phantom.geometry)
         kernel = _deconvolution_kernel(config, phantom.geometry, scanner)

@@ -57,6 +57,17 @@ class TestScannerConfig:
                 repetition_time=1e-2,
             )
 
+    @pytest.mark.parametrize("name", ["gradient", "drive_amplitudes", "drive_frequencies"])
+    def test_rejects_a_third_axis(self, name):
+        fields = {
+            "gradient": (-1.0, -1.0),
+            "drive_amplitudes": (0.012, 0.012),
+            "drive_frequencies": (1e3, 1e3),
+        }
+        fields[name] += fields[name][:1]
+        with pytest.raises(ValueError, match=f"^{name} needs an x and a y entry"):
+            ScannerConfig(sample_rate=1e4, repetition_time=1e-2, **fields)
+
     def test_rejects_fractional_samples_per_period(self):
         with pytest.raises(ValueError):
             ScannerConfig(
@@ -148,7 +159,6 @@ class TestTrajectoryFromSamples:
         c = np.array([1.5, -2.0])
         traj = trajectory_from_samples(t[:, None] * c[None, :], t)
         assert np.allclose(traj.velocities, c[None, :], rtol=1e-12)
-        assert traj.source == "sampled"
 
     def test_two_samples_duplicate_velocity(self):
         traj = trajectory_from_samples([[0.0, 0.0], [1.0, 2.0]], [0.0, 0.5])
@@ -236,17 +246,12 @@ class TestTrajectoryType:
                 times=np.zeros(3),
                 positions=np.zeros((3, 2)),
                 velocities=np.zeros((2, 2)),
-                source="analytic",
             )
 
-    def test_unknown_source_rejected(self):
-        with pytest.raises(ValueError):
-            Trajectory(
-                times=np.zeros(2),
-                positions=np.zeros((2, 2)),
-                velocities=np.zeros((2, 2)),
-                source="guessed",
-            )
+    def test_third_axis_rejected(self):
+        with pytest.raises(ValueError, match=r"positions must have shape \(4, 2\), got \(4, 3\)"):
+            Trajectory(times=np.arange(4.0), positions=np.zeros((4, 3)),
+                       velocities=np.zeros((4, 3)))
 
     @pytest.mark.parametrize("name", ["times", "positions", "velocities"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -258,4 +263,4 @@ class TestTrajectoryType:
         }
         arrays[name][2, ...] = bad
         with pytest.raises(ValueError, match=f"trajectory {name} are not finite at sample 2"):
-            Trajectory(source="sampled", **arrays)
+            Trajectory(**arrays)
