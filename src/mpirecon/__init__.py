@@ -71,7 +71,6 @@ from .scanner import (
     Trajectory,
     decimate,
     excited_trajectory,
-    field_at,
     lissajous,
     trajectory_from_samples,
 )
@@ -113,7 +112,6 @@ __all__ = [
     "extract_profile",
     "extract_trace",
     "fft_convolve",
-    "field_at",
     "generate_phantom",
     "interpolation_matrix",
     "kernel_entry",

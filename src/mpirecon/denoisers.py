@@ -82,13 +82,6 @@ class GaussianBlurDenoiser:
         pass
 
 
-def _tv_gradient(image: np.ndarray) -> np.ndarray:
-    out = np.zeros((2,) + image.shape)
-    out[0, :-1, :] = image[1:, :] - image[:-1, :]
-    out[1, :, :-1] = image[:, 1:] - image[:, :-1]
-    return out
-
-
 def tv_prox(image: np.ndarray, weight: float, n_iterations: int = 60) -> np.ndarray:
     """Proximal operator of ``weight * TV`` via Chambolle's dual projection.
 
@@ -141,12 +134,6 @@ def tv_prox(image: np.ndarray, weight: float, n_iterations: int = 60) -> np.ndar
         np.divide(p, shrink, out=p)
     divergence()
     return image - weight * div.reshape(h, w)
-
-
-def total_variation(image: np.ndarray) -> float:
-    """Isotropic discrete total variation (test and diagnostics helper)."""
-    grad = _tv_gradient(np.asarray(image, dtype=float))
-    return float(np.sqrt(np.sum(grad**2, axis=0)).sum())
 
 
 class TotalVariationDenoiser:

@@ -8,13 +8,17 @@ Images are written as a triple sharing one base path:
 * ``<base>.float.txt``  float64 values, whitespace-separated rows,
                         ``%.17g`` so values round-trip exactly
 
-CSV formats (header line included, ``%.17g`` floats):
+CSV formats (header line included):
 
-* signal           ``t,s_x[,s_y]``
-* trajectory       ``t,x,y[,vx,vy]`` (SI units; velocities are computed
-                   by forward differences when the columns are absent)
+* signal           ``t,s_x[,s_y]``, ``%.17g`` floats
+* trajectory       ``t,x,y[,vx,vy]``, ``%.17g`` floats (SI units;
+                   velocities are computed by forward differences when
+                   the columns are absent)
 * transfer function ``bin,channel,re,im`` (unusable bins omitted)
 * SNR profile      ``bin,channel,snr``
+
+The ``.geom`` sidecar and the transfer-function and SNR CSVs write
+floats with ``_fmt`` (``repr``, the shortest exact round-trip form).
 
 A core-operator field becomes one image triple per populated entry
 (``<prefix>_A<row><col>``) plus ``<prefix>_entries.txt`` naming them.
@@ -182,13 +186,11 @@ def save_snr_profile(path: str, profile: SnrProfile) -> None:
                 f.write(f"{b},{c},{_fmt(profile.values[c, b])}\n")
 
 
-def load_snr_profile(path: str, n_channels: int, n_bins: int, thresholds=None) -> SnrProfile:
+def load_snr_profile(path: str, n_channels: int, n_bins: int, thresholds) -> SnrProfile:
     values = np.zeros((n_channels, n_bins))
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     for b, c, snr in data:
         values[int(c), int(b)] = snr
-    if thresholds is None:
-        thresholds = np.zeros(n_channels)
     return SnrProfile(values=values, thresholds=np.asarray(thresholds, dtype=float))
 
 

@@ -45,15 +45,6 @@ class GridGeometry:
         dy = ey / (h - 1) if h > 1 else ey
         return cls(shape=shape, spacing=(dx, dy), origin=(-ex / 2.0, -ey / 2.0))
 
-    @classmethod
-    def cell_centered(cls, extent: tuple[float, float], shape: tuple[int, int]) -> "GridGeometry":
-        """Grid of ``shape`` cells tiling the centered window, sampled at
-        cell centers (outermost centers lie half a cell inside)."""
-        h, w = shape
-        ex, ey = extent
-        dx, dy = ex / w, ey / h
-        return cls(shape=shape, spacing=(dx, dy), origin=(-ex / 2.0 + dx / 2.0, -ey / 2.0 + dy / 2.0))
-
     @property
     def pixel_area(self) -> float:
         return self.spacing[0] * self.spacing[1]
@@ -72,8 +63,10 @@ class GridGeometry:
         """(X, Y) position arrays of shape ``shape``."""
         return np.meshgrid(self.x_coords(), self.y_coords())
 
-    def contains(self, points: np.ndarray, atol: float = 1e-12) -> np.ndarray:
-        """Boolean mask of points (L, 2) inside the pixel-center hull."""
+    def contains(self, points: np.ndarray) -> np.ndarray:
+        """Boolean mask of points (L, 2) inside the pixel-center hull, widened
+        by ``atol`` meters against rounding."""
+        atol = 1e-12
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         x_lo, x_hi = self.origin[0], self.origin[0] + self.spacing[0] * (self.shape[1] - 1)
         y_lo, y_hi = self.origin[1], self.origin[1] + self.spacing[1] * (self.shape[0] - 1)
@@ -87,10 +80,10 @@ class GridGeometry:
 
 @dataclasses.dataclass
 class ConcentrationImage:
-    """Nonnegative scalar concentration field on a regular grid.
+    """Scalar concentration field on a regular grid.
 
-    Generated phantoms are guaranteed nonnegative; reconstructions may
-    carry negative values until trimmed, so ``validate`` is opt-in.
+    Generated phantoms are nonnegative; reconstructions may carry negative
+    values until trimmed, so the sign is not checked.
     """
 
     values: np.ndarray
@@ -102,7 +95,3 @@ class ConcentrationImage:
             raise ValueError(
                 f"image shape {self.values.shape} does not match grid {self.geometry.shape}"
             )
-
-    def validate_nonnegative(self) -> None:
-        if np.any(self.values < 0):
-            raise ValueError("concentration image carries negative values")

@@ -19,6 +19,17 @@ KINDS = ("empty", "dot", "two-bar", "snake", "ice-cream", "snail")
 
 MM = 1e-3
 
+# Fixed geometry of the composite phantoms, in millimeters; no config key
+# reaches them.
+SNAKE_LENGTHS_MM = (20.0, 17.5, 15.0, 8.75, 5.0)
+SNAKE_WIDTH_MM = 2.5
+CONE_HEIGHT_MM = 14.0
+CONE_WIDTH_MM = 9.0
+SCOOP_RADIUS_MM = 4.5
+SNAIL_TURNS = 2.25
+SNAIL_RADIUS_MM = 9.0
+SNAIL_WIDTH_MM = 2.0
+
 
 @dataclasses.dataclass(frozen=True)
 class PhantomSpec:
@@ -29,11 +40,13 @@ class PhantomSpec:
              whose centers sit ``separation_mm`` apart along ``bar_axis``
              ("x": upright bars side by side, "y": stacked like an
              equality sign)
-    snake:   five rods of ``snake_lengths_mm`` and square cross-section
-             ``snake_width_mm`` in a winding layout
-    ice-cream: downward cone topped by a disk, overall ``cone_height_mm``
-    snail:   spiral polyline of ``snail_turns`` turns and stroke width
-             ``snail_width_mm``
+    snake:   five rods of ``SNAKE_LENGTHS_MM`` and square cross-section
+             ``SNAKE_WIDTH_MM`` in a winding layout
+    ice-cream: downward cone topped by a disk, overall ``CONE_HEIGHT_MM``
+    snail:   spiral polyline of ``SNAIL_TURNS`` turns and stroke width
+             ``SNAIL_WIDTH_MM``
+
+    The composite kinds have the fixed sizes of the module constants.
     """
 
     kind: str
@@ -45,14 +58,6 @@ class PhantomSpec:
     bar_lengths_mm: tuple = (20.0, 17.5)
     bar_width_mm: float = 1.0
     bar_axis: str = "x"
-    snake_lengths_mm: tuple = (20.0, 17.5, 15.0, 8.75, 5.0)
-    snake_width_mm: float = 2.5
-    cone_height_mm: float = 14.0
-    cone_width_mm: float = 9.0
-    scoop_radius_mm: float = 4.5
-    snail_turns: float = 2.25
-    snail_radius_mm: float = 9.0
-    snail_width_mm: float = 2.0
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -122,8 +127,8 @@ def _two_bar(spec: PhantomSpec, mask):
 
 
 def _snake(spec: PhantomSpec, mask):
-    l1, l2, l3, l4, l5 = spec.snake_lengths_mm
-    w = spec.snake_width_mm
+    l1, l2, l3, l4, l5 = SNAKE_LENGTHS_MM
+    w = SNAKE_WIDTH_MM
     top = l2 / 2
     # winding meander: horizontal rods joined by vertical connectors,
     # turning right-down-left-up-left
@@ -135,9 +140,9 @@ def _snake(spec: PhantomSpec, mask):
 
 
 def _ice_cream(spec: PhantomSpec, mask):
-    h = spec.cone_height_mm * MM
-    w = spec.cone_width_mm * MM
-    r = spec.scoop_radius_mm
+    h = CONE_HEIGHT_MM * MM
+    w = CONE_WIDTH_MM * MM
+    r = SCOOP_RADIUS_MM
     tip_y = -h / 2
     base_y = h / 2
     _check_bounds(spec.grid, spec.margin_mm, -w / 2, w / 2, tip_y, base_y)
@@ -148,9 +153,9 @@ def _ice_cream(spec: PhantomSpec, mask):
 
 
 def _snail(spec: PhantomSpec, mask):
-    turns = spec.snail_turns
-    r_max = spec.snail_radius_mm * MM
-    width = spec.snail_width_mm * MM
+    turns = SNAIL_TURNS
+    r_max = SNAIL_RADIUS_MM * MM
+    width = SNAIL_WIDTH_MM * MM
     _check_bounds(
         spec.grid, spec.margin_mm, -r_max - width / 2, r_max + width / 2,
         -r_max - width / 2, r_max + width / 2,

@@ -464,7 +464,6 @@ class _Run:
         self.phantom_image = None
         self.trajectory = None
         self.signal = None
-        self.core_solution = None
         self.deconv_input = None  # (values, geometry)
         self.stages: tuple = ()  # set by execute
         self.writers: list = []  # (stage, path, process) of pending background writes
@@ -502,6 +501,9 @@ class _Run:
         signal = simulate_signal(
             self.phantom_image, traj, spec, scanner, self.config.interpolation()
         )
+        keep_every = self.config.values["scanner"]["decimate"]
+        if keep_every > 1:
+            signal.sample_rate = scanner.sample_rate / keep_every
         level = self.config.noise_level()
         if level > 0:
             signal = add_noise(signal, level, self.seed)
@@ -605,7 +607,9 @@ class _Run:
             raise ValueError(
                 f"signal has {values.shape[1]} channels but rows {rows} were requested"
             )
-        if values.shape[1] != len(rows):
+        if values.shape[1] == 2 and list(rows) != [0, 1]:
+            # signal channel i is operator row i; the solve fits column k to
+            # row rows[k] (skipped for (0, 1) to spare a copy)
             values = values[:, list(rows)]
         solution = solve_core_stage(
             values,
@@ -614,7 +618,6 @@ class _Run:
             core_cfg,
             self.config.interpolation(),
         )
-        self.core_solution = solution
         self.files.extend(save_core_field(self.out, "core", solution.field))
         for row, record in solution.cg.items():
             self.rows.append(("core", f"row{row}", "cg_iterations", record.iterations))

@@ -96,22 +96,19 @@ class Trajectory:
         return self.times.shape[0]
 
 
-def _period_times(config: ScannerConfig, sample_count: int | None) -> np.ndarray:
-    if sample_count is None:
-        sample_count = config.samples_per_period
-    if sample_count < 1:
-        raise ValueError("sample_count must be at least 1")
-    return config.repetition_time * np.arange(sample_count) / sample_count
+def _period_times(config: ScannerConfig) -> np.ndarray:
+    n = config.samples_per_period
+    return config.repetition_time * np.arange(n) / n
 
 
-def lissajous(config: ScannerConfig, sample_count: int | None = None) -> Trajectory:
+def lissajous(config: ScannerConfig) -> Trajectory:
     """Co-sinusoidal trajectory ``r_i(t) = A_i cos(2 pi f_i t)`` over one
     repetition period, with analytic velocities.
 
     Position amplitudes are the drive amplitudes divided by the absolute
     gradient entry per axis.
     """
-    t = _period_times(config, sample_count)
+    t = _period_times(config)
     amps = config.position_amplitudes()
     freqs = np.asarray(config.drive_frequencies, dtype=float)
     phase = 2.0 * np.pi * freqs[None, :] * t[:, None]
@@ -120,13 +117,13 @@ def lissajous(config: ScannerConfig, sample_count: int | None = None) -> Traject
     return Trajectory(times=t, positions=positions, velocities=velocities)
 
 
-def excited_trajectory(config: ScannerConfig, sample_count: int | None = None) -> Trajectory:
+def excited_trajectory(config: ScannerConfig) -> Trajectory:
     """Sinusoidal trajectory with a fast 1D excitation superposed on x:
     ``r_x = A_x sin(2 pi f_x t) + A_e sin(2 pi f_e t)``,
     ``r_y = A_y sin(2 pi f_y t)``; analytic velocities."""
     if config.excitation_amplitude is None or config.excitation_frequency is None:
         raise ValueError("excitation amplitude and frequency must be set")
-    t = _period_times(config, sample_count)
+    t = _period_times(config)
     amps = config.position_amplitudes()
     freqs = np.asarray(config.drive_frequencies, dtype=float)
     a_exc = config.excitation_amplitude / abs(config.gradient[0])
@@ -173,10 +170,3 @@ def decimate(trajectory: Trajectory, keep_every: int) -> Trajectory:
         positions=trajectory.positions[sl],
         velocities=trajectory.velocities[sl],
     )
-
-
-def field_at(config: ScannerConfig, x, t_index: int, trajectory: Trajectory) -> np.ndarray:
-    """Applied field ``G (x - r(t))`` in A/m at position ``x`` and sample
-    ``t_index`` of the trajectory."""
-    x = np.asarray(x, dtype=float)
-    return config.gradient_field() * (x - trajectory.positions[t_index])

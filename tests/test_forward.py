@@ -1,5 +1,7 @@
 """Forward simulation: core operator, signal synthesis, filtering, noise."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from grid_oracle import interpolate
@@ -26,6 +28,11 @@ def desk_config():
         sample_rate=2.5e6,
         repetition_time=6.528e-4,
     )
+
+
+def sampled(config, n):
+    """``config`` sampled ``n`` times per repetition period."""
+    return dataclasses.replace(config, sample_rate=n / config.repetition_time)
 
 
 def desk_grid(n=17):
@@ -135,7 +142,7 @@ class TestSimulateSignal:
     def test_zero_phantom_gives_zero_signal(self):
         grid = desk_grid(17)
         config = desk_config()
-        traj = lissajous(config, 256)
+        traj = lissajous(sampled(config, 256))
         sig = simulate_signal(
             ConcentrationImage(np.zeros(grid.shape), grid), traj, desk_spec(grid, config), config
         )
@@ -162,7 +169,7 @@ class TestSimulateSignal:
         rho = np.zeros(grid.shape)
         rho[8, 8] = 1.0
         image = ConcentrationImage(rho, grid)
-        traj = lissajous(config, 64)
+        traj = lissajous(sampled(config, 64))
         sig = simulate_signal(image, traj, spec, config, scheme)
         field = core_operator(image, spec, config)
         for k in (0, 17, 45):
@@ -181,7 +188,7 @@ class TestSimulateSignal:
         rng = np.random.default_rng(3)
         rho1 = rng.uniform(size=grid.shape)
         rho2 = rng.uniform(size=grid.shape)
-        traj = lissajous(config, 128)
+        traj = lissajous(sampled(config, 128))
         a, b = 2.5, -1.25
         combo = simulate_signal(ConcentrationImage(a * rho1 + b * rho2, grid), traj, spec, config)
         s1 = simulate_signal(ConcentrationImage(rho1, grid), traj, spec, config)
@@ -193,7 +200,7 @@ class TestSimulateSignal:
     def test_trajectory_outside_geometry_rejected(self):
         grid = GridGeometry.node_centered((12e-3, 12e-3), (9, 9))  # half the scan FoV
         config = desk_config()
-        traj = lissajous(config, 64)
+        traj = lissajous(sampled(config, 64))
         with pytest.raises(ValueError):
             simulate_signal(
                 ConcentrationImage(np.zeros(grid.shape), grid), traj, desk_spec(grid, config), config

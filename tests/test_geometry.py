@@ -16,12 +16,6 @@ class TestGridGeometry:
         assert y[0] == pytest.approx(-6e-3)
         assert y[-1] == pytest.approx(6e-3)
 
-    def test_cell_centered_stays_inside(self):
-        grid = GridGeometry.cell_centered((2.0, 2.0), (4, 4))
-        assert grid.x_coords()[0] == pytest.approx(-0.75)
-        assert grid.x_coords()[-1] == pytest.approx(0.75)
-        assert grid.pixel_area == pytest.approx(0.25)
-
     def test_degenerate_spacing_rejected(self):
         with pytest.raises(ValueError):
             GridGeometry(shape=(5, 5), spacing=(0.0, 1.0), origin=(0.0, 0.0))
@@ -49,8 +43,3 @@ class TestConcentrationImage:
         with pytest.raises(ValueError):
             ConcentrationImage(values=np.zeros((2, 3)), geometry=grid)
 
-    def test_nonnegativity_check_is_opt_in(self):
-        grid = GridGeometry(shape=(2, 2), spacing=(1.0, 1.0), origin=(0.0, 0.0))
-        image = ConcentrationImage(values=np.array([[1.0, -0.5], [0.0, 2.0]]), geometry=grid)
-        with pytest.raises(ValueError):
-            image.validate_nonnegative()

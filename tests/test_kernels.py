@@ -230,6 +230,36 @@ class TestKernelEntry:
         with pytest.raises(IndexError):
             kernel_entry(np.zeros(2), 0, 2, self.spec)
 
+    def test_matches_oracle(self):
+        # |y/h| from 1e-6 to 50, densely on both sides of the Taylor cutoff,
+        # in directions off the axes.  Off-diagonal entries are the rank-one
+        # weight (L' - L/z)/z^2 alone, whose closed form cancels just above
+        # the cutoff; diagonal entries add the much larger L/z.
+        rng = np.random.default_rng(23)
+        radii = np.concatenate(
+            [
+                np.logspace(-6, np.log10(50.0), 200),
+                TAYLOR_CUTOFF * np.linspace(0.5, 2.0, 101),
+            ]
+        )
+        angles = rng.uniform(0.1, np.pi / 2 - 0.1, radii.size)
+        angles += np.pi / 2 * rng.integers(0, 4, radii.size)  # all four quadrants
+        y = self.spec.h * np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=-1)
+        h = mp.mpf(self.spec.h)
+        worst = {True: 0.0, False: 0.0}
+        for point in y:
+            yh = [mp.mpf(v) / h for v in point]
+            z = mp.sqrt(yh[0] ** 2 + yh[1] ** 2)
+            iso = mp_langevin(z) / z
+            aniso = (mp_langevin_prime(z) - iso) / z**2
+            for i in range(2):
+                for j in range(2):
+                    exact = (aniso * yh[i] * yh[j] + (iso if i == j else 0)) / h
+                    rel = abs(float((kernel_entry(point, i, j, self.spec) - exact) / exact))
+                    worst[i == j] = max(worst[i == j], rel)
+        assert worst[True] < 1e-11
+        assert worst[False] < 1e-7
+
 
 class TestDiscretizeKernel:
     spec = KernelSpec(h=2.0)

@@ -325,6 +325,17 @@ class TestFullRun:
         assert not os.path.exists(os.path.join(out, "core_A11.float.txt"))
         assert os.path.exists(os.path.join(out, "recon.float.txt"))
 
+    def test_row_order_does_not_change_the_fit(self, tmp_path):
+        # signal channel i is operator row i whatever order [core] rows lists
+        outs = [
+            run_pipeline(make_config(tmp_path, name, rows=rows)).out_dir
+            for name, rows in (("ordered", "0,1"), ("reversed", "1,0"))
+        ]
+        names = [f"core_A{r}{c}.float.txt" for r in (0, 1) for c in (0, 1)]
+        for name in names + ["trace.float.txt", "recon.float.txt"]:
+            ordered, reversed_ = (Path(out, name).read_bytes() for out in outs)
+            assert ordered == reversed_, name
+
 
 class TestBackgroundWriter:
     """A stage after ``simulate`` lets a forked child write the scan CSV;
@@ -625,6 +636,8 @@ dot_size_mm = 2.0
         # 60000 samples decimated by 10
         signal = np.loadtxt(os.path.join(result.out_dir, "signal.csv"), delimiter=",", skiprows=1)
         assert signal.shape[0] == 6000
+        # stamped at the decimated rate: the samples cover the whole period
+        assert np.allclose(np.diff(signal[:, 0]), 10 / 60000, rtol=1e-9, atol=0)
         recon = load_image(os.path.join(result.out_dir, "recon"))
         peak_iy, peak_ix = np.unravel_index(np.argmax(recon.values), recon.values.shape)
         x = recon.geometry.origin[0] + peak_ix * recon.geometry.spacing[0]

@@ -1,15 +1,15 @@
-"""Scanner configuration, trajectories and field evaluation."""
+"""Scanner configuration and trajectories."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from mpirecon.kernels import VACUUM_PERMEABILITY
 from mpirecon.scanner import (
     ScannerConfig,
     Trajectory,
     decimate,
     excited_trajectory,
-    field_at,
     lissajous,
     trajectory_from_samples,
 )
@@ -25,6 +25,11 @@ def reference_config():
         sample_rate=2.5e6,
         repetition_time=6.528e-4,
     )
+
+
+def sampled(config, n):
+    """``config`` sampled ``n`` times per repetition period."""
+    return dataclasses.replace(config, sample_rate=n / config.repetition_time)
 
 
 def excited_config(a_exc=2e-3):
@@ -85,20 +90,20 @@ class TestLissajous:
         assert np.allclose(traj.positions[0], [0.012, 0.012], rtol=1e-15)
 
     def test_uniform_sampling(self):
-        traj = lissajous(reference_config(), 1632)
+        traj = lissajous(reference_config())
         assert len(traj) == 1632
         dt = np.diff(traj.times)
         assert np.allclose(dt, 4e-7, rtol=1e-12)
 
     def test_positions_within_amplitude(self):
-        traj = lissajous(reference_config(), 5000)
+        traj = lissajous(sampled(reference_config(), 5000))
         amps = reference_config().position_amplitudes()
         assert np.all(np.abs(traj.positions) <= amps[None, :] + 1e-15)
 
     def test_velocities_are_analytic_derivative(self):
         config = reference_config()
         n = 1 << 20
-        traj = lissajous(config, n)
+        traj = lissajous(sampled(config, n))
         central = (traj.positions[2:] - traj.positions[:-2]) / (
             traj.times[2:, None] - traj.times[:-2, None]
         )
@@ -110,7 +115,7 @@ class TestLissajous:
         config = reference_config()
         errs = []
         for n in (4096, 8192, 16384):
-            traj = lissajous(config, n)
+            traj = lissajous(sampled(config, n))
             resampled = trajectory_from_samples(traj.positions, traj.times)
             errs.append(np.abs(resampled.velocities[:-1] - traj.velocities[:-1]).max())
         orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
@@ -120,19 +125,19 @@ class TestLissajous:
 class TestExcitedTrajectory:
     def test_zero_excitation_reduces_to_sinusoid(self):
         config = excited_config(a_exc=0.0)
-        traj = excited_trajectory(config, 4096)
+        traj = excited_trajectory(sampled(config, 4096))
         amps = config.position_amplitudes()
         freqs = np.asarray(config.drive_frequencies)
         expected = amps[None, :] * np.sin(2 * np.pi * freqs[None, :] * traj.times[:, None])
         assert np.allclose(traj.positions, expected, atol=1e-15)
 
     def test_starts_at_origin(self):
-        traj = excited_trajectory(excited_config(), 1024)
+        traj = excited_trajectory(sampled(excited_config(), 1024))
         assert np.allclose(traj.positions[0], [0.0, 0.0], atol=1e-15)
 
     def test_excitation_dominates_x_velocity(self):
         config = excited_config(a_exc=2e-3)
-        traj = excited_trajectory(config, 1 << 16)
+        traj = excited_trajectory(sampled(config, 1 << 16))
         a_x = config.position_amplitudes()[0]
         a_e = config.excitation_amplitude / abs(config.gradient[0])
         slow = 2 * np.pi * config.drive_frequencies[0] * a_x
@@ -142,7 +147,7 @@ class TestExcitedTrajectory:
 
     def test_x_positions_bounded_by_combined_amplitude(self):
         config = excited_config()
-        traj = excited_trajectory(config, 1 << 16)
+        traj = excited_trajectory(sampled(config, 1 << 16))
         bound = config.position_amplitudes()[0] + config.excitation_amplitude / abs(
             config.gradient[0]
         )
@@ -150,7 +155,7 @@ class TestExcitedTrajectory:
 
     def test_requires_excitation_parameters(self):
         with pytest.raises(ValueError):
-            excited_trajectory(reference_config(), 16)
+            excited_trajectory(reference_config())
 
 
 class TestTrajectoryFromSamples:
@@ -215,28 +220,6 @@ class TestDecimate:
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ValueError):
             decimate(self.make(10), 0)
-
-
-class TestFieldAt:
-    def test_zero_at_ffp(self):
-        config = reference_config()
-        traj = lissajous(config, 64)
-        assert np.allclose(field_at(config, traj.positions[10], 10, traj), 0.0)
-
-    def test_diagonal_action(self):
-        config = reference_config()
-        traj = lissajous(config, 64)
-        delta = np.array([2e-3, 0.0])
-        h = field_at(config, traj.positions[3] + delta, 3, traj)
-        assert h[1] == pytest.approx(0.0, abs=1e-12)
-        assert h[0] == pytest.approx(-1.0 / VACUUM_PERMEABILITY * 2e-3, rel=1e-12)
-
-    def test_millimetre_offset_gives_minus_one_millitesla(self):
-        config = reference_config()
-        traj = lissajous(config, 64)
-        x = traj.positions[0] + np.array([1e-3, 0.0])
-        h = field_at(config, x, 0, traj)
-        assert h[0] * VACUUM_PERMEABILITY == pytest.approx(-1e-3, rel=1e-12)
 
 
 class TestTrajectoryType:

@@ -1,4 +1,4 @@
-"""Slice-form Chambolle TV prox, used only as a test oracle.
+"""Slice-form Chambolle TV prox and the total variation, test oracles.
 
 ``tv_prox`` here allocates fresh arrays on every iteration and shifts
 with 2-D slices; ``mpirecon.denoisers.tv_prox`` must match it byte for
@@ -35,3 +35,9 @@ def tv_prox(image: np.ndarray, weight: float, n_iterations: int = 60) -> np.ndar
         magnitude = np.sqrt(np.sum(grad**2, axis=0))
         p = (p + tau * grad) / (1.0 + tau * magnitude)[None, :, :]
     return image - weight * _tv_divergence(p)
+
+
+def total_variation(image: np.ndarray) -> float:
+    """Isotropic discrete total variation."""
+    grad = _tv_gradient(np.asarray(image, dtype=float))
+    return float(np.sqrt(np.sum(grad**2, axis=0)).sum())
