@@ -8,9 +8,13 @@ Images are written as a triple sharing one base path:
 * ``<base>.float.txt``  float64 values, whitespace-separated rows,
                         ``%.17g`` so values round-trip exactly
 
+The scan signal is one ``(L, 1 + channels)`` float64 array of
+``t, s_x[, s_y]``, written in NumPy's ``.npy`` format, which keeps every
+value exactly.  ``load_signal`` also reads it as a CSV with header
+``t,s_x[,s_y]``, the text form measured data arrives in.
+
 CSV formats (header line included):
 
-* signal           ``t,s_x[,s_y]``, ``%.17g`` floats
 * trajectory       ``t,x,y[,vx,vy]``, ``%.17g`` floats (SI units;
                    velocities are computed by forward differences when
                    the columns are absent)
@@ -39,7 +43,7 @@ from .scanner import Trajectory, trajectory_from_samples
 
 FLOAT_FMT = "%.17g"
 # values formatted per ``%`` operation: amortizes the per-row call while
-# bounding the text held in memory (about 2k rows of a 3-column signal)
+# bounding the text held in memory (about 1.6k rows of a 5-column trajectory)
 _BLOCK_VALUES = 8192
 
 
@@ -118,17 +122,27 @@ def load_image(base: str) -> ConcentrationImage:
 
 
 def save_signal(path: str, signal: ScanSignal) -> None:
-    header = "t," + ",".join(f"s_{axis}" for axis in ("x", "y")[: signal.n_channels])
-    data = np.column_stack([signal.times(), signal.values])
-    _write_rows(path, data, ",", header)
+    """``t, s_x[, s_y]`` as one float64 ``.npy`` array.  Written through a
+    file object, because ``np.save`` appends ``.npy`` to any other path."""
+    with open(path, "wb") as f:
+        np.save(f, np.column_stack([signal.times(), signal.values]))
 
 
 def load_signal(path: str) -> ScanSignal:
-    """Signal at rate ``1 / (t_1 - t_0)``.  Every step must match the first to 1e-6
-    relative; the ``k / rate`` stamps of ``save_signal`` round to ~1e-10 at 640k samples."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[0] < 2:
-        raise ValueError(f"signal file {path} needs at least two samples")
+    """Signal from a ``.npy`` file, else from a ``t,s_x[,s_y]`` CSV, at rate
+    ``1 / (t_1 - t_0)``.  Every step must match the first to 1e-6 relative;
+    the ``k / rate`` stamps of ``save_signal`` round to ~1e-10 at 640k samples."""
+    if path.endswith(".npy"):
+        with open(path, "rb") as f:
+            try:
+                data = np.load(f)  # allow_pickle stays off: no object arrays
+            except ValueError as exc:
+                raise ValueError(f"signal file {path}: {exc}") from None
+    else:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if not (isinstance(data, np.ndarray) and data.ndim == 2 and data.dtype.kind == "f"
+            and len(data) >= 2):
+        raise ValueError(f"signal file {path} must hold a 2-D float array of at least two samples")
     dt = data[1, 0] - data[0, 0]
     if dt <= 0:
         raise ValueError(f"signal file {path} has non-increasing time stamps")

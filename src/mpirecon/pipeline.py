@@ -6,15 +6,12 @@ A run executes the selected stages in order
 
 handing data through memory and writing every artifact to the output
 directory: image triples (phantom, core-operator entries, trace,
-reconstruction), CSV signals, a deterministic
+reconstruction), ``.npy`` signals, a deterministic
 ``diagnostics.csv``, wall-clock ``timings.csv``, and ``manifest.txt``
 naming every file written.  Later stages can start from files on disk,
 so a run can begin at any stage.  The trajectory is written only when
 it came from a file; a later stage regenerates an analytic one from
-the config.  When a stage follows ``simulate``, its scan CSVs, which
-no later stage of the same run reads back, may be written by forked
-child processes while the run goes on; the run waits for them before
-it writes its reports.
+the config.
 
 Configuration is INI text whose keys carry their unit in the name.
 ``SCHEMA`` lists every section and key with its type, default and doc;
@@ -25,6 +22,7 @@ keys and unparsable values fail when the config is read.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import dataclasses
 import os
 import time
@@ -148,7 +146,7 @@ SCHEMA = {
         ("bar_axis", TEXT, PhantomSpec.bar_axis, "x: side by side; y: stacked"),
     ),
     "preprocess": (
-        ("signal_file", TEXT, None, "signal CSV; empty: <out>/signal.csv"),
+        ("signal_file", TEXT, None, "signal .npy or CSV; empty: <out>/signal.npy"),
         ("transfer_function_file", TEXT, None, "bin,channel,re,im CSV to divide out"),
         ("snr_file", TEXT, None, "bin,channel,snr CSV for thresholding"),
         ("threshold_x", FLOAT, 0.0, "drop bins below this SNR"),
@@ -440,16 +438,6 @@ def _deconvolution_kernel(config: PipelineConfig, grid, scanner, h_override=None
     return kernel / total
 
 
-def _one_thread() -> bool:
-    """True where the OS lists one thread for this process.  Only Linux
-    lists them, under ``/proc/self/task``; elsewhere False.  Native
-    threads count too: an OpenBLAS not pinned to one thread has some."""
-    try:
-        return len(os.listdir("/proc/self/task")) == 1
-    except OSError:
-        return False
-
-
 class _Run:
     """Single pipeline execution with disk/memory stage handoff."""
 
@@ -465,8 +453,6 @@ class _Run:
         self.trajectory = None
         self.signal = None
         self.deconv_input = None  # (values, geometry)
-        self.stages: tuple = ()  # set by execute
-        self.writers: list = []  # (stage, path, process) of pending background writes
 
     def _save_image(self, name, values, geometry):
         base = os.path.join(self.out, name)
@@ -511,64 +497,30 @@ class _Run:
         if self.config.values["scanner"]["trajectory"] == "file":
             # the only trajectory the config cannot regenerate
             traj_path = os.path.join(self.out, "trajectory.csv")
-            self._write_behind("simulate", save_trajectory, traj_path, traj)
+            save_trajectory(traj_path, traj)
+            self.files.append(traj_path)
             self.artifacts["trajectory"] = traj_path
-        sig_path = os.path.join(self.out, "signal.csv")
-        self._write_behind("simulate", save_signal, sig_path, signal)
-        self.artifacts["signal"] = sig_path
+        self._save_signal("signal", signal)
+        # a preprocessed signal an earlier run left belongs to another signal
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(self.out, "signal_preprocessed.npy"))
 
-    def _write_behind(self, stage, write, path, data):
-        """``write(path, data)`` in a forked child while the later stages
-        run; ``execute`` joins it.  Only for files no later stage of the
-        run reads back.  A process, not a thread, because formatting text
-        holds the interpreter lock; ``fork`` hands ``data`` over without
-        pickling.  Inline when no stage follows, since nothing would
-        overlap; in a daemonic process, which may not have children; and
-        unless the process runs one thread (``_one_thread``), since a lock
-        another thread holds at the fork stays held in the child."""
+    def _save_signal(self, name, signal):
+        path = os.path.join(self.out, name + ".npy")
+        save_signal(path, signal)
         self.files.append(path)
-        if stage != self.stages[-1] and _one_thread():
-            import multiprocessing
+        self.artifacts[name] = path
 
-            if not multiprocessing.current_process().daemon:
-                child = multiprocessing.get_context("fork").Process(
-                    target=write, args=(path, data)
-                )
-                child.start()
-                self.writers.append((stage, path, child))
-                return
-        write(path, data)
-
-    def _join_writers(self, error):
-        """Wait for every background write, timing the wait as
-        ``write_wait``.  Return the error to raise: ``error``, a failed
-        stage, extended to name any write that failed too, so its partial
-        file is not taken for a good one; else the failed writes', tagged
-        with the stage that started the first; else None."""
-        failed = []
-        if self.writers:
-            start = time.perf_counter()
-            for stage, path, child in self.writers:
-                child.join()
-                if child.exitcode != 0:
-                    failed.append((stage, f"writing {path} failed (exit code {child.exitcode})"))
-            self.writers = []
-            self.timings["write_wait"] = time.perf_counter() - start
-        if not failed:
-            return error
-        messages = [message for _, message in failed]
-        if error is None:
-            return PipelineError(failed[0][0], RuntimeError("; ".join(messages)))
-        messages.insert(0, str(error.cause))
-        combined = PipelineError(error.stage, RuntimeError("; ".join(messages)))
-        combined.__cause__ = error
-        return combined
-
-    def _load_signal_if_needed(self):
+    def _load_signal_if_needed(self, preprocessed=False):
+        """The signal in memory; else, with ``preprocessed``, the
+        ``<out>/signal_preprocessed.npy`` an earlier run left; else
+        ``[preprocess] signal_file``; else ``<out>/signal.npy``."""
         if self.signal is None:
-            source = self.config.path("preprocess", "signal_file") or os.path.join(
-                self.out, "signal.csv"
-            )
+            source = os.path.join(self.out, "signal_preprocessed.npy")
+            if not (preprocessed and os.path.exists(source)):
+                source = self.config.path("preprocess", "signal_file") or os.path.join(
+                    self.out, "signal.npy"
+                )
             self.signal = load_signal(source)
 
     def preprocess_stage(self):
@@ -589,15 +541,11 @@ class _Run:
                 values=np.full((signal.n_channels, n_bins), np.inf),
                 thresholds=np.asarray(thresholds),
             )
-        signal = snr_threshold(signal, profile)
-        self.signal = signal
-        path = os.path.join(self.out, "signal_preprocessed.csv")
-        save_signal(path, signal)
-        self.files.append(path)
-        self.artifacts["signal_preprocessed"] = path
+        self.signal = snr_threshold(signal, profile)
+        self._save_signal("signal_preprocessed", self.signal)
 
     def core_stage(self):
-        self._load_signal_if_needed()
+        self._load_signal_if_needed(preprocessed=True)
         if self.trajectory is None:
             self.trajectory = self._trajectory()
         core_cfg = self.config.core()
@@ -683,25 +631,13 @@ class _Run:
             "core": self.core_stage,
             "deconvolve": self.deconvolve_stage,
         }
-        self.stages = tuple(stages)
-        error = None
-        try:
-            for stage in stages:
-                start = time.perf_counter()
-                try:
-                    runners[stage]()
-                except PipelineError:
-                    raise
-                except Exception as exc:
-                    raise PipelineError(stage, exc) from exc
-                self.timings[stage] = time.perf_counter() - start
-        except PipelineError as exc:
-            error = exc
-        finally:
-            # every exit waits, so no writer outlives the call
-            error = self._join_writers(error)
-        if error is not None:
-            raise error
+        for stage in stages:
+            start = time.perf_counter()
+            try:
+                runners[stage]()
+            except Exception as exc:
+                raise PipelineError(stage, exc) from exc
+            self.timings[stage] = time.perf_counter() - start
         self._write_reports()
         return PipelineResult(
             out_dir=self.out,
@@ -735,9 +671,7 @@ def run_pipeline(
     stages: tuple | None = None,
 ) -> PipelineResult:
     """Execute the configured stages; deterministic for a given seed
-    (wall-clock timings aside).  When a stage follows ``simulate``, the
-    calling process may fork a child that writes ``signal.csv`` (see
-    ``_Run._write_behind``); the call waits for it before returning."""
+    (wall-clock timings aside)."""
     config.validate()
     run = _Run(config, out_dir=out_dir, seed=seed)
     return run.execute(stages if stages is not None else config.stages())

@@ -1,5 +1,6 @@
-"""BLAS runs on one thread, as in the benchmark, so that a run may fork
-its scan-CSV writer (``pipeline._one_thread``).  Set before numpy loads."""
+"""BLAS runs on one thread, as in the benchmark (``bench/run.py`` pins it
+the same way): the thread count fixes the order of BLAS reductions, so
+the tests see the bytes the benchmark sees.  Set before numpy loads."""
 
 import os
 

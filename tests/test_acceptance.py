@@ -364,7 +364,7 @@ def test_criterion_07_partial_data_path(workdir, resolution_run):
 rows = 0
 
 [preprocess]
-signal_file = {resolution_run.out_dir}/signal.csv
+signal_file = {resolution_run.out_dir}/signal.npy
 """,
     )
     result = run_pipeline(config)

@@ -1,14 +1,12 @@
 """Command-line interface: stage commands, profiles, exit codes."""
 
 import configparser
-import multiprocessing
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mpirecon import pipeline
 from mpirecon.cli import main
 from mpirecon.fileio import load_image
 from mpirecon.pipeline import PipelineConfig
@@ -75,12 +73,12 @@ class TestCommands:
         path, out = config_file
         assert main(["phantom", "--config", path]) == 0
         assert os.path.exists(os.path.join(out, "phantom.float.txt"))
-        assert not os.path.exists(os.path.join(out, "signal.csv"))
+        assert not os.path.exists(os.path.join(out, "signal.npy"))
 
     def test_simulate_then_core_then_deconvolve(self, config_file):
         path, out = config_file
         assert main(["simulate", "--config", path]) == 0
-        assert os.path.exists(os.path.join(out, "signal.csv"))
+        assert os.path.exists(os.path.join(out, "signal.npy"))
         assert main(["core", "--config", path]) == 0
         assert os.path.exists(os.path.join(out, "trace.float.txt"))
         assert main(["deconvolve", "--config", path]) == 0
@@ -90,7 +88,7 @@ class TestCommands:
         path, out = config_file
         assert main(["simulate", "--config", path]) == 0
         assert main(["preprocess", "--config", path]) == 0
-        assert os.path.exists(os.path.join(out, "signal_preprocessed.csv"))
+        assert os.path.exists(os.path.join(out, "signal_preprocessed.npy"))
 
     def test_out_override(self, config_file, tmp_path):
         path, _ = config_file
@@ -222,9 +220,10 @@ class TestFailures:
     def test_three_channel_signal_fails_core(self, config_file, capsys):
         path, out = config_file
         assert main(["simulate", "--config", path]) == 0
-        signal = Path(out) / "signal.csv"
-        header, *rows = signal.read_text().splitlines()
-        signal.write_text("\n".join([header + ",s_z"] + [row + ",0" for row in rows]) + "\n")
+        signal = os.path.join(out, "signal.npy")
+        data = np.load(signal)
+        with open(signal, "wb") as f:
+            np.save(f, np.column_stack([data, np.zeros(len(data))]))
         assert main(["core", "--config", path]) == 1
         assert capsys.readouterr().err.startswith(
             "error: [core] signal values must be a (samples, 1 or 2 channels) array, "
@@ -330,19 +329,6 @@ gamma = {gamma}
         assert main(["phantom", "--config", str(config)]) == 1
         assert capsys.readouterr().err.startswith(f"error: [config] {message}")
         assert not os.path.exists(out)
-
-    def test_failed_background_write_is_tagged(self, config_file, capsys, monkeypatch):
-        def broken(path, data):
-            raise OSError("disk full")
-
-        monkeypatch.setattr(pipeline, "save_signal", broken)
-        path, out = config_file
-        assert main(["run", "--config", path]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: [simulate] writing ")
-        assert "signal.csv failed (exit code 1)" in err
-        assert multiprocessing.active_children() == []
-        assert not os.path.exists(os.path.join(out, "manifest.txt"))
 
     def test_bad_phantom_geometry_tagged(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"

@@ -1,6 +1,7 @@
-"""Disk formats: image triples, CSV signals/trajectories, manifests."""
+"""Disk formats: image triples, signals, CSV trajectories, manifests."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -166,23 +167,39 @@ class TestImageTriple:
         assert loaded.geometry == geometry
 
 
+SIGNAL_FORMATS = ("signal.npy", "signal.csv")
+
+
+def write_signal_array(path, data):
+    """A ``t, s_x[, s_y]`` array as ``save_signal``'s ``.npy``, or as the
+    documented CSV in which measured data arrives."""
+    if path.endswith(".npy"):
+        with open(path, "wb") as f:
+            np.save(f, data)
+    else:
+        header = "t," + ",".join(f"s_{axis}" for axis in "xy"[: data.shape[1] - 1])
+        np.savetxt(path, data, fmt="%.17g", delimiter=",", header=header, comments="")
+
+
 class TestSignalCsv:
+    """``save_signal`` writes ``.npy``; ``load_signal`` reads it and the CSV
+    form, and every loading test runs on both."""
+
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
         sig = ScanSignal(values=rng.normal(size=(64, 2)), sample_rate=2.5e6)
-        path = str(tmp_path / "signal.csv")
+        path = str(tmp_path / "signal.npy")
         save_signal(path, sig)
-        header = first_line(path)
-        assert header == "t,s_x,s_y"
+        assert np.array_equal(np.load(path), np.column_stack([sig.times(), sig.values]))
         loaded = load_signal(path)
         assert np.array_equal(loaded.values, sig.values)
         assert loaded.sample_rate == pytest.approx(sig.sample_rate, rel=1e-12)
 
     def test_single_channel(self, tmp_path):
         sig = ScanSignal(values=np.arange(10.0)[:, None], sample_rate=100.0)
-        path = str(tmp_path / "signal.csv")
+        path = str(tmp_path / "signal.npy")
         save_signal(path, sig)
-        assert first_line(path) == "t,s_x"
+        assert np.load(path).shape == (10, 2)
         loaded = load_signal(path)
         assert loaded.n_channels == 1
 
@@ -193,27 +210,59 @@ class TestSignalCsv:
     )
     def test_any_finite_signal_round_trips_exactly(self, tmp_path_factory, values, sample_rate):
         sig = ScanSignal(values=values, sample_rate=sample_rate)
-        path = str(tmp_path_factory.mktemp("sig") / "signal.csv")
-        save_signal(path, sig)
-        loaded = load_signal(path)
-        assert np.array_equal(loaded.values, sig.values)
-        # the file carries the stamps; the rate is the reciprocal of the first step
-        assert loaded.sample_rate == 1.0 / sig.times()[1]
+        work = tmp_path_factory.mktemp("sig")
+        for name in SIGNAL_FORMATS:
+            path = str(work / name)
+            write_signal_array(path, np.column_stack([sig.times(), sig.values]))
+            loaded = load_signal(path)
+            assert np.array_equal(loaded.values, sig.values), name
+            # the file carries the stamps; the rate is the reciprocal of the first step
+            assert loaded.sample_rate == 1.0 / sig.times()[1], name
 
     def test_long_excitation_rate_signal_loads(self, tmp_path):
         # one second at 640 kHz: the stamp rounding grows with the sample index
         sig = ScanSignal(values=np.zeros((640_000, 1)), sample_rate=640e3)
-        path = str(tmp_path / "signal.csv")
-        save_signal(path, sig)
-        loaded = load_signal(path)
-        assert loaded.n_samples == 640_000
-        assert loaded.sample_rate == 1.0 / sig.times()[1]
+        for name in SIGNAL_FORMATS:
+            path = str(tmp_path / name)
+            write_signal_array(path, np.column_stack([sig.times(), sig.values]))
+            loaded = load_signal(path)
+            assert loaded.n_samples == 640_000, name
+            assert loaded.sample_rate == 1.0 / sig.times()[1], name
 
     @pytest.mark.parametrize("stamps", [(0, 1, 3, 2.5), (0, 1, 2, 4), (0, 1, 2, float("nan"))])
     def test_non_uniform_stamps_rejected(self, tmp_path, stamps):
-        path = tmp_path / "signal.csv"
-        path.write_text("t,s_x\n" + "".join(f"{t!r},1.0\n" for t in stamps))
-        with pytest.raises(ValueError, match=r"non-uniform time stamps at t\[[23]\]$"):
+        for name in SIGNAL_FORMATS:
+            path = str(tmp_path / name)
+            write_signal_array(path, np.column_stack([stamps, np.ones(len(stamps))]))
+            with pytest.raises(ValueError, match=r"non-uniform time stamps at t\[[23]\]$"):
+                load_signal(path)
+
+    @pytest.mark.parametrize(
+        "data",
+        [np.arange(4.0), np.arange(8).reshape(4, 2), np.ones((1, 2)), np.ones((4, 2, 1)),
+         {"t": np.arange(4.0)}],
+        ids=["1d", "int", "one-row", "3d", "npz-archive"],
+    )
+    def test_npy_that_is_not_a_2d_float_array_of_two_rows_rejected(self, tmp_path, data):
+        path = str(tmp_path / "signal.npy")
+        if isinstance(data, dict):
+            with open(path, "wb") as f:
+                np.savez(f, **data)
+        else:
+            write_signal_array(path, data)
+        with pytest.raises(ValueError, match=r"^signal file .+signal\.npy must hold a 2-D float"):
+            load_signal(path)
+
+    @pytest.mark.parametrize("pickled", ["object-array", "bare-pickle"])
+    def test_pickled_npy_refused(self, tmp_path, pickled):
+        path = tmp_path / "signal.npy"
+        payload = np.array([[0.0, {"not": "a sample"}], [1.0, None]], dtype=object)
+        if pickled == "object-array":
+            with open(path, "wb") as f:
+                np.save(f, payload, allow_pickle=True)
+        else:
+            path.write_bytes(pickle.dumps(payload))
+        with pytest.raises(ValueError, match=r"^signal file .+signal\.npy: .*pickle"):
             load_signal(str(path))
 
 

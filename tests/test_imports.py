@@ -1,5 +1,5 @@
 """Start-up cost: each scipy module loads only in the stage that uses it,
-and ``multiprocessing`` only when a run writes a file in the background."""
+and neither start-up nor a run loads ``multiprocessing``."""
 
 import json
 import os
@@ -7,6 +7,7 @@ import subprocess
 import sys
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+TWO_BAR_33 = os.path.join(ROOT, "configs", "two_bar_33.ini")
 
 # Runs in a fresh interpreter, so every import below is a first import.
 SCRIPT = """
@@ -51,15 +52,19 @@ print(json.dumps({"after_deconvolve": after_deconvolve, "after_core": scipy_modu
 """
 
 
-def test_deconvolve_only_run_imports_no_sparse_or_ndimage(tmp_path):
+def fresh_interpreter(script, *args):
+    """The last line ``script`` prints, run with ``args`` in a new interpreter."""
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    config = os.path.join(ROOT, "configs", "two_bar_33.ini")
     done = subprocess.run(
-        [sys.executable, "-c", SCRIPT, config, str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=120,
+        [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True,
+        timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    loaded = json.loads(done.stdout.splitlines()[-1])
+    return done.stdout.splitlines()[-1]
+
+
+def test_deconvolve_only_run_imports_no_sparse_or_ndimage(tmp_path):
+    loaded = json.loads(fresh_interpreter(SCRIPT, TWO_BAR_33, str(tmp_path)))
     assert os.path.exists(tmp_path / "out" / "recon.float.txt")
     assert loaded["after_deconvolve"] == []
     assert "scipy.sparse" in loaded["after_core"]
@@ -67,15 +72,19 @@ def test_deconvolve_only_run_imports_no_sparse_or_ndimage(tmp_path):
 
 
 def test_import_and_validate_load_no_multiprocessing():
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    config = os.path.join(ROOT, "configs", "two_bar_33.ini")
     script = (
         "import sys, mpirecon; mpirecon.PipelineConfig.from_file(sys.argv[1]).validate(); "
         "print('multiprocessing' in sys.modules)"
     )
-    done = subprocess.run(
-        [sys.executable, "-c", script, config], env=env, capture_output=True, text=True,
-        timeout=120,
+    assert fresh_interpreter(script, TWO_BAR_33) == "False"
+
+
+def test_simulate_core_run_imports_no_multiprocessing(tmp_path):
+    # the signal is written inline; no stage forks a writer
+    script = (
+        "import sys, mpirecon; config = mpirecon.PipelineConfig.from_file(sys.argv[1]); "
+        "mpirecon.run_pipeline(config, out_dir=sys.argv[2], stages=('simulate', 'core')); "
+        "print('multiprocessing' in sys.modules)"
     )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert fresh_interpreter(script, TWO_BAR_33, str(tmp_path)) == "False"
+    assert (tmp_path / "signal.npy").exists() and (tmp_path / "trace.float.txt").exists()

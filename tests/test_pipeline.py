@@ -2,11 +2,7 @@
 
 import configparser
 import glob
-import multiprocessing
 import os
-import re
-import threading
-import time
 from pathlib import Path
 
 import numpy as np
@@ -14,15 +10,23 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mpirecon import fileio, pipeline
 from mpirecon.core_stage import CoreStageConfig, extract_trace, solve_core_stage
-from mpirecon.fileio import load_image, load_signal, read_manifest, save_signal, save_trajectory
-from mpirecon.forward import ScanSignal, add_noise, simulate_signal
+from mpirecon import fileio, pipeline
+from mpirecon.fileio import (
+    load_image,
+    load_signal,
+    read_manifest,
+    save_signal,
+    save_trajectory,
+    save_transfer_function,
+)
+from mpirecon.forward import add_noise, simulate_signal
 from mpirecon.geometry import ConcentrationImage, GridGeometry
 from mpirecon.interpolation import InterpolationScheme
 from mpirecon.kernels import KernelSpec
 from mpirecon.phantoms import PhantomSpec, generate_phantom
 from mpirecon.pnp import PnPConfig, zero_shot_pnp
+from mpirecon.preprocessing import TransferFunction
 from mpirecon.scanner import Trajectory, lissajous
 from mpirecon.pipeline import (
     FLOAT,
@@ -251,7 +255,7 @@ class TestFullRun:
         for name in ("phantom", "trace", "recon"):
             assert os.path.exists(os.path.join(out, name + ".float.txt"))
             assert os.path.exists(os.path.join(out, name + ".pgm"))
-        for name in ("signal.csv", "diagnostics.csv", "timings.csv"):
+        for name in ("signal.npy", "diagnostics.csv", "timings.csv"):
             assert os.path.exists(os.path.join(out, name))
         # the config regenerates a Lissajous trajectory, so none is written
         assert not os.path.exists(os.path.join(out, "trajectory.csv"))
@@ -309,9 +313,9 @@ class TestFullRun:
         r1 = run_pipeline(config, out_dir=str(tmp_path / "n1"), seed=7)
         r2 = run_pipeline(config, out_dir=str(tmp_path / "n2"), seed=7)
         r3 = run_pipeline(config, out_dir=str(tmp_path / "n3"), seed=8)
-        s1 = (tmp_path / "n1" / "signal.csv").read_bytes()
-        s2 = (tmp_path / "n2" / "signal.csv").read_bytes()
-        s3 = (tmp_path / "n3" / "signal.csv").read_bytes()
+        s1 = (tmp_path / "n1" / "signal.npy").read_bytes()
+        s2 = (tmp_path / "n2" / "signal.npy").read_bytes()
+        s3 = (tmp_path / "n3" / "signal.npy").read_bytes()
         assert s1 == s2
         assert s1 != s3
 
@@ -338,8 +342,8 @@ class TestFullRun:
 
 
 class TestBackgroundWriter:
-    """A stage after ``simulate`` lets a forked child write the scan CSV;
-    the run joins it."""
+    """The run's own process writes the simulated signal as exact ``.npy``,
+    whatever stages follow ``simulate``."""
 
     def test_signal_csv_equals_an_inline_write(self, tmp_path):
         config = make_config(tmp_path, noise_level=0.05)
@@ -349,101 +353,41 @@ class TestBackgroundWriter:
             generate_phantom(config.phantom()), lissajous(scanner), config.kernel_spec(),
             scanner, config.interpolation(),
         )
-        save_signal(str(tmp_path / "inline.csv"), add_noise(signal, 0.05, config.seed()))
-        assert result.artifacts["signal"] == str(tmp_path / "run" / "signal.csv")
-        assert (tmp_path / "run" / "signal.csv").read_bytes() == (
-            tmp_path / "inline.csv"
+        signal = add_noise(signal, 0.05, config.seed())
+        save_signal(str(tmp_path / "inline.npy"), signal)
+        assert result.artifacts["signal"] == str(tmp_path / "run" / "signal.npy")
+        assert (tmp_path / "run" / "signal.npy").read_bytes() == (
+            tmp_path / "inline.npy"
         ).read_bytes()
-        assert list(result.timings) == ["simulate", "core", "write_wait"]
-        timings = (tmp_path / "run" / "timings.csv").read_text().splitlines()
-        assert timings[-1].startswith("write_wait,")
-        assert multiprocessing.active_children() == []
+        written = np.load(result.artifacts["signal"])
+        expected = np.column_stack([signal.times(), signal.values])
+        assert written.dtype == expected.dtype and written.shape == expected.shape
+        assert written.tobytes() == expected.tobytes()
+        assert list(result.timings) == ["simulate", "core"]
 
-    def _record_writer_pids(self, monkeypatch):
-        pids = []  # a forked child appends to its own copy
+    def test_simulate_as_the_last_stage_writes_inline(self, tmp_path, monkeypatch):
+        pids = []
 
         def recording_save_signal(path, data):
             pids.append(os.getpid())
             fileio.save_signal(path, data)
 
         monkeypatch.setattr(pipeline, "save_signal", recording_save_signal)
-        return pids
-
-    def test_simulate_as_the_last_stage_writes_inline(self, tmp_path, monkeypatch):
-        pids = self._record_writer_pids(monkeypatch)
         result = run_pipeline(make_config(tmp_path), stages=("simulate",))
         assert pids == [os.getpid()]
         assert list(result.timings) == ["simulate"]
+        assert result.artifacts["signal"] == str(tmp_path / "run" / "signal.npy")
         assert load_signal(result.artifacts["signal"]).n_samples == 14112
-
-    def test_a_threaded_caller_writes_inline(self, tmp_path, monkeypatch):
-        pids = self._record_writer_pids(monkeypatch)
-        release = threading.Event()
-        waiter = threading.Thread(target=release.wait)
-        waiter.start()
-        try:
-            result = run_pipeline(make_config(tmp_path), stages=("simulate", "core"))
-        finally:
-            release.set()
-            waiter.join()
-        assert pids == [os.getpid()]
-        assert "write_wait" not in result.timings
-        assert load_signal(result.artifacts["signal"]).n_samples == 14112
-
-    @pytest.mark.parametrize("write_fails", [False, True], ids=["write-ok", "write-fails"])
-    def test_a_later_stage_failure_still_joins_the_writer(self, tmp_path, monkeypatch,
-                                                          write_fails):
-        def slow_save_signal(path, data):
-            time.sleep(0.5)
-            if write_fails:
-                with open(path, "w") as f:
-                    f.write("t,u0,u1\n0,")
-                raise OSError("disk full")
-            fileio.save_signal(path, data)
-
-        def failing_core(*args, **kwargs):
-            raise ValueError("core failed")
-
-        monkeypatch.setattr(pipeline, "save_signal", slow_save_signal)
-        monkeypatch.setattr(pipeline, "solve_core_stage", failing_core)
-        config = make_config(tmp_path)
-        signal_path = str(tmp_path / "run" / "signal.csv")
-        message = r"^\[core\] core failed$"
-        if write_fails:
-            # the partial signal.csv is named, so it is not taken for a good one
-            message = (r"^\[core\] core failed; writing " + re.escape(signal_path)
-                       + r" failed \(exit code 1\)$")
-        with pytest.raises(PipelineError, match=message):
-            run_pipeline(config)
-        assert multiprocessing.active_children() == []
-        if not write_fails:
-            assert load_signal(signal_path).n_samples == 14112
-
-    def test_a_daemonic_caller_writes_inline(self, tmp_path):
-        # a daemonic process, such as a pool worker, may not start children
-        config = make_config(tmp_path)
-        caller = multiprocessing.get_context("fork").Process(
-            target=run_pipeline, args=(config,), kwargs={"stages": ("simulate", "core")},
-            daemon=True,
-        )
-        caller.start()
-        caller.join(60)
-        assert caller.exitcode == 0
-        assert "signal.csv" in read_manifest(str(tmp_path / "run"))
 
 
 class TestPreprocessStage:
     def test_transfer_function_and_snr_files_are_applied(self, tmp_path):
-        from mpirecon.fileio import (
-            load_signal,
-            save_snr_profile,
-            save_transfer_function,
-        )
-        from mpirecon.preprocessing import SnrProfile, TransferFunction
+        from mpirecon.fileio import save_snr_profile
+        from mpirecon.preprocessing import SnrProfile
 
         config = make_config(tmp_path, "prep")
         run_pipeline(config, stages=("simulate",))
-        signal = load_signal(str(tmp_path / "prep" / "signal.csv"))
+        signal = load_signal(str(tmp_path / "prep" / "signal.npy"))
         n_bins = signal.n_samples // 2 + 1
 
         tf = TransferFunction(
@@ -460,7 +404,7 @@ class TestPreprocessStage:
         )
         config2 = PipelineConfig.from_string(text, base_dir=str(tmp_path))
         run_pipeline(config2, stages=("preprocess",))
-        out = load_signal(str(tmp_path / "prep" / "signal_preprocessed.csv"))
+        out = load_signal(str(tmp_path / "prep" / "signal_preprocessed.npy"))
         # halved by the transfer function, then DC removed by thresholding
         expected = 0.5 * signal.values
         expected -= expected.mean(axis=0, keepdims=True)
@@ -478,7 +422,7 @@ class TestStageSelection:
         second = PipelineConfig.from_string(text, base_dir=str(tmp_path))
         result = run_pipeline(second, stages=("deconvolve",))
         assert os.path.exists(os.path.join(result.out_dir, "recon.float.txt"))
-        assert not os.path.exists(os.path.join(result.out_dir, "signal.csv"))
+        assert not os.path.exists(os.path.join(result.out_dir, "signal.npy"))
         recon_direct = load_image(os.path.join(str(tmp_path / "first"), "recon"))
         recon_staged = load_image(os.path.join(result.out_dir, "recon"))
         assert np.array_equal(recon_direct.values, recon_staged.values)
@@ -502,12 +446,39 @@ class TestStageSelection:
             config = PipelineConfig.from_string(text.replace("{out}", out), base_dir=str(tmp_path))
             for stages in stage_lists:
                 run_pipeline(config, stages=stages)
-        for name in ("trace.float.txt", "recon.float.txt"):
+        core = [f"core_A{r}{c}.float.txt" for r in (0, 1) for c in (0, 1)]
+        for name in core + ["trace.float.txt", "recon.float.txt"]:
             once, split = (tmp_path / "once" / name), (tmp_path / "split" / name)
             assert once.read_bytes() == split.read_bytes(), name
         # only a trajectory the config cannot regenerate is written
         listed = read_manifest(str(tmp_path / "once"))
         assert ("trajectory.csv" in listed) == (trajectory == "file")
+
+    def test_split_preprocess_and_core_match_one_shot_run(self, tmp_path):
+        # a separate core run reads the preprocessed signal, not signal.npy
+        n_bins = 14112 // 2 + 1
+        tf = TransferFunction(
+            spectra=2.0 * np.ones((2, n_bins), dtype=complex),
+            usable=np.ones((2, n_bins), dtype=bool),
+        )
+        save_transfer_function(str(tmp_path / "tf.csv"), tf)
+        text = config_text("{out}") + "\n[preprocess]\ntransfer_function_file = tf.csv\n"
+        runs = {
+            "once": [("simulate", "preprocess", "core")],
+            "split": [("simulate",), ("preprocess",), ("core",)],
+        }
+        for name, stage_lists in runs.items():
+            out = str(tmp_path / name)
+            config = PipelineConfig.from_string(text.replace("{out}", out), base_dir=str(tmp_path))
+            for stages in stage_lists:
+                run_pipeline(config, stages=stages)
+        names = [f"core_A{r}{c}.float.txt" for r in (0, 1) for c in (0, 1)] + ["trace.float.txt"]
+        for name in names:
+            once, split = (tmp_path / "once" / name), (tmp_path / "split" / name)
+            assert once.read_bytes() == split.read_bytes(), name
+        # a new simulation drops the preprocessed signal of the old one
+        run_pipeline(config, stages=("simulate",))
+        assert not (tmp_path / "split" / "signal_preprocessed.npy").exists()
 
     def test_core_without_trajectory_fails_with_stage_tag(self, tmp_path):
         config = make_config(tmp_path, "broken")
@@ -538,14 +509,18 @@ class TestEndToEndRelations:
             PipelineConfig.from_string(two_bar_33_text(tmp_path / "c1", 1e-3)),
             stages=("simulate",),
         )
-        signal = load_signal(str(tmp_path / "c1" / "signal.csv"))
+        signal = load_signal(str(tmp_path / "c1" / "signal.npy"))
         images = {}
         for c in (1.0, 2.0, 3.0):
             out = tmp_path / f"c{c:g}"
             text = two_bar_33_text(out, 1e-3)
             if c != 1.0:
-                scaled = ScanSignal(c * signal.values, signal.sample_rate)
-                save_signal(str(tmp_path / f"signal_{c:g}.csv"), scaled)
+                # fed as the documented CSV, the text form measured data arrives in
+                np.savetxt(
+                    tmp_path / f"signal_{c:g}.csv",
+                    np.column_stack([signal.times(), c * signal.values]),
+                    fmt="%.17g", delimiter=",", header="t,s_x,s_y", comments="",
+                )
                 text += f"\n[preprocess]\nsignal_file = signal_{c:g}.csv\n"
             config = PipelineConfig.from_string(text, base_dir=str(tmp_path))
             run_pipeline(config, stages=("core", "deconvolve"))
@@ -634,7 +609,7 @@ dot_size_mm = 2.0
         assert os.path.exists(os.path.join(result.out_dir, "entry_a00.float.txt"))
         assert os.path.exists(os.path.join(result.out_dir, "recon.float.txt"))
         # 60000 samples decimated by 10
-        signal = np.loadtxt(os.path.join(result.out_dir, "signal.csv"), delimiter=",", skiprows=1)
+        signal = np.load(os.path.join(result.out_dir, "signal.npy"))
         assert signal.shape[0] == 6000
         # stamped at the decimated rate: the samples cover the whole period
         assert np.allclose(np.diff(signal[:, 0]), 10 / 60000, rtol=1e-9, atol=0)
