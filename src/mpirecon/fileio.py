@@ -10,8 +10,9 @@ Images are written as a triple sharing one base path:
 
 The scan signal is one ``(L, 1 + channels)`` float64 array of
 ``t, s_x[, s_y]``, written in NumPy's ``.npy`` format, which keeps every
-value exactly.  ``load_signal`` also reads it as a CSV with header
-``t,s_x[,s_y]``, the text form measured data arrives in.
+value exactly.  ``t`` holds the stamps the signal was sampled at, and a
+loaded signal keeps them as they are.  ``load_signal`` also reads it as a
+CSV with header ``t,s_x[,s_y]``, the text form measured data arrives in.
 
 CSV formats (header line included):
 
@@ -125,13 +126,14 @@ def save_signal(path: str, signal: ScanSignal) -> None:
     """``t, s_x[, s_y]`` as one float64 ``.npy`` array.  Written through a
     file object, because ``np.save`` appends ``.npy`` to any other path."""
     with open(path, "wb") as f:
-        np.save(f, np.column_stack([signal.times(), signal.values]))
+        np.save(f, np.column_stack([signal.times, signal.values]))
 
 
 def load_signal(path: str) -> ScanSignal:
-    """Signal from a ``.npy`` file, else from a ``t,s_x[,s_y]`` CSV, at rate
-    ``1 / (t_1 - t_0)``.  Every step must match the first to 1e-6 relative;
-    the ``k / rate`` stamps of ``save_signal`` round to ~1e-10 at 640k samples."""
+    """Signal from a ``.npy`` file, else from a ``t,s_x[,s_y]`` CSV.  The
+    ``t`` column becomes the signal's stamps as they are: no rate is
+    recovered.  What ``ScanSignal`` rejects, such as stamps that do not
+    increase in uniform steps, fails with the file name in front."""
     if path.endswith(".npy"):
         with open(path, "rb") as f:
             try:
@@ -143,13 +145,10 @@ def load_signal(path: str) -> ScanSignal:
     if not (isinstance(data, np.ndarray) and data.ndim == 2 and data.dtype.kind == "f"
             and len(data) >= 2):
         raise ValueError(f"signal file {path} must hold a 2-D float array of at least two samples")
-    dt = data[1, 0] - data[0, 0]
-    if dt <= 0:
-        raise ValueError(f"signal file {path} has non-increasing time stamps")
-    bad = np.flatnonzero(~(np.abs(np.diff(data[:, 0]) - dt) <= 1e-6 * dt))
-    if bad.size:
-        raise ValueError(f"signal file {path} has non-uniform time stamps at t[{bad[0] + 1}]")
-    return ScanSignal(values=data[:, 1:], sample_rate=1.0 / dt)
+    try:
+        return ScanSignal(values=data[:, 1:], times=data[:, 0])
+    except ValueError as exc:
+        raise ValueError(f"signal file {path}: {exc}") from None
 
 
 def save_trajectory(path: str, trajectory: Trajectory) -> None:

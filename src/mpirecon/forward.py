@@ -22,22 +22,43 @@ from .kernels import KernelSpec, discretize_kernel
 from .scanner import ScannerConfig, Trajectory
 
 
+def nonuniform_stamps(times: np.ndarray, step: float) -> np.ndarray:
+    """Indices k whose step ``t[k] - t[k-1]`` differs from ``step`` by more
+    than 1e-6 relative (a NaN step included).  Stamps ``T k / L`` round to
+    about 1e-10 relative at 640k samples."""
+    return np.flatnonzero(~(np.abs(np.diff(times) - step) <= 1e-6 * step)) + 1
+
+
 @dataclasses.dataclass
 class ScanSignal:
-    """Per-channel time series with its sampling rate: two channels (x and
-    y), or one for partial data (the measured row)."""
+    """Per-channel time series with the time stamps it was sampled at: two
+    channels (x and y), or one for partial data (the measured row).  The
+    stamps increase in uniform steps, checked here once for simulated and
+    loaded signals alike."""
 
     values: np.ndarray  # (L, C), C in {1, 2}
-    sample_rate: float
+    times: np.ndarray  # (L,) s
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
+        self.times = np.asarray(self.times, dtype=float)
         if self.values.ndim != 2 or self.values.shape[1] not in (1, 2):
             raise ValueError(
                 f"signal values must be a (samples, 1 or 2 channels) array, got {self.values.shape}"
             )
         if not np.all(np.isfinite(self.values)):
             raise ValueError("signal carries non-finite values")
+        if self.times.shape != (self.n_samples,) or self.n_samples < 2:
+            raise ValueError(
+                f"signal needs one time stamp per sample and at least two samples, got "
+                f"{self.times.shape} stamps for {self.n_samples} samples"
+            )
+        step = self.times[1] - self.times[0]
+        if not step > 0:
+            raise ValueError(f"signal time stamps must increase, got t[1] - t[0] = {step:g}")
+        bad = nonuniform_stamps(self.times, step)
+        if bad.size:
+            raise ValueError(f"non-uniform time stamps at t[{bad[0]}]")
 
     @property
     def n_samples(self) -> int:
@@ -46,9 +67,6 @@ class ScanSignal:
     @property
     def n_channels(self) -> int:
         return self.values.shape[1]
-
-    def times(self) -> np.ndarray:
-        return np.arange(self.n_samples) / self.sample_rate
 
 
 @dataclasses.dataclass
@@ -115,7 +133,10 @@ def simulate_signal(
 ) -> ScanSignal:
     """Evaluate the core operator along the trajectory and project on the
     velocity: ``s_i(t_k) = sum_j I[A_ij](r_k) v_j(k)``.  Channel i is row i
-    of the core operator: the receive chain is the identity."""
+    of the core operator: the receive chain is the identity.
+
+    The signal carries the trajectory's own time stamps, decimated or read
+    from a file alike; of ``config`` only the gradient is read."""
     if interpolation is None:
         interpolation = InterpolationScheme()
     grid = rho.geometry
@@ -131,7 +152,7 @@ def simulate_signal(
         for col in range(2):
             values = sample_matrix @ field.entry(row, col).ravel()
             signal[:, row] += values * trajectory.velocities[:, col]
-    return ScanSignal(values=signal, sample_rate=config.sample_rate)
+    return ScanSignal(values=signal, times=trajectory.times)
 
 
 def apply_analog_filter(signal: ScanSignal, kernel: np.ndarray) -> ScanSignal:
@@ -150,7 +171,7 @@ def apply_analog_filter(signal: ScanSignal, kernel: np.ndarray) -> ScanSignal:
         )
     spectrum = np.fft.rfft(signal.values, axis=0) * np.fft.rfft(kernel, axis=0)
     out = np.fft.irfft(spectrum, n=signal.n_samples, axis=0)
-    return ScanSignal(values=out, sample_rate=signal.sample_rate)
+    return ScanSignal(values=out, times=signal.times)
 
 
 def add_noise(signal: ScanSignal, relative_level: float, rng_seed: int) -> ScanSignal:
@@ -159,8 +180,8 @@ def add_noise(signal: ScanSignal, relative_level: float, rng_seed: int) -> ScanS
     if relative_level < 0:
         raise ValueError("relative_level must be nonnegative")
     if relative_level == 0:
-        return ScanSignal(values=signal.values.copy(), sample_rate=signal.sample_rate)
+        return ScanSignal(values=signal.values.copy(), times=signal.times)
     rng = np.random.default_rng(rng_seed)
     rms = np.sqrt(np.mean(signal.values**2, axis=0))
     noise = rng.standard_normal(signal.values.shape) * (relative_level * rms)[None, :]
-    return ScanSignal(values=signal.values + noise, sample_rate=signal.sample_rate)
+    return ScanSignal(values=signal.values + noise, times=signal.times)

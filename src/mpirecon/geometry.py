@@ -65,7 +65,7 @@ class GridGeometry:
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Boolean mask of points (L, 2) inside the pixel-center hull, widened
-        by ``atol`` meters against rounding."""
+        by a fixed 1e-12 m against rounding."""
         atol = 1e-12
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         x_lo, x_hi = self.origin[0], self.origin[0] + self.spacing[0] * (self.shape[1] - 1)

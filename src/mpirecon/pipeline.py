@@ -44,7 +44,7 @@ from .fileio import (
     save_trajectory,
     write_manifest,
 )
-from .forward import add_noise, fft_convolve, simulate_signal
+from .forward import add_noise, fft_convolve, nonuniform_stamps, simulate_signal
 from .geometry import GridGeometry
 from .interpolation import InterpolationScheme
 from .kernels import KernelSpec, ParticleModel, discretize_kernel, saturation_field
@@ -487,9 +487,6 @@ class _Run:
         signal = simulate_signal(
             self.phantom_image, traj, spec, scanner, self.config.interpolation()
         )
-        keep_every = self.config.values["scanner"]["decimate"]
-        if keep_every > 1:
-            signal.sample_rate = scanner.sample_rate / keep_every
         level = self.config.noise_level()
         if level > 0:
             signal = add_noise(signal, level, self.seed)
@@ -548,6 +545,13 @@ class _Run:
         self._load_signal_if_needed(preprocessed=True)
         if self.trajectory is None:
             self.trajectory = self._trajectory()
+        step = self.signal.times[1] - self.signal.times[0]
+        off = nonuniform_stamps(self.trajectory.times, step)
+        if off.size:
+            raise ValueError(
+                f"trajectory step t[{off[0]}] - t[{off[0] - 1}] differs from the signal's "
+                f"step of {step:g} s: the signal was not sampled on this trajectory"
+            )
         core_cfg = self.config.core()
         rows = core_cfg.rows
         values = self.signal.values

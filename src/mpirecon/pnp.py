@@ -120,13 +120,12 @@ def percentile_trim(rho1: np.ndarray, percentile: float) -> np.ndarray:
     return np.maximum(rho1, np.percentile(rho1, percentile))
 
 
-def denoise(image: np.ndarray, sigma: float, ref, session=None) -> np.ndarray:
+def denoise(image: np.ndarray, sigma: float, backend) -> np.ndarray:
     """Denoise at the declared noise level under the normalization contract:
     the image is affinely mapped to [0, 1], ``sigma`` is rescaled by the
     same factor, and the map is inverted afterwards.
 
-    ``ref`` is a DenoiserRef; a ``session`` (an open backend) may be
-    passed to reuse one external process across calls.
+    ``backend`` is an open denoiser (``open_denoiser``); the caller closes it.
     """
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
@@ -136,13 +135,7 @@ def denoise(image: np.ndarray, sigma: float, ref, session=None) -> np.ndarray:
     if span == 0.0:
         return image.copy()
     normalized = (image - low) / span
-    backend = session if session is not None else open_denoiser(ref)
-    try:
-        out = backend(normalized, sigma / span)
-    finally:
-        if session is None:
-            backend.close()
-    return out * span + low
+    return backend(normalized, sigma / span) * span + low
 
 
 def zero_shot_pnp(u: np.ndarray, kernel_image: np.ndarray, config: PnPConfig) -> PnPResult:
@@ -173,7 +166,7 @@ def zero_shot_pnp(u: np.ndarray, kernel_image: np.ndarray, config: PnPConfig) ->
             if sigma == 0.0:
                 degenerate = True
                 break
-            rho2 = denoise(rho1, sigma, config.denoiser, session=session)
+            rho2 = denoise(rho1, sigma, session)
             nu = lam / sigma**2
     finally:
         session.close()

@@ -140,7 +140,7 @@ def correct_transfer_function(signal: ScanSignal, tf: TransferFunction) -> ScanS
     corrected = np.zeros_like(spectrum)
     np.divide(spectrum, tf.spectra, out=corrected, where=tf.usable)
     out = np.fft.irfft(corrected.T, n=signal.n_samples, axis=0)
-    return ScanSignal(values=out, sample_rate=signal.sample_rate)
+    return ScanSignal(values=out, times=signal.times)
 
 
 def snr_threshold(signal: ScanSignal, profile: SnrProfile) -> ScanSignal:
@@ -151,4 +151,4 @@ def snr_threshold(signal: ScanSignal, profile: SnrProfile) -> ScanSignal:
     keep = profile.values >= profile.thresholds[:, None]
     keep[:, 0] = False
     out = np.fft.irfft((spectrum * keep).T, n=signal.n_samples, axis=0)
-    return ScanSignal(values=out, sample_rate=signal.sample_rate)
+    return ScanSignal(values=out, times=signal.times)

@@ -425,7 +425,7 @@ def test_criterion_08_percentile_trim_artifact_suppression():
 def test_criterion_09_preprocessing_round_trip():
     crit = Criterion(9, "preprocessing round trip", budget_s=5.0)
     rng = np.random.default_rng(17)
-    signal = ScanSignal(values=rng.normal(size=(256, 2)), sample_rate=1e4)
+    signal = ScanSignal(values=rng.normal(size=(256, 2)), times=np.arange(256) / 1e4)
     kernel = rng.normal(size=256) + 2.0
     filtered = apply_analog_filter(signal, kernel)
     spectrum = np.fft.rfft(kernel)
@@ -447,7 +447,7 @@ def test_criterion_09_preprocessing_round_trip():
 
     dc_free = ScanSignal(
         values=signal.values - signal.values.mean(axis=0, keepdims=True),
-        sample_rate=signal.sample_rate,
+        times=signal.times,
     )
     asym = SnrProfile(
         values=np.stack([np.full(n_bins, 0.03), np.full(n_bins, 0.02)]),

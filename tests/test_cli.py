@@ -226,8 +226,8 @@ class TestFailures:
             np.save(f, np.column_stack([data, np.zeros(len(data))]))
         assert main(["core", "--config", path]) == 1
         assert capsys.readouterr().err.startswith(
-            "error: [core] signal values must be a (samples, 1 or 2 channels) array, "
-            "got (14112, 3)"
+            f"error: [core] signal file {signal}: signal values must be a "
+            "(samples, 1 or 2 channels) array, got (14112, 3)"
         )
 
     def test_singular_core_system_is_tagged(self, config_file, tmp_path, capsys):
@@ -273,9 +273,44 @@ gamma = {gamma}
 """
             )
             assert main(["simulate", "--config", str(config)]) == 0
+            # the signal carries the file's 100 kHz stamps, not the config's rate
+            signal = np.load(tmp_path / ("out_" + gamma) / "signal.npy")
+            stamps = np.loadtxt(tmp_path / "traj.csv", delimiter=",", skiprows=1)[:, 0]
+            assert np.array_equal(signal[:, 0], stamps)
             assert main(["core", "--config", str(config)]) == code
         err = capsys.readouterr().err
         assert "error: [core] normal matrix is singular: 25 of 25 pixels" in err
+
+    @pytest.mark.parametrize("mismatch", ["file-rate", "rate-and-period"])
+    def test_split_core_run_on_another_time_base_is_tagged(self, config_file, tmp_path, capsys,
+                                                           mismatch):
+        # the same sample count on another time base: only the stamps can tell
+        path, out = config_file
+        text = Path(path).read_text()
+        if mismatch == "file-rate":
+            rng = np.random.default_rng(1)
+            positions = rng.uniform(-10e-3, 10e-3, size=(400, 2))
+            for name, rate in (("traj_2m5.csv", 2.5e6), ("traj_1m.csv", 1e6)):
+                rows = [f"{k / rate!r},{x:.17g},{y:.17g}" for k, (x, y) in enumerate(positions)]
+                (tmp_path / name).write_text("t,x,y\n" + "\n".join(rows) + "\n")
+            simulated = text.replace(
+                "repetition_time_s = 1.0", "trajectory = file\ntrajectory_file = traj_2m5.csv"
+            )
+            fitted = simulated.replace("traj_2m5.csv", "traj_1m.csv").replace(
+                f"out = {out}", f"out = {tmp_path / 'fit'}"
+            ) + f"\n[preprocess]\nsignal_file = {out}/signal.npy\n"
+        else:
+            simulated = text
+            fitted = text.replace("sample_rate_hz = 14112", "sample_rate_hz = 28224").replace(
+                "repetition_time_s = 1.0", "repetition_time_s = 0.5"
+            )
+        (tmp_path / "simulated.ini").write_text(simulated)
+        (tmp_path / "fitted.ini").write_text(fitted)
+        assert main(["simulate", "--config", str(tmp_path / "simulated.ini")]) == 0
+        assert main(["core", "--config", str(tmp_path / "fitted.ini")]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: [core] trajectory step t[1] - t[0] differs from the signal's step of "
+        )
 
     def test_ignored_trajectory_file_fails_before_any_stage(self, config_file, tmp_path, capsys):
         path, out = config_file

@@ -187,16 +187,16 @@ class TestSignalCsv:
 
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
-        sig = ScanSignal(values=rng.normal(size=(64, 2)), sample_rate=2.5e6)
+        sig = ScanSignal(values=rng.normal(size=(64, 2)), times=np.arange(64) / 2.5e6)
         path = str(tmp_path / "signal.npy")
         save_signal(path, sig)
-        assert np.array_equal(np.load(path), np.column_stack([sig.times(), sig.values]))
+        assert np.array_equal(np.load(path), np.column_stack([sig.times, sig.values]))
         loaded = load_signal(path)
         assert np.array_equal(loaded.values, sig.values)
-        assert loaded.sample_rate == pytest.approx(sig.sample_rate, rel=1e-12)
+        assert np.array_equal(loaded.times, sig.times)
 
     def test_single_channel(self, tmp_path):
-        sig = ScanSignal(values=np.arange(10.0)[:, None], sample_rate=100.0)
+        sig = ScanSignal(values=np.arange(10.0)[:, None], times=np.arange(10) / 100.0)
         path = str(tmp_path / "signal.npy")
         save_signal(path, sig)
         assert np.load(path).shape == (10, 2)
@@ -209,25 +209,25 @@ class TestSignalCsv:
         sample_rate=st.floats(min_value=1e-3, max_value=1e9),
     )
     def test_any_finite_signal_round_trips_exactly(self, tmp_path_factory, values, sample_rate):
-        sig = ScanSignal(values=values, sample_rate=sample_rate)
+        sig = ScanSignal(values=values, times=np.arange(len(values)) / sample_rate)
         work = tmp_path_factory.mktemp("sig")
         for name in SIGNAL_FORMATS:
             path = str(work / name)
-            write_signal_array(path, np.column_stack([sig.times(), sig.values]))
+            write_signal_array(path, np.column_stack([sig.times, sig.values]))
             loaded = load_signal(path)
             assert np.array_equal(loaded.values, sig.values), name
-            # the file carries the stamps; the rate is the reciprocal of the first step
-            assert loaded.sample_rate == 1.0 / sig.times()[1], name
+            # the file carries the stamps, and the signal keeps them as they are
+            assert np.array_equal(loaded.times, sig.times), name
 
     def test_long_excitation_rate_signal_loads(self, tmp_path):
         # one second at 640 kHz: the stamp rounding grows with the sample index
-        sig = ScanSignal(values=np.zeros((640_000, 1)), sample_rate=640e3)
+        sig = ScanSignal(values=np.zeros((640_000, 1)), times=np.arange(640_000) / 640e3)
         for name in SIGNAL_FORMATS:
             path = str(tmp_path / name)
-            write_signal_array(path, np.column_stack([sig.times(), sig.values]))
+            write_signal_array(path, np.column_stack([sig.times, sig.values]))
             loaded = load_signal(path)
             assert loaded.n_samples == 640_000, name
-            assert loaded.sample_rate == 1.0 / sig.times()[1], name
+            assert np.array_equal(loaded.times, sig.times), name
 
     @pytest.mark.parametrize("stamps", [(0, 1, 3, 2.5), (0, 1, 2, 4), (0, 1, 2, float("nan"))])
     def test_non_uniform_stamps_rejected(self, tmp_path, stamps):
@@ -236,6 +236,21 @@ class TestSignalCsv:
             write_signal_array(path, np.column_stack([stamps, np.ones(len(stamps))]))
             with pytest.raises(ValueError, match=r"non-uniform time stamps at t\[[23]\]$"):
                 load_signal(path)
+        # a signal built in memory passes the same check
+        with pytest.raises(ValueError, match=r"^non-uniform time stamps at t\[[23]\]$"):
+            ScanSignal(values=np.ones((len(stamps), 1)), times=stamps)
+
+    @pytest.mark.parametrize(
+        "stamps, n_samples, message",
+        [((0, -1, -2, -3), 4, r"^signal time stamps must increase, got t\[1\] - t\[0\] = -1$"),
+         ((2, 2, 2, 2), 4, r"^signal time stamps must increase, got t\[1\] - t\[0\] = 0$"),
+         ((0, 1, 2), 4, r"^signal needs one time stamp per sample .+ got \(3,\) stamps for 4 samples$"),
+         ((0,), 1, r"^signal needs one time stamp per sample .+ got \(1,\) stamps for 1 samples$")],
+        ids=["decreasing", "constant", "count", "one-sample"],
+    )
+    def test_signal_built_from_bad_stamps_rejected(self, stamps, n_samples, message):
+        with pytest.raises(ValueError, match=message):
+            ScanSignal(values=np.ones((n_samples, 1)), times=stamps)
 
     @pytest.mark.parametrize(
         "data",

@@ -1,6 +1,7 @@
 """Forward simulation: core operator, signal synthesis, filtering, noise."""
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -17,7 +18,11 @@ from mpirecon.forward import (
 from mpirecon.geometry import ConcentrationImage, GridGeometry
 from mpirecon.interpolation import InterpolationScheme
 from mpirecon.kernels import KernelSpec, discretize_kernel
-from mpirecon.scanner import ScannerConfig, Trajectory, lissajous
+from mpirecon.phantoms import generate_phantom
+from mpirecon.pipeline import PipelineConfig
+from mpirecon.scanner import ScannerConfig, Trajectory, decimate, lissajous
+
+TWO_BAR_33 = os.path.join(os.path.dirname(__file__), "..", "configs", "two_bar_33.ini")
 
 
 def desk_config():
@@ -197,6 +202,18 @@ class TestSimulateSignal:
         scale = np.abs(expected).max()
         assert np.abs(combo.values - expected).max() <= 1e-8 * scale
 
+    def test_decimated_trajectory_keeps_its_stamps(self):
+        config = PipelineConfig.from_file(TWO_BAR_33)
+        scanner = config.scanner()
+        traj = decimate(lissajous(scanner), 4)
+        sig = simulate_signal(
+            generate_phantom(config.phantom()), traj, config.kernel_spec(), scanner,
+            config.interpolation(),
+        )
+        assert sig.n_samples == 17424
+        assert np.array_equal(sig.times, traj.times)
+        assert sig.times[-1] == pytest.approx(0.99994, abs=1e-5)
+
     def test_trajectory_outside_geometry_rejected(self):
         grid = GridGeometry.node_centered((12e-3, 12e-3), (9, 9))  # half the scan FoV
         config = desk_config()
@@ -210,7 +227,7 @@ class TestSimulateSignal:
 class TestAnalogFilter:
     def make_signal(self, n=64, channels=2, seed=4):
         rng = np.random.default_rng(seed)
-        return ScanSignal(values=rng.normal(size=(n, channels)), sample_rate=1e3)
+        return ScanSignal(values=rng.normal(size=(n, channels)), times=np.arange(n) / 1e3)
 
     def test_delta_kernel_is_identity(self):
         sig = self.make_signal()
@@ -244,7 +261,7 @@ class TestAddNoise:
     def make_signal(self):
         t = np.linspace(0.0, 1.0, 20_000, endpoint=False)
         values = np.stack([np.sin(2 * np.pi * 5 * t), 2 * np.cos(2 * np.pi * 3 * t)], axis=-1)
-        return ScanSignal(values=values, sample_rate=2e4)
+        return ScanSignal(values=values, times=t)
 
     def test_zero_level_identity(self):
         sig = self.make_signal()

@@ -11,7 +11,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mpirecon.core_stage import CoreStageConfig, extract_trace, solve_core_stage
-from mpirecon import fileio, pipeline
 from mpirecon.fileio import (
     load_image,
     load_signal,
@@ -341,11 +340,11 @@ class TestFullRun:
             assert ordered == reversed_, name
 
 
-class TestBackgroundWriter:
-    """The run's own process writes the simulated signal as exact ``.npy``,
-    whatever stages follow ``simulate``."""
+class TestSignalArtifact:
+    """The run writes the simulated signal as exact ``.npy``, whatever
+    stages follow ``simulate``."""
 
-    def test_signal_csv_equals_an_inline_write(self, tmp_path):
+    def test_signal_npy_equals_an_inline_save_signal(self, tmp_path):
         config = make_config(tmp_path, noise_level=0.05)
         result = run_pipeline(config, stages=("simulate", "core"))
         scanner = config.scanner()
@@ -360,21 +359,13 @@ class TestBackgroundWriter:
             tmp_path / "inline.npy"
         ).read_bytes()
         written = np.load(result.artifacts["signal"])
-        expected = np.column_stack([signal.times(), signal.values])
+        expected = np.column_stack([signal.times, signal.values])
         assert written.dtype == expected.dtype and written.shape == expected.shape
         assert written.tobytes() == expected.tobytes()
         assert list(result.timings) == ["simulate", "core"]
 
-    def test_simulate_as_the_last_stage_writes_inline(self, tmp_path, monkeypatch):
-        pids = []
-
-        def recording_save_signal(path, data):
-            pids.append(os.getpid())
-            fileio.save_signal(path, data)
-
-        monkeypatch.setattr(pipeline, "save_signal", recording_save_signal)
+    def test_simulate_as_the_last_stage_writes_signal_npy(self, tmp_path):
         result = run_pipeline(make_config(tmp_path), stages=("simulate",))
-        assert pids == [os.getpid()]
         assert list(result.timings) == ["simulate"]
         assert result.artifacts["signal"] == str(tmp_path / "run" / "signal.npy")
         assert load_signal(result.artifacts["signal"]).n_samples == 14112
@@ -485,15 +476,26 @@ class TestStageSelection:
         with pytest.raises(PipelineError, match=r"\[core\]"):
             run_pipeline(config, stages=("core",))
 
-    def test_non_finite_trajectory_file_fails_with_stage_tag(self, tmp_path):
+    @staticmethod
+    def file_trajectory_run(tmp_path, row_4):
         rows = [f"{k * 1e-3!r},0.001,{k * 1e-4!r},1.0,1.0" for k in range(10)]
-        rows[4] = "0.004,0.001,nan,1.0,1.0"
+        rows[4] = row_4
         (tmp_path / "traj.csv").write_text("t,x,y,vx,vy\n" + "\n".join(rows) + "\n")
-        text = config_text(str(tmp_path / "nan")).replace(
+        text = config_text(str(tmp_path / "run")).replace(
             "repetition_time_s = 1.0", "trajectory = file\ntrajectory_file = traj.csv"
         )
-        config = PipelineConfig.from_string(text, base_dir=str(tmp_path))
+        return PipelineConfig.from_string(text, base_dir=str(tmp_path))
+
+    def test_non_finite_trajectory_file_fails_with_stage_tag(self, tmp_path):
+        config = self.file_trajectory_run(tmp_path, "0.004,0.001,nan,1.0,1.0")
         message = r"^\[simulate\] trajectory positions are not finite at sample 4$"
+        with pytest.raises(PipelineError, match=message):
+            run_pipeline(config)
+
+    def test_non_uniform_trajectory_file_fails_with_stage_tag(self, tmp_path):
+        # t[4] moved by 1e-3 of a step: the signal would carry non-uniform stamps
+        config = self.file_trajectory_run(tmp_path, "0.004001,0.001,0.0004,1.0,1.0")
+        message = r"^\[simulate\] non-uniform time stamps at t\[4\]$"
         with pytest.raises(PipelineError, match=message):
             run_pipeline(config)
 
@@ -518,7 +520,7 @@ class TestEndToEndRelations:
                 # fed as the documented CSV, the text form measured data arrives in
                 np.savetxt(
                     tmp_path / f"signal_{c:g}.csv",
-                    np.column_stack([signal.times(), c * signal.values]),
+                    np.column_stack([signal.times, c * signal.values]),
                     fmt="%.17g", delimiter=",", header="t,s_x,s_y", comments="",
                 )
                 text += f"\n[preprocess]\nsignal_file = signal_{c:g}.csv\n"

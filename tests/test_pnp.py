@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mpirecon.denoisers import DenoiserRef
+from mpirecon.denoisers import DenoiserRef, open_denoiser
 from mpirecon.geometry import GridGeometry
 from mpirecon.kernels import KernelSpec, discretize_kernel
 from mpirecon.pnp import (
@@ -210,27 +210,27 @@ class TestDenoise:
     def test_gaussian_sigma_zero_identity(self):
         rng = np.random.default_rng(7)
         img = rng.uniform(size=(10, 10))
-        out = denoise(img, 0.0, DenoiserRef("gaussian-blur"))
+        out = denoise(img, 0.0, open_denoiser(DenoiserRef("gaussian-blur")))
         assert np.array_equal(out, img)
 
     def test_constant_image_unchanged(self):
         img = np.full((6, 6), -2.5)
         for kind in ("gaussian-blur", "total-variation"):
-            assert np.array_equal(denoise(img, 0.3, DenoiserRef(kind)), img)
+            assert np.array_equal(denoise(img, 0.3, open_denoiser(DenoiserRef(kind))), img)
 
     def test_affine_equivariance_of_normalization(self):
         # the [0, 1] normalization contract makes the result covariant
         # under affine value maps for linear, constant-preserving backends
         rng = np.random.default_rng(8)
         img = rng.uniform(size=(16, 16))
-        ref = DenoiserRef("gaussian-blur", blur_scale=3.0)
-        base = denoise(img, 0.05, ref)
-        scaled = denoise(4.0 * img - 1.5, 4.0 * 0.05, ref)
+        backend = open_denoiser(DenoiserRef("gaussian-blur", blur_scale=3.0))
+        base = denoise(img, 0.05, backend)
+        scaled = denoise(4.0 * img - 1.5, 4.0 * 0.05, backend)
         assert np.allclose(scaled, 4.0 * base - 1.5, atol=1e-10)
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
-            denoise(np.zeros((3, 3)), -0.1, DenoiserRef("gaussian-blur"))
+            denoise(np.zeros((3, 3)), -0.1, open_denoiser(DenoiserRef("gaussian-blur")))
 
 
 class TestZeroShotPnp:

@@ -25,7 +25,7 @@ def random_signal(rng, n=128, channels=2, zero_dc=False):
     values = rng.normal(size=(n, channels))
     if zero_dc:
         values -= values.mean(axis=0, keepdims=True)
-    return ScanSignal(values=values, sample_rate=1e3)
+    return ScanSignal(values=values, times=np.arange(n) / 1e3)
 
 
 class TestEstimateTransferFunction:
