@@ -54,7 +54,6 @@ from .preprocessing import SnrProfile, correct_transfer_function, snr_threshold
 from .scanner import ScannerConfig, decimate, excited_trajectory, lissajous
 
 STAGES = ("simulate", "preprocess", "core", "deconvolve")
-TRAJECTORY_KINDS = ("lissajous", "excited", "file")
 
 
 def parse_pairs(raw: str) -> list:
@@ -103,10 +102,9 @@ SCHEMA = {
         ("drive_frequency_y_hz", FLOAT, 64.0, "drive-field frequency"),
         ("sample_rate_hz", FLOAT, 69696.0, "acquisition rate"),
         ("repetition_time_s", FLOAT, 1.0, "length of one drive period"),
-        ("trajectory", TEXT, "lissajous", "lissajous, excited or file"),
-        ("excitation_amplitude_mt", FLOAT, None, "fast excitation on x (excited)"),
-        ("excitation_frequency_hz", FLOAT, None, "fast excitation on x (excited)"),
-        ("trajectory_file", TEXT, None, "t,x,y[,vx,vy] CSV (trajectory = file)"),
+        ("excitation_amplitude_mt", FLOAT, None, "fast excitation on x; set with its frequency"),
+        ("excitation_frequency_hz", FLOAT, None, "fast excitation on x; set with its amplitude"),
+        ("trajectory_file", TEXT, None, "t,x,y[,vx,vy] CSV; empty: generated from the drive"),
         ("decimate", INT, 1, "keep every n-th trajectory sample"),
     ),
     "particle": (
@@ -333,9 +331,8 @@ class PipelineConfig:
         return list(self.values["sweep"]["pairs"])
 
     def validate(self, inputs: bool = True) -> None:
-        """Every getter's dataclass accepts its values; a trajectory file
-        is named exactly when it is read; with ``inputs``, referenced
-        input files exist."""
+        """Every getter's dataclass accepts its values; every key set is
+        read; with ``inputs``, referenced input files exist."""
         getters = (
             ("grid", self.grid),
             ("scanner", self.scanner),
@@ -351,26 +348,18 @@ class PipelineConfig:
                 getter()
             except ValueError as exc:
                 raise ValueError(f"[{section}] {exc}") from None
-        scanner = self.values["scanner"]
-        if scanner["trajectory"] not in TRAJECTORY_KINDS:
+        excitation = self.values["scanner"]["excitation_amplitude_mt"]
+        if excitation is not None and self.values["scanner"]["trajectory_file"] is not None:
             raise ValueError(
-                f"[scanner] unknown trajectory kind {scanner['trajectory']!r}; "
-                f"choose from {TRAJECTORY_KINDS}"
+                f"[scanner] excitation_amplitude_mt = {excitation} is not read with a "
+                "trajectory_file"
             )
-        if scanner["trajectory"] == "excited" and None in (
-            scanner["excitation_amplitude_mt"], scanner["excitation_frequency_hz"]
-        ):
-            raise ValueError(
-                "[scanner] trajectory = excited needs excitation_amplitude_mt and "
-                "excitation_frequency_hz"
-            )
-        if scanner["trajectory_file"] is not None and scanner["trajectory"] != "file":
-            raise ValueError(
-                f"[scanner] trajectory_file = {scanner['trajectory_file']} is only read with "
-                f"trajectory = file, not trajectory = {scanner['trajectory']}"
-            )
-        if scanner["trajectory"] == "file" and scanner["trajectory_file"] is None:
-            raise ValueError("[scanner] trajectory = file needs a trajectory_file")
+        preprocess = self.values["preprocess"]
+        for key in ("threshold_x", "threshold_y"):
+            if preprocess[key] != 0.0 and preprocess["snr_file"] is None:
+                raise ValueError(
+                    f"[preprocess] {key} = {preprocess[key]} is only read with an snr_file"
+                )
         for section, key, suffix in _INPUTS if inputs else ():
             path = self.path(section, key)
             if path is not None and not os.path.exists(path + suffix):
@@ -421,17 +410,21 @@ def extract_profile(image: np.ndarray, axis: str, index: int, geometry: GridGeom
     raise ValueError("axis must be 'row' or 'column'")
 
 
-def _deconvolution_kernel(config: PipelineConfig, grid, scanner, h_override=None):
-    """Kernel image for the deconvolution stage, normalized to unit sum.
-
-    Full-row reconstructions deconvolve the trace with the trace kernel;
-    single-row ones deconvolve the diagonal entry with that entry's
-    kernel.
-    """
-    spec = config.kernel_spec(h_override)
+def _deconv_target(config: PipelineConfig):
+    """Image name and kernel selector of what ``deconvolve`` inverts:
+    the trace for both ``[core] rows``, the diagonal entry for one."""
     rows = config.core().rows
-    selector = "trace" if len(rows) == 2 else (rows[0], rows[0])
-    kernel = discretize_kernel(grid, spec, selector, scanner.gradient_field())
+    if len(rows) == 2:
+        return "trace", "trace"
+    return f"entry_a{rows[0]}{rows[0]}", (rows[0], rows[0])
+
+
+def _deconvolution_kernel(config: PipelineConfig, grid, h_override=None):
+    """Kernel image for the deconvolution stage, normalized to unit sum:
+    the kernel of the image ``_deconv_target`` names."""
+    spec = config.kernel_spec(h_override)
+    _, selector = _deconv_target(config)
+    kernel = discretize_kernel(grid, spec, selector, config.scanner().gradient_field())
     total = kernel.sum()
     if total <= 0:
         raise ValueError("kernel image has nonpositive sum; cannot normalize")
@@ -465,17 +458,17 @@ class _Run:
         self._save_image("phantom", self.phantom_image.values, self.phantom_image.geometry)
 
     def _trajectory(self):
-        """The trajectory the resolved config names: analytic ones are
-        regenerated, a file is read; either is then decimated.  ``validate``
-        has already rejected any other kind."""
+        """The trajectory the config describes, then decimated: a set
+        ``trajectory_file`` is read; else a set excitation gives the
+        excited sweep, and none a Lissajous."""
         v = self.config.values["scanner"]
-        kind = v["trajectory"]
-        if kind == "lissajous":
-            traj = lissajous(self.config.scanner())
-        elif kind == "excited":
-            traj = excited_trajectory(self.config.scanner())
+        path = self.config.path("scanner", "trajectory_file")
+        if path is not None:
+            traj = load_trajectory(path)
         else:
-            traj = load_trajectory(self.config.path("scanner", "trajectory_file"))
+            scanner = self.config.scanner()
+            generate = lissajous if scanner.excitation_amplitude is None else excited_trajectory
+            traj = generate(scanner)
         return decimate(traj, v["decimate"]) if v["decimate"] > 1 else traj
 
     def simulate_stage(self):
@@ -491,8 +484,9 @@ class _Run:
         if level > 0:
             signal = add_noise(signal, level, self.seed)
         self.signal = signal
-        if self.config.values["scanner"]["trajectory"] == "file":
-            # the only trajectory the config cannot regenerate
+        if self.config.values["scanner"]["trajectory_file"] is not None:
+            # the config holds only the file's name: keep the decimated
+            # samples the signal was simulated on with the signal
             traj_path = os.path.join(self.out, "trajectory.csv")
             save_trajectory(traj_path, traj)
             self.files.append(traj_path)
@@ -576,26 +570,25 @@ class _Run:
             self.rows.append(("core", f"row{row}", "cg_residual", record.final_residual))
             self.rows.append(("core", f"row{row}", "converged", int(record.converged)))
         self.rows.append(("core", "all", "dropped_samples", solution.dropped_samples))
-        grid = solution.field.geometry
-        if len(rows) == 2:
-            target = extract_trace(solution.field)
-            name = "trace"
-        else:
-            target = solution.field.entry(rows[0], rows[0])
-            name = f"entry_a{rows[0]}{rows[0]}"
-        self.deconv_input = (target, grid)
-        self._save_image(name, target, grid)
+        field = solution.field
+        name, selector = _deconv_target(self.config)
+        target = extract_trace(field) if selector == "trace" else field.entry(*selector)
+        self.deconv_input = (target, field.geometry)
+        self._save_image(name, target, field.geometry)
 
     def _load_deconv_input(self):
         """The image to deconvolve and its geometry: the core stage's, else
-        the configured ``input_trace``, else ``<out>/trace``."""
+        the configured ``input_trace``, else the one ``core`` wrote for
+        ``[core] rows`` (``<out>/trace`` or ``<out>/entry_a<r><r>``)."""
         if self.deconv_input is None:
             trace_base = self.config.path("deconvolve", "input_trace")
             if trace_base is None:
-                candidate = os.path.join(self.out, "trace")
+                name, _ = _deconv_target(self.config)
+                candidate = os.path.join(self.out, name)
                 if not os.path.exists(candidate + ".float.txt"):
+                    needed = "a trace" if name == "trace" else name
                     raise ValueError(
-                        "deconvolution needs a trace (run core or set "
+                        f"deconvolution needs {needed} (run core or set "
                         "[deconvolve] input_trace)"
                     )
                 trace_base = candidate
@@ -608,7 +601,7 @@ class _Run:
         ``nu0`` (config values where None); return the kernel, the PnP
         result and the centre-row dip ratio of its image."""
         values, grid = self._load_deconv_input()
-        kernel = _deconvolution_kernel(self.config, grid, self.config.scanner(), h_sat)
+        kernel = _deconvolution_kernel(self.config, grid, h_sat)
         result = zero_shot_pnp(values, kernel, self.config.pnp(nu0))
         _, profile = extract_profile(result.image, "row", grid.shape[0] // 2, grid)
         return kernel, result, dip_ratio(profile)
@@ -715,7 +708,10 @@ def sweep(
     prelude = tuple(s for s in config.stages() if s != "deconvolve")
     base = run.execute(prelude)
 
-    values, _ = run._load_deconv_input()
+    try:
+        values, _ = run._load_deconv_input()
+    except Exception as exc:
+        raise PipelineError("deconvolve", exc) from exc
     is_bar_phantom = config.values["phantom"]["kind"] == "two-bar"
 
     results = []

@@ -26,7 +26,7 @@ class ScannerConfig:
     drive_frequencies -- (x, y) drive frequencies in Hz
     sample_rate       -- acquisition rate in Hz
     repetition_time   -- length of one drive period in s
-    excitation_*      -- optional fast 1D excitation superposed on x
+    excitation_*      -- optional fast 1D excitation on x; both set or neither
 
     The receive chain is the identity: channel i records the signal of
     row i of the core operator.
@@ -53,6 +53,8 @@ class ScannerConfig:
                 "sample_rate * repetition_time must be a positive integer, "
                 f"got {n_samples}"
             )
+        if (self.excitation_amplitude is None) != (self.excitation_frequency is None):
+            raise ValueError("excitation amplitude and frequency are set together or not at all")
 
     @property
     def samples_per_period(self) -> int:
@@ -121,7 +123,7 @@ def excited_trajectory(config: ScannerConfig) -> Trajectory:
     """Sinusoidal trajectory with a fast 1D excitation superposed on x:
     ``r_x = A_x sin(2 pi f_x t) + A_e sin(2 pi f_e t)``,
     ``r_y = A_y sin(2 pi f_y t)``; analytic velocities."""
-    if config.excitation_amplitude is None or config.excitation_frequency is None:
+    if config.excitation_amplitude is None:
         raise ValueError("excitation amplitude and frequency must be set")
     t = _period_times(config)
     amps = config.position_amplitudes()

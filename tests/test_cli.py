@@ -217,6 +217,19 @@ class TestFailures:
         err = capsys.readouterr().err
         assert "[deconvolve]" in err
 
+    def test_sweep_without_trace_is_tagged_deconvolve(self, config_file, tmp_path, capsys):
+        path, _ = config_file
+        text = Path(path).read_text().replace(
+            "stages = simulate,core,deconvolve", "stages = deconvolve"
+        )
+        config = tmp_path / "sweep.ini"
+        config.write_text(text)
+        empty = str(tmp_path / "empty")
+        assert main(["sweep", "--config", str(config), "--out", empty, "--pairs", "800,1e-5"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: [deconvolve] deconvolution needs a trace"
+        )
+
     def test_three_channel_signal_fails_core(self, config_file, capsys):
         path, out = config_file
         assert main(["simulate", "--config", path]) == 0
@@ -261,7 +274,6 @@ out = {tmp_path / ("out_" + gamma)}
 height = 5
 width = 5
 [scanner]
-trajectory = file
 trajectory_file = traj.csv
 [phantom]
 kind = dot
@@ -294,7 +306,7 @@ gamma = {gamma}
                 rows = [f"{k / rate!r},{x:.17g},{y:.17g}" for k, (x, y) in enumerate(positions)]
                 (tmp_path / name).write_text("t,x,y\n" + "\n".join(rows) + "\n")
             simulated = text.replace(
-                "repetition_time_s = 1.0", "trajectory = file\ntrajectory_file = traj_2m5.csv"
+                "repetition_time_s = 1.0", "trajectory_file = traj_2m5.csv"
             )
             fitted = simulated.replace("traj_2m5.csv", "traj_1m.csv").replace(
                 f"out = {out}", f"out = {tmp_path / 'fit'}"
@@ -312,46 +324,53 @@ gamma = {gamma}
             "error: [core] trajectory step t[1] - t[0] differs from the signal's step of "
         )
 
-    def test_ignored_trajectory_file_fails_before_any_stage(self, config_file, tmp_path, capsys):
+    def test_trajectory_file_with_excitation_fails_before_any_stage(self, config_file, tmp_path,
+                                                                    capsys):
+        # the file is read, so the excitation would not be
         path, out = config_file
         (tmp_path / "traj.csv").write_text("t,x,y\n0,0,0\n1,0,0\n")
         text = Path(path).read_text().replace(
-            "repetition_time_s = 1.0", "repetition_time_s = 1.0\ntrajectory_file = traj.csv"
+            "repetition_time_s = 1.0",
+            "repetition_time_s = 1.0\ntrajectory_file = traj.csv\n"
+            "excitation_amplitude_mt = 1.5\nexcitation_frequency_hz = 2500.0",
         )
         config = tmp_path / "ignored.ini"
         config.write_text(text)
         assert main(["run", "--config", str(config)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: [config] [scanner] trajectory_file = traj.csv is only read")
-        assert "trajectory = lissajous" in err
+        assert capsys.readouterr().err == (
+            "error: [config] [scanner] excitation_amplitude_mt = 1.5 is not read with a "
+            "trajectory_file\n"
+        )
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize(
-        "kind, message",
+        "lines, message",
         [
-            ("spiral", "unknown trajectory kind 'spiral'"),
-            ("excited", "trajectory = excited needs excitation_amplitude_mt"),
+            ("trajectory = excited", "trajectory: unknown key; did you mean 'trajectory_file'?"),
+            ("excitation_amplitude_mt = 1.5",
+             "excitation amplitude and frequency are set together or not at all"),
         ],
         ids=["unknown", "excited-keys"],
     )
     def test_bad_trajectory_kind_fails_before_any_stage(self, config_file, tmp_path, capsys,
-                                                        kind, message):
+                                                        lines, message):
+        # the removed trajectory key, and an excitation with only its amplitude
         path, out = config_file
         text = Path(path).read_text().replace(
-            "repetition_time_s = 1.0", f"repetition_time_s = 1.0\ntrajectory = {kind}"
+            "repetition_time_s = 1.0", f"repetition_time_s = 1.0\n{lines}"
         )
-        config = tmp_path / f"{kind}.ini"
+        config = tmp_path / "bad.ini"
         config.write_text(text)
         assert main(["run", "--config", str(config)]) == 1
-        assert capsys.readouterr().err.startswith(f"error: [config] [scanner] {message}")
+        assert capsys.readouterr().err == f"error: [config] [scanner] {message}\n"
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize(
         "line, bad, message",
         [
             ("nu0 = 1e-5", "nu0 = -1", "[pnp] nu0 must be positive"),
-            ("repetition_time_s = 1.0", "trajectory = spiral",
-             "[scanner] unknown trajectory kind 'spiral'"),
+            ("repetition_time_s = 1.0", "trajectory = lissajous",
+             "[scanner] trajectory: unknown key"),
         ],
         ids=["nu0", "trajectory"],
     )

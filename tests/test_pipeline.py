@@ -147,19 +147,31 @@ class TestConfig:
         "scanner, message",
         [
             (
-                "trajectory_file = traj.csv\n",
-                r"^\[scanner\] trajectory_file = traj.csv is only read with trajectory = file, "
-                r"not trajectory = lissajous$",
+                "excitation_amplitude_mt = 1.5\nexcitation_frequency_hz = 2500.0\n",
+                r"^\[scanner\] excitation_amplitude_mt = 1.5 is not read with a trajectory_file$",
             ),
-            ("trajectory = file\n", r"^\[scanner\] trajectory = file needs a trajectory_file$"),
+            (
+                "trajectory = file\n",
+                r"^\[scanner\] trajectory: unknown key; did you mean 'trajectory_file'\?$",
+            ),
         ],
-        ids=["file-ignored", "file-missing"],
+        ids=["file-with-excitation", "trajectory-key"],
     )
-    def test_trajectory_file_named_exactly_when_read(self, tmp_path, scanner, message):
+    def test_every_trajectory_key_set_is_read(self, tmp_path, scanner, message):
+        # the trajectory follows from the keys: a file is read, the excitation is not
         (tmp_path / "traj.csv").write_text("t,x,y\n0,0,0\n1,0,0\n")
-        config = PipelineConfig.from_string(f"[scanner]\n{scanner}", base_dir=str(tmp_path))
         with pytest.raises(ValueError, match=message):
-            config.validate()
+            PipelineConfig.from_string(
+                f"[scanner]\ntrajectory_file = traj.csv\n{scanner}", base_dir=str(tmp_path)
+            ).validate()
+
+    @pytest.mark.parametrize("key", ["threshold_x", "threshold_y"])
+    def test_snr_thresholds_named_only_with_an_snr_file(self, tmp_path, key):
+        # without an snr_file every bin has infinite SNR, so no threshold drops one
+        with pytest.raises(ValueError, match=rf"^\[preprocess\] {key} = 1e\+30 is only read "
+                                             r"with an snr_file$"):
+            PipelineConfig.from_string(f"[preprocess]\n{key} = 1e30\n").validate()
+        PipelineConfig.from_string(f"[preprocess]\n{key} = 0.0\n").validate()
 
 
 class TestSchema:
@@ -418,31 +430,34 @@ class TestStageSelection:
         recon_staged = load_image(os.path.join(result.out_dir, "recon"))
         assert np.array_equal(recon_direct.values, recon_staged.values)
 
-    @pytest.mark.parametrize("trajectory", ["lissajous", "file"])
+    @pytest.mark.parametrize("trajectory", ["lissajous", "file", "partial"])
     def test_split_run_matches_one_shot_run(self, tmp_path, trajectory):
         # simulate, core and deconvolve as separate runs in one directory:
-        # an analytic trajectory is regenerated, a file one is read and decimated
-        text = config_text("{out}")
+        # an analytic trajectory is regenerated, a file one is read and
+        # decimated, and partial data deconvolves the entry core wrote even
+        # where an earlier full run left a trace
+        text = config_text("{out}", rows="0" if trajectory == "partial" else "0,1")
         if trajectory == "file":
             scanner = PipelineConfig.from_string(text).scanner()
             save_trajectory(str(tmp_path / "traj.csv"), lissajous(scanner))
             text = text.replace(
                 "repetition_time_s = 1.0",
-                "repetition_time_s = 1.0\ntrajectory = file\ntrajectory_file = traj.csv\n"
-                "decimate = 4",
+                "repetition_time_s = 1.0\ntrajectory_file = traj.csv\ndecimate = 4",
             )
         runs = {"once": [None], "split": [("simulate",), ("core",), ("deconvolve",)]}
+        if trajectory == "partial":
+            run_pipeline(PipelineConfig.from_string(config_text(str(tmp_path / "split"))))
         for name, stage_lists in runs.items():
             out = str(tmp_path / name)
             config = PipelineConfig.from_string(text.replace("{out}", out), base_dir=str(tmp_path))
             for stages in stage_lists:
                 run_pipeline(config, stages=stages)
-        core = [f"core_A{r}{c}.float.txt" for r in (0, 1) for c in (0, 1)]
-        for name in core + ["trace.float.txt", "recon.float.txt"]:
+        listed = read_manifest(str(tmp_path / "once"))
+        # each split run rewrites diagnostics.csv with its own stage's rows
+        for name in set(listed) - {"timings.csv", "diagnostics.csv"}:
             once, split = (tmp_path / "once" / name), (tmp_path / "split" / name)
             assert once.read_bytes() == split.read_bytes(), name
-        # only a trajectory the config cannot regenerate is written
-        listed = read_manifest(str(tmp_path / "once"))
+        # the trajectory is written only when it came from a file
         assert ("trajectory.csv" in listed) == (trajectory == "file")
 
     def test_split_preprocess_and_core_match_one_shot_run(self, tmp_path):
@@ -482,7 +497,7 @@ class TestStageSelection:
         rows[4] = row_4
         (tmp_path / "traj.csv").write_text("t,x,y,vx,vy\n" + "\n".join(rows) + "\n")
         text = config_text(str(tmp_path / "run")).replace(
-            "repetition_time_s = 1.0", "trajectory = file\ntrajectory_file = traj.csv"
+            "repetition_time_s = 1.0", "trajectory_file = traj.csv"
         )
         return PipelineConfig.from_string(text, base_dir=str(tmp_path))
 
@@ -541,7 +556,7 @@ class TestEndToEndRelations:
             straight.times, straight.positions[:, ::-1], straight.velocities[:, ::-1]
         )
         transposed = ConcentrationImage(phantom.values.T, phantom.geometry)
-        kernel = _deconvolution_kernel(config, phantom.geometry, scanner)
+        kernel = _deconvolution_kernel(config, phantom.geometry)
         runs = []
         for rho, trajectory in ((phantom, straight), (transposed, swapped)):
             signal = simulate_signal(rho, trajectory, spec, scanner, scheme)
@@ -585,7 +600,6 @@ excitation_amplitude_mt = 1.5
 excitation_frequency_hz = 2500.0
 sample_rate_hz = 60000
 repetition_time_s = 1.0
-trajectory = excited
 decimate = 10
 
 [kernel]
@@ -643,7 +657,7 @@ class TestSweep:
         direct = run_pipeline(config)
         recon = load_image(direct.artifacts["recon"])
         trace = load_image(direct.artifacts["trace"]).values
-        kernel = _deconvolution_kernel(config, recon.geometry, config.scanner())
+        kernel = _deconvolution_kernel(config, recon.geometry)
         blurred = np.real(np.fft.ifft2(np.fft.fft2(recon.values) * np.fft.fft2(kernel)))
         expected = -np.linalg.norm(blurred - trace) / np.linalg.norm(trace)
 
@@ -673,7 +687,7 @@ class TestSweep:
         config = PipelineConfig.from_string(
             "[pipeline]\nstages = deconvolve\n", base_dir=str(tmp_path)
         )
-        with pytest.raises(ValueError, match="needs a trace"):
+        with pytest.raises(PipelineError, match=r"^\[deconvolve\] deconvolution needs a trace"):
             sweep(config, pairs=[(800.0, 1e-5), (900.0, 1e-4)])
 
     def test_score_invariant_under_reordering(self, tmp_path):

@@ -52,6 +52,10 @@ class TestScannerConfig:
         amps = reference_config().position_amplitudes()
         assert np.allclose(amps, [0.012, 0.012])  # 12 mm per axis, 24 mm FoV
 
+    def test_amplitude_without_frequency_rejected(self):
+        with pytest.raises(ValueError, match="set together or not at all"):
+            dataclasses.replace(reference_config(), excitation_amplitude=1e-3)
+
     def test_rejects_zero_gradient(self):
         with pytest.raises(ValueError):
             ScannerConfig(
