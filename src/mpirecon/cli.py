@@ -42,8 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in (
         ("run", "run the stages listed in the config"),
         ("simulate", "generate phantom and signal"),
-        ("preprocess", "transfer-function correction and SNR thresholding"),
-        ("core", "recover the core operator field from the signal"),
+        ("core", "recover the core operator field from the preprocessed signal"),
         ("deconvolve", "recover the concentration from the trace image"),
     ):
         p = sub.add_parser(name, help=help_text)

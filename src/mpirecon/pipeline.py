@@ -2,16 +2,17 @@
 
 A run executes the selected stages in order
 
-    simulate -> preprocess -> core -> deconvolve
+    simulate -> core -> deconvolve
 
 handing data through memory and writing every artifact to the output
 directory: image triples (phantom, core-operator entries, trace,
-reconstruction), ``.npy`` signals, a deterministic
+reconstruction), the ``.npy`` signal, a deterministic
 ``diagnostics.csv``, wall-clock ``timings.csv``, and ``manifest.txt``
-naming every file written.  Later stages can start from files on disk,
-so a run can begin at any stage.  The trajectory is written only when
-it came from a file; a later stage regenerates an analytic one from
-the config.
+naming every file written.  ``core`` fits the signal after the
+``[preprocess]`` corrections.  Later stages can start from files on
+disk, so a run can begin at any stage.  The trajectory is written only
+when it came from a file; a later stage regenerates an analytic one
+from the config.
 
 Configuration is INI text whose keys carry their unit in the name.
 ``SCHEMA`` lists every section and key with its type, default and doc;
@@ -22,7 +23,6 @@ keys and unparsable values fail when the config is read.
 from __future__ import annotations
 
 import configparser
-import contextlib
 import dataclasses
 import os
 import time
@@ -53,7 +53,15 @@ from .pnp import PnPConfig, zero_shot_pnp
 from .preprocessing import SnrProfile, correct_transfer_function, snr_threshold
 from .scanner import ScannerConfig, decimate, excited_trajectory, lissajous
 
-STAGES = ("simulate", "preprocess", "core", "deconvolve")
+STAGES = ("simulate", "core", "deconvolve")
+
+
+def _ordered_stages(names) -> tuple:
+    """``names`` in pipeline order; a name not in ``STAGES`` raises."""
+    for name in names:
+        if name not in STAGES:
+            raise ValueError(f"unknown stage {name!r}; valid stages: {STAGES}")
+    return tuple(s for s in STAGES if s in names)
 
 
 def parse_pairs(raw: str) -> list:
@@ -144,11 +152,11 @@ SCHEMA = {
         ("bar_axis", TEXT, PhantomSpec.bar_axis, "x: side by side; y: stacked"),
     ),
     "preprocess": (
-        ("signal_file", TEXT, None, "signal .npy or CSV; empty: <out>/signal.npy"),
-        ("transfer_function_file", TEXT, None, "bin,channel,re,im CSV to divide out"),
-        ("snr_file", TEXT, None, "bin,channel,snr CSV for thresholding"),
-        ("threshold_x", FLOAT, 0.0, "drop bins below this SNR"),
-        ("threshold_y", FLOAT, 0.0, "drop bins below this SNR"),
+        ("signal_file", TEXT, None, "signal .npy or CSV core fits; empty: <out>/signal.npy"),
+        ("transfer_function_file", TEXT, None, "bin,channel,re,im CSV core divides out"),
+        ("snr_file", TEXT, None, "bin,channel,snr CSV core thresholds by"),
+        ("threshold_x", FLOAT, 0.0, "core drops bins below this SNR"),
+        ("threshold_y", FLOAT, 0.0, "core drops bins below this SNR"),
     ),
     "deconvolve": (("input_trace", TEXT, None, "trace image base; empty: the core stage's"),),
     "sweep": (("pairs", PAIRS, (), "h_sat,nu0 pairs separated by ';'"),),
@@ -232,11 +240,7 @@ class PipelineConfig:
 
     def stages(self) -> tuple:
         raw = self.values["pipeline"]["stages"]
-        names = tuple(s.strip() for s in raw.split(",") if s.strip())
-        for name in names:
-            if name not in STAGES:
-                raise ValueError(f"unknown stage {name!r}; valid stages: {STAGES}")
-        return tuple(s for s in STAGES if s in names)
+        return _ordered_stages([s.strip() for s in raw.split(",") if s.strip()])
 
     def out_dir(self) -> str:
         return self.path("pipeline", "out")
@@ -491,40 +495,24 @@ class _Run:
             save_trajectory(traj_path, traj)
             self.files.append(traj_path)
             self.artifacts["trajectory"] = traj_path
-        self._save_signal("signal", signal)
-        # a preprocessed signal an earlier run left belongs to another signal
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(os.path.join(self.out, "signal_preprocessed.npy"))
-
-    def _save_signal(self, name, signal):
-        path = os.path.join(self.out, name + ".npy")
+        path = os.path.join(self.out, "signal.npy")
         save_signal(path, signal)
         self.files.append(path)
-        self.artifacts[name] = path
+        self.artifacts["signal"] = path
 
-    def _load_signal_if_needed(self, preprocessed=False):
-        """The signal in memory; else, with ``preprocessed``, the
-        ``<out>/signal_preprocessed.npy`` an earlier run left; else
-        ``[preprocess] signal_file``; else ``<out>/signal.npy``."""
-        if self.signal is None:
-            source = os.path.join(self.out, "signal_preprocessed.npy")
-            if not (preprocessed and os.path.exists(source)):
-                source = self.config.path("preprocess", "signal_file") or os.path.join(
-                    self.out, "signal.npy"
-                )
-            self.signal = load_signal(source)
-
-    def preprocess_stage(self):
-        self._load_signal_if_needed()
-        signal = self.signal
-        n_bins = signal.n_samples // 2 + 1
+    def _preprocess(self, signal):
+        """``signal`` with the ``[preprocess]`` transfer function divided
+        out, then the bins below the SNR thresholds dropped."""
         tf_path = self.config.path("preprocess", "transfer_function_file")
+        snr_path = self.config.path("preprocess", "snr_file")
+        if tf_path is None and snr_path is None:
+            return signal
+        n_bins = signal.n_samples // 2 + 1
         if tf_path is not None:
             tf = load_transfer_function(tf_path, signal.n_channels, n_bins)
             signal = correct_transfer_function(signal, tf)
         v = self.config.values["preprocess"]
         thresholds = [v["threshold_x"], v["threshold_y"]][: signal.n_channels]
-        snr_path = self.config.path("preprocess", "snr_file")
         if snr_path is not None:
             profile = load_snr_profile(snr_path, signal.n_channels, n_bins, thresholds)
         else:
@@ -532,14 +520,20 @@ class _Run:
                 values=np.full((signal.n_channels, n_bins), np.inf),
                 thresholds=np.asarray(thresholds),
             )
-        self.signal = snr_threshold(signal, profile)
-        self._save_signal("signal_preprocessed", self.signal)
+        return snr_threshold(signal, profile)
 
     def core_stage(self):
-        self._load_signal_if_needed(preprocessed=True)
+        """Fit the core operator field to the preprocessed signal in
+        memory, else ``[preprocess] signal_file``, else ``<out>/signal.npy``."""
+        if self.signal is None:
+            self.signal = load_signal(
+                self.config.path("preprocess", "signal_file")
+                or os.path.join(self.out, "signal.npy")
+            )
+        signal = self._preprocess(self.signal)
         if self.trajectory is None:
             self.trajectory = self._trajectory()
-        step = self.signal.times[1] - self.signal.times[0]
+        step = signal.times[1] - signal.times[0]
         off = nonuniform_stamps(self.trajectory.times, step)
         if off.size:
             raise ValueError(
@@ -548,7 +542,7 @@ class _Run:
             )
         core_cfg = self.config.core()
         rows = core_cfg.rows
-        values = self.signal.values
+        values = signal.values
         if values.shape[1] < len(rows):
             raise ValueError(
                 f"signal has {values.shape[1]} channels but rows {rows} were requested"
@@ -620,11 +614,17 @@ class _Run:
         self._save_image("recon", result.image, self.deconv_input[1])
 
     def execute(self, stages):
+        # these stages hand their output on in memory, not through the file
+        for stage, section, key in (
+            ("simulate", "preprocess", "signal_file"), ("core", "deconvolve", "input_trace")
+        ):
+            value = self.config.values[section][key]
+            if stage in stages and value is not None:
+                raise ValueError(f"[{section}] {key} = {value} is not read by a run with {stage}")
         os.makedirs(self.out, exist_ok=True)
         runners = {
             "phantom": self.phantom_stage,
             "simulate": self.simulate_stage,
-            "preprocess": self.preprocess_stage,
             "core": self.core_stage,
             "deconvolve": self.deconvolve_stage,
         }
@@ -671,7 +671,7 @@ def run_pipeline(
     (wall-clock timings aside)."""
     config.validate()
     run = _Run(config, out_dir=out_dir, seed=seed)
-    return run.execute(stages if stages is not None else config.stages())
+    return run.execute(config.stages() if stages is None else _ordered_stages(stages))
 
 
 def generate_phantom_only(

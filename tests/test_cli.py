@@ -7,9 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mpirecon.cli import main
+from mpirecon.cli import build_parser, main
 from mpirecon.fileio import load_image
-from mpirecon.pipeline import PipelineConfig
+from mpirecon.pipeline import STAGES, PipelineConfig
 
 VACUUM_PERMEABILITY = 4e-7 * np.pi
 
@@ -84,11 +84,21 @@ class TestCommands:
         assert main(["deconvolve", "--config", path]) == 0
         assert os.path.exists(os.path.join(out, "recon.float.txt"))
 
-    def test_preprocess_stage(self, config_file):
+    def test_preprocess_stage(self, config_file, capsys):
+        # preprocessing is part of core; a config that lists it as a stage fails
         path, out = config_file
-        assert main(["simulate", "--config", path]) == 0
-        assert main(["preprocess", "--config", path]) == 0
-        assert os.path.exists(os.path.join(out, "signal_preprocessed.npy"))
+        text = Path(path).read_text().replace(
+            "stages = simulate,core,deconvolve", "stages = simulate,preprocess,core,deconvolve"
+        )
+        Path(path).write_text(text)
+        assert main(["run", "--config", path]) == 1
+        assert capsys.readouterr().err.startswith("error: [config] unknown stage 'preprocess'")
+        assert not os.path.exists(out)
+
+    def test_stage_subcommands_are_the_pipeline_stages(self):
+        commands = build_parser()._subparsers._group_actions[0].choices
+        others = ("run", "phantom", "sweep", "profile", "example-config")
+        assert tuple(c for c in commands if c not in others) == STAGES
 
     def test_out_override(self, config_file, tmp_path):
         path, _ = config_file

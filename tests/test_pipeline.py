@@ -19,7 +19,7 @@ from mpirecon.fileio import (
     save_trajectory,
     save_transfer_function,
 )
-from mpirecon.forward import add_noise, simulate_signal
+from mpirecon.forward import ScanSignal, add_noise, simulate_signal
 from mpirecon.geometry import ConcentrationImage, GridGeometry
 from mpirecon.interpolation import InterpolationScheme
 from mpirecon.kernels import KernelSpec
@@ -384,34 +384,61 @@ class TestSignalArtifact:
 
 
 class TestPreprocessStage:
-    def test_transfer_function_and_snr_files_are_applied(self, tmp_path):
-        from mpirecon.fileio import save_snr_profile
-        from mpirecon.preprocessing import SnrProfile
+    """The ``[preprocess]`` inputs, which the core stage applies before its fit."""
 
-        config = make_config(tmp_path, "prep")
-        run_pipeline(config, stages=("simulate",))
-        signal = load_signal(str(tmp_path / "prep" / "signal.npy"))
-        n_bins = signal.n_samples // 2 + 1
-
+    @staticmethod
+    def flat_transfer_function(path, n_bins):
         tf = TransferFunction(
             spectra=2.0 * np.ones((2, n_bins), dtype=complex),
             usable=np.ones((2, n_bins), dtype=bool),
         )
-        save_transfer_function(str(tmp_path / "tf.csv"), tf)
+        save_transfer_function(str(path), tf)
+
+    def test_transfer_function_and_snr_files_are_applied(self, tmp_path):
+        from mpirecon.fileio import save_snr_profile
+        from mpirecon.preprocessing import SnrProfile
+
+        run_pipeline(make_config(tmp_path, "sim"), stages=("simulate",))
+        signal = load_signal(str(tmp_path / "sim" / "signal.npy"))
+        n_bins = signal.n_samples // 2 + 1
+        self.flat_transfer_function(tmp_path / "tf.csv", n_bins)
         profile = SnrProfile(values=np.ones((2, n_bins)), thresholds=np.zeros(2))
         save_snr_profile(str(tmp_path / "snr.csv"), profile)
-
-        text = config_text(str(tmp_path / "prep")) + (
-            f"\n[preprocess]\ntransfer_function_file = {tmp_path / 'tf.csv'}\n"
-            f"snr_file = {tmp_path / 'snr.csv'}\nthreshold_x = 0.0\nthreshold_y = 0.0\n"
-        )
-        config2 = PipelineConfig.from_string(text, base_dir=str(tmp_path))
-        run_pipeline(config2, stages=("preprocess",))
-        out = load_signal(str(tmp_path / "prep" / "signal_preprocessed.npy"))
         # halved by the transfer function, then DC removed by thresholding
         expected = 0.5 * signal.values
         expected -= expected.mean(axis=0, keepdims=True)
-        assert np.allclose(out.values, expected, atol=1e-12)
+        save_signal(str(tmp_path / "expected.npy"), ScanSignal(expected, signal.times))
+
+        sections = {
+            "prep": "signal_file = sim/signal.npy\ntransfer_function_file = tf.csv\n"
+            "snr_file = snr.csv\nthreshold_x = 0.0\nthreshold_y = 0.0\n",
+            "expected": "signal_file = expected.npy\n",
+        }
+        traces = {}
+        for name, section in sections.items():
+            text = config_text(str(tmp_path / name)) + f"\n[preprocess]\n{section}"
+            config = PipelineConfig.from_string(text, base_dir=str(tmp_path))
+            run_pipeline(config, stages=("core",))
+            traces[name] = load_image(str(tmp_path / name / "trace")).values
+        assert_close(traces["prep"], traces["expected"], 1e-12)
+
+    def test_changed_signal_file_is_read_afresh(self, tmp_path):
+        # two core runs in one directory: nothing of the first run's
+        # preprocessed signal is left for the second to read
+        run_pipeline(make_config(tmp_path, "sim"), stages=("simulate",))
+        signal = load_signal(str(tmp_path / "sim" / "signal.npy"))
+        save_signal(str(tmp_path / "a.npy"), signal)
+        save_signal(str(tmp_path / "a3.npy"), ScanSignal(3.0 * signal.values, signal.times))
+        self.flat_transfer_function(tmp_path / "tf.csv", signal.n_samples // 2 + 1)
+        traces = {}
+        for name in ("a", "a3"):
+            text = config_text(str(tmp_path / "fit")) + (
+                f"\n[preprocess]\nsignal_file = {name}.npy\ntransfer_function_file = tf.csv\n"
+            )
+            config = PipelineConfig.from_string(text, base_dir=str(tmp_path))
+            run_pipeline(config, stages=("core",))
+            traces[name] = load_image(str(tmp_path / "fit" / "trace")).values
+        assert_close(traces["a3"], 3.0 * traces["a"], 1e-12)
 
 
 class TestStageSelection:
@@ -461,30 +488,72 @@ class TestStageSelection:
         assert ("trajectory.csv" in listed) == (trajectory == "file")
 
     def test_split_preprocess_and_core_match_one_shot_run(self, tmp_path):
-        # a separate core run reads the preprocessed signal, not signal.npy
-        n_bins = 14112 // 2 + 1
-        tf = TransferFunction(
-            spectra=2.0 * np.ones((2, n_bins), dtype=complex),
-            usable=np.ones((2, n_bins), dtype=bool),
-        )
-        save_transfer_function(str(tmp_path / "tf.csv"), tf)
-        text = config_text("{out}") + "\n[preprocess]\ntransfer_function_file = tf.csv\n"
+        # core preprocesses the signal it fits, whether simulated in the
+        # same run or read from signal.npy
+        TestPreprocessStage.flat_transfer_function(tmp_path / "tf.csv", 14112 // 2 + 1)
+        text = config_text("{out}")
+        tf = "\n[preprocess]\ntransfer_function_file = tf.csv\n"
         runs = {
-            "once": [("simulate", "preprocess", "core")],
-            "split": [("simulate",), ("preprocess",), ("core",)],
+            "plain": (text, [("simulate", "core")]),
+            "once": (text + tf, [("simulate", "core")]),
+            "split": (text + tf, [("simulate",), ("core",)]),
         }
-        for name, stage_lists in runs.items():
+        for name, (run_text, stage_lists) in runs.items():
             out = str(tmp_path / name)
-            config = PipelineConfig.from_string(text.replace("{out}", out), base_dir=str(tmp_path))
+            config = PipelineConfig.from_string(
+                run_text.replace("{out}", out), base_dir=str(tmp_path)
+            )
             for stages in stage_lists:
                 run_pipeline(config, stages=stages)
         names = [f"core_A{r}{c}.float.txt" for r in (0, 1) for c in (0, 1)] + ["trace.float.txt"]
         for name in names:
             once, split = (tmp_path / "once" / name), (tmp_path / "split" / name)
             assert once.read_bytes() == split.read_bytes(), name
-        # a new simulation drops the preprocessed signal of the old one
-        run_pipeline(config, stages=("simulate",))
-        assert not (tmp_path / "split" / "signal_preprocessed.npy").exists()
+        # the transfer function is read by a one-shot run too
+        plain = (tmp_path / "plain" / "trace.float.txt").read_bytes()
+        assert plain != (tmp_path / "once" / "trace.float.txt").read_bytes()
+
+    @pytest.mark.parametrize("entry", ["sweep", "run_pipeline"])
+    def test_signal_file_with_simulate_fails_before_any_stage(self, tmp_path, entry):
+        # a one-shot run fits the simulated signal; a split core run would read the file
+        run_pipeline(make_config(tmp_path, "sim"), stages=("simulate",))
+        text = config_text(str(tmp_path / "run")) + (
+            "\n[preprocess]\nsignal_file = sim/signal.npy\n"
+        )
+        config = PipelineConfig.from_string(text, base_dir=str(tmp_path))
+        message = (
+            r"^\[preprocess\] signal_file = sim/signal.npy is not read by a run with simulate$"
+        )
+        with pytest.raises(ValueError, match=message):
+            if entry == "sweep":
+                sweep(config, pairs=[(1000.0, 1e-5)])
+            else:
+                run_pipeline(config)
+        assert not (tmp_path / "run").exists()
+
+    def test_input_trace_with_core_fails_before_any_stage(self, tmp_path):
+        # a one-shot run deconvolves core's trace; a split deconvolve run would read the file
+        run_pipeline(make_config(tmp_path, "first"), stages=("simulate", "core"))
+        text = config_text(str(tmp_path / "run")) + (
+            "\n[deconvolve]\ninput_trace = first/trace\n"
+        )
+        config = PipelineConfig.from_string(text, base_dir=str(tmp_path))
+        message = r"^\[deconvolve\] input_trace = first/trace is not read by a run with core$"
+        with pytest.raises(ValueError, match=message):
+            run_pipeline(config, stages=("core", "deconvolve"))
+        assert not (tmp_path / "run").exists()
+        run_pipeline(config, stages=("deconvolve",))
+
+    @pytest.mark.parametrize("name", ["bogus", "preprocess"])
+    def test_stages_argument_names_are_checked(self, tmp_path, name):
+        message = rf"^unknown stage '{name}'; valid stages: \('simulate', 'core', 'deconvolve'\)$"
+        with pytest.raises(ValueError, match=message):
+            run_pipeline(make_config(tmp_path), stages=("simulate", name))
+        assert not (tmp_path / "run").exists()
+
+    def test_stages_argument_runs_in_pipeline_order(self, tmp_path):
+        result = run_pipeline(make_config(tmp_path), stages=("core", "simulate"))
+        assert list(result.timings) == ["simulate", "core"]
 
     def test_core_without_trajectory_fails_with_stage_tag(self, tmp_path):
         config = make_config(tmp_path, "broken")
