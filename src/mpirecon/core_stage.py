@@ -5,10 +5,11 @@ channel ``i`` observes ``sum_j I[A_ij](r_k) v_j(k)``.  Rows therefore
 decouple into independent least-squares problems, each regularized by
 the squared Laplacian and solved by conjugate gradients on the normal
 equations.  All rows share one normal matrix, assembled once per solve
-from banded blocks, so a CG iteration costs the same however many
-samples the scan has.  With a single available channel only that row
-is recovered (partial data), which is enough to deconvolve against the
-matching kernel entry downstream.
+as a single sparse matrix from banded Gram blocks, so a CG iteration is
+one sparse product whose cost does not grow with the number of samples.
+With a single available channel only that row is recovered (partial
+data), which is enough to deconvolve against the matching kernel entry
+downstream.
 """
 
 from __future__ import annotations
@@ -86,23 +87,24 @@ class CoreStageSolution:
     dropped_samples: int
 
 
-def _normal_blocks(grid, sample_matrix, velocities, gamma, reg, n_kept):
-    """Blocks ``N[j][k] = S^T diag(v_j v_k) S / L + [j == k] gamma R`` of
-    the normal matrix, with ``N[k][j]`` the same object as ``N[j][k]``.
-    With no kept sample the data term vanishes and only ``gamma R`` stays."""
+def _normal_matrix(grid, sample_matrix, velocities, gamma, reg, n_kept):
+    """The normal matrix ``N = [[G00 + gamma R, G01], [G01, G11 + gamma R]]``
+    as one CSR matrix, with ``Gjk = S^T diag(v_j v_k) S / L``.  Each block
+    is exactly symmetric and the off-diagonal block is used twice, so N is
+    exactly symmetric.  With no kept sample the data term vanishes and
+    only ``gamma R`` stays."""
+    import scipy.sparse as sp
+
     scale = 1.0 / max(n_kept, 1)
     reg = gamma * reg
-    blocks = [[None, None], [None, None]]
-    for j in range(2):
-        for k in range(j, 2):
-            block = stencil_gram(grid, sample_matrix, velocities[:, j] * velocities[:, k] * scale)
-            blocks[j][k] = blocks[k][j] = block + reg if j == k else block
-    return blocks
 
+    def gram(j, k):
+        return stencil_gram(grid, sample_matrix, velocities[:, j] * velocities[:, k] * scale)
 
-def _apply_normal(blocks, x):
-    xs = x.reshape(2, -1)
-    return np.concatenate([sum(block @ xk for block, xk in zip(row, xs)) for row in blocks])
+    off = gram(0, 1)
+    top = sp.hstack([gram(0, 0) + reg, off], format="csr")
+    bottom = sp.hstack([off, gram(1, 1) + reg], format="csr")
+    return sp.vstack([top, bottom], format="csr")
 
 
 def solve_core_stage(
@@ -117,7 +119,8 @@ def solve_core_stage(
 
     Positions and velocities are ``(L, 2)``; ``signal_values`` carries
     one column per entry of ``config.rows``.  Samples outside the grid
-    hull are dropped with a warning; the row solves run CG to
+    hull are dropped with a warning; non-finite positions, velocities or
+    signal values raise ``ValueError``.  The row solves run CG to
     ``cg_tolerance`` on the relative residual and report non-convergence
     without discarding the iterate.  With gamma = 0, raises
     ``ValueError`` when some pixel's 2 x 2 data block is
@@ -150,24 +153,38 @@ def solve_core_stage(
         raise ValueError(
             f"signal values must have shape (samples, {len(rows)}), got {signal_values.shape}"
         )
-    if not np.all(np.isfinite(velocities)):
-        raise ValueError("velocities must be finite")
+    for name, values in (
+        ("positions", positions),
+        ("velocities", velocities),
+        ("signal values", signal_values),
+    ):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{name} must be finite")
 
     inside = config.grid.contains(positions)
     n_kept = int(np.count_nonzero(inside))
     dropped = positions.shape[0] - n_kept
     if dropped:
         warnings.warn(f"dropped {dropped} samples outside the grid hull", stacklevel=2)
+        positions, velocities = positions[inside], velocities[inside]
+        signal_values = signal_values[inside]
 
     grid = config.grid
-    sample_matrix = interpolation_matrix(grid, positions[inside], scheme)
-    kept_v = velocities[inside]
-    kept_s = signal_values[inside]
-
+    sample_matrix = interpolation_matrix(grid, positions, scheme)
+    rhs = [
+        np.concatenate(
+            [sample_matrix.T @ (signal_values[:, idx] * velocities[:, j]) for j in range(2)]
+        )
+        / max(n_kept, 1)
+        for idx in range(len(rows))
+    ]
     lap = laplacian_matrix(grid.shape)
-    blocks = _normal_blocks(grid, sample_matrix, kept_v, config.gamma, lap.T @ lap, n_kept)
+    normal = _normal_matrix(grid, sample_matrix, velocities, config.gamma, lap.T @ lap, n_kept)
+    del sample_matrix  # CG needs only N
     if config.gamma == 0:
-        pixel_blocks = np.array([[blocks[j][k].diagonal() for k in range(2)] for j in range(2)])
+        n_pix = grid.n_pixels
+        diagonal, off = normal.diagonal(), normal.diagonal(n_pix)
+        pixel_blocks = np.array([[diagonal[:n_pix], off], [off, diagonal[n_pix:]]])
         eigenvalues = np.linalg.eigvalsh(np.moveaxis(pixel_blocks, -1, 0))
         singular = eigenvalues[:, 0] <= 1e-12 * eigenvalues[:, -1]
         if singular.any():
@@ -177,16 +194,10 @@ def solve_core_stage(
                 "too few directions) and gamma = 0"
             )
 
-    def operator(x):
-        return _apply_normal(blocks, x)
-
     entries = {}
     cg_records: dict[int, CgResult] = {}
-    for idx, row in enumerate(rows):
-        b = np.concatenate(
-            [sample_matrix.T @ (kept_s[:, idx] * kept_v[:, j]) for j in range(2)]
-        ) / max(n_kept, 1)
-        result = conjugate_gradient(operator, b, config.cg_tolerance, config.cg_max_iterations)
+    for row, b in zip(rows, rhs):
+        result = conjugate_gradient(normal.dot, b, config.cg_tolerance, config.cg_max_iterations)
         if not result.converged:
             warnings.warn(
                 f"core-stage CG for row {row} stopped at relative residual "

@@ -25,6 +25,10 @@ if TYPE_CHECKING:
 
 KINDS = ("cosine", "bilinear")
 
+# samples per pass of ``stencil_gram``: the block's four weight columns,
+# node indices and products (about 1 MB) fit in a core's L2 cache
+GRAM_BLOCK = 16_384
+
 
 @dataclasses.dataclass(frozen=True)
 class InterpolationScheme:
@@ -52,7 +56,8 @@ def _axis_cells(coords, origin, spacing, count, atol=1e-9):
     if np.any(g < -atol) or np.any(g > count - 1 + atol):
         raise ValueError("interpolation point outside the grid hull")
     g = np.clip(g, 0.0, count - 1)
-    cell = np.minimum(g.astype(int), count - 2)
+    # int32 node indices go into the CSR matrix without a downcast copy
+    cell = np.minimum(g.astype(np.int32), count - 2)
     return cell, g - cell
 
 
@@ -98,7 +103,7 @@ def interpolation_matrix(
 
     points = np.atleast_2d(np.asarray(points, dtype=float))
     indices, weights = interp_weights(grid, points, scheme)
-    indptr = np.arange(0, 4 * points.shape[0] + 1, 4)
+    indptr = np.arange(0, 4 * points.shape[0] + 1, 4, dtype=indices.dtype)
     return sp.csr_matrix(
         (weights.ravel(), indices.ravel(), indptr), shape=(points.shape[0], grid.n_pixels)
     )
@@ -111,9 +116,12 @@ def stencil_gram(
 
     Each row of S touches the nodes ``base + (0, 1, w, w + 1)``, so the
     product is banded with the nine diagonals 0, +-1, +-(w - 1), +-w and
-    +-(w + 1).  Each stencil pair ``a <= b`` adds one bincount to the
-    upper diagonal ``o_b - o_a``; the lower diagonals mirror the upper
-    ones, which makes the result exactly symmetric.
+    +-(w + 1).  Each stencil pair ``a <= b`` sums its weight products per
+    ``base`` node in sample order, as one bincount would, and adds the
+    sums to the upper diagonal ``o_b - o_a``; the lower diagonals mirror
+    the upper ones, which makes the result exactly symmetric.  Samples
+    are read in blocks of ``GRAM_BLOCK``, copied to contiguous buffers so
+    that the block's columns and products stay in cache.
     """
     import scipy.sparse as sp
 
@@ -121,17 +129,32 @@ def stencil_gram(
     n_pix = grid.n_pixels
     stencil = (0, 1, w, w + 1)
     weights = sample_matrix.data.reshape(-1, 4)
-    base = sample_matrix.indices[::4].astype(np.intp)
+    starts = sample_matrix.indices[::4]
+    n_samples = weights.shape[0]
+    size = min(GRAM_BLOCK, n_samples)
+    columns = np.empty((4, size))
+    base = np.empty(size, dtype=np.intp)
+    scaled = np.empty(size)
+    product = np.empty(size)
+    sums = {(a, b): np.zeros(n_pix) for a in range(4) for b in range(a, 4)}
+    for lo in range(0, n_samples, GRAM_BLOCK):
+        hi = min(lo + GRAM_BLOCK, n_samples)
+        m = hi - lo
+        np.copyto(columns[:, :m], weights[lo:hi].T)
+        np.copyto(base[:m], starts[lo:hi])
+        for a in range(4):
+            np.multiply(coefficients[lo:hi], columns[a, :m], out=scaled[:m])
+            for b in range(a, 4):
+                np.multiply(scaled[:m], columns[b, :m], out=product[:m])
+                # adds in sample order, so the sums carry bincount's bits
+                np.add.at(sums[a, b], base[:m], product[:m])
     upper: dict[int, np.ndarray] = {}
-    for a in range(4):
-        scaled = coefficients * weights[:, a]
-        for b in range(a, 4):
-            offset = stencil[b] - stencil[a]
-            # node base + stencil[a] is bin base shifted by stencil[a]
-            counts = np.bincount(base, weights=scaled * weights[:, b], minlength=n_pix)
-            band = np.zeros(n_pix - offset)
-            band[stencil[a]:] = counts[: n_pix - offset - stencil[a]]
-            upper[offset] = upper[offset] + band if offset in upper else band
+    for (a, b), counts in sums.items():
+        offset = stencil[b] - stencil[a]
+        # node base + stencil[a] is bin base shifted by stencil[a]
+        band = np.zeros(n_pix - offset)
+        band[stencil[a]:] = counts[: n_pix - offset - stencil[a]]
+        upper[offset] = upper[offset] + band if offset in upper else band
     offsets = [d for d in upper if d > 0]
     return sp.diags(
         [upper[0]] + [upper[d] for d in offsets] * 2,

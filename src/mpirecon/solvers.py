@@ -34,8 +34,9 @@ def conjugate_gradient(
     """Solve ``operator(x) = b`` by plain (unpreconditioned) CG from x = 0.
 
     ``operator`` must be a symmetric positive semidefinite callable.
-    Terminates when the relative residual norm drops to ``tolerance`` or
-    after ``max_iterations``; the iterate is returned either way.
+    Terminates when the relative residual norm drops to ``tolerance``, at
+    the first non-finite residual (reported as not converged) or after
+    ``max_iterations``; the iterate is returned either way.
     """
     b = np.asarray(b, dtype=float)
     b_norm = float(np.linalg.norm(b))
@@ -49,7 +50,7 @@ def conjugate_gradient(
     residuals = [np.sqrt(rr) / b_norm]
     iterations = 0
     for _ in range(max_iterations):
-        if residuals[-1] <= tolerance:
+        if residuals[-1] <= tolerance or not np.isfinite(residuals[-1]):
             break
         ap = operator(p)
         pap = float(p @ ap)

@@ -18,8 +18,7 @@ from grid_oracle import interpolate, interpolation_adjoint
 
 from mpirecon.core_stage import (
     CoreStageConfig,
-    _apply_normal,
-    _normal_blocks,
+    _normal_matrix,
     extract_trace,
     laplacian_matrix,
     solve_core_stage,
@@ -249,13 +248,13 @@ def test_criterion_03_adjoint_and_symmetry():
         lap = laplacian_matrix(grid.shape)
         reg = (lap.T @ lap).tocsr()
         gamma = 10.0 ** rng.uniform(-8, -2)
-        blocks = _normal_blocks(grid, mat, vel, gamma, reg, n_pts)
+        normal = _normal_matrix(grid, mat, vel, gamma, reg, n_pts)
         oracle = normal_operator(mat, vel, gamma=gamma, reg=reg, n_kept=n_pts)
         u = rng.normal(size=2 * h * w)
         v = rng.normal(size=2 * h * w)
-        nu = _apply_normal(blocks, u)
+        nu = normal @ u
         a = float(np.dot(nu, v))
-        b = float(np.dot(u, _apply_normal(blocks, v)))
+        b = float(np.dot(u, normal @ v))
         worst_symmetry = max(worst_symmetry, abs(a - b) / max(abs(a), abs(b), 1e-300))
         expected = oracle(u)
         worst_oracle = max(

@@ -8,8 +8,7 @@ from grid_oracle import laplacian_apply
 
 from mpirecon.core_stage import (
     CoreStageConfig,
-    _apply_normal,
-    _normal_blocks,
+    _normal_matrix,
     extract_trace,
     laplacian_matrix,
     solve_core_stage,
@@ -119,9 +118,9 @@ def random_normal_instance(rng, scheme, n_samples):
     lap = laplacian_matrix(grid.shape)
     reg = (lap.T @ lap).tocsr()
     gamma = 10.0 ** rng.uniform(-8, -2)
-    blocks = _normal_blocks(grid, mat, vel, gamma, reg, n_samples)
+    normal = _normal_matrix(grid, mat, vel, gamma, reg, n_samples)
     oracle = normal_operator(mat, vel, gamma=gamma, reg=reg, n_kept=n_samples)
-    return grid, blocks, oracle
+    return grid, normal, oracle
 
 
 def oracle_solve(signal_values, positions, velocities, config, scheme):
@@ -145,12 +144,12 @@ class TestNormalOperatorSymmetry:
         rng = np.random.default_rng(1)
         for i in range(200):
             scheme = InterpolationScheme(("cosine", "bilinear")[i % 2])
-            grid, blocks, oracle = random_normal_instance(rng, scheme, int(rng.integers(1, 40)))
+            grid, normal, oracle = random_normal_instance(rng, scheme, int(rng.integers(1, 40)))
             u = rng.normal(size=2 * grid.n_pixels)
             v = rng.normal(size=2 * grid.n_pixels)
-            nu = _apply_normal(blocks, u)
+            nu = normal @ u
             lhs = float(np.dot(nu, v))
-            rhs = float(np.dot(u, _apply_normal(blocks, v)))
+            rhs = float(np.dot(u, normal @ v))
             scale = max(abs(lhs), abs(rhs), 1e-300)
             assert abs(lhs - rhs) / scale < 1e-10
             expected = oracle(u)
@@ -158,11 +157,8 @@ class TestNormalOperatorSymmetry:
 
     def test_blocks_exactly_symmetric(self):
         rng = np.random.default_rng(2)
-        _, blocks, _ = random_normal_instance(rng, InterpolationScheme(), 30)
-        assert blocks[1][0] is blocks[0][1]
-        for row in blocks:
-            for block in row:
-                assert (block != block.T).nnz == 0
+        _, normal, _ = random_normal_instance(rng, InterpolationScheme(), 30)
+        assert (normal != normal.T).nnz == 0
 
     def test_no_kept_samples_leaves_regularizer(self):
         grid = GridGeometry(shape=(5, 6), spacing=(1.0, 1.0), origin=(0.0, 0.0))
@@ -170,13 +166,11 @@ class TestNormalOperatorSymmetry:
         vel = np.zeros((0, 2))
         lap = laplacian_matrix(grid.shape)
         reg = (lap.T @ lap).tocsr()
-        blocks = _normal_blocks(grid, mat, vel, 1e-3, reg, 0)
+        normal = _normal_matrix(grid, mat, vel, 1e-3, reg, 0)
         oracle = normal_operator(mat, vel, gamma=1e-3, reg=reg, n_kept=0)
         u = np.random.default_rng(3).normal(size=2 * grid.n_pixels)
         expected = oracle(u)
-        assert np.linalg.norm(_apply_normal(blocks, u) - expected) <= 1e-12 * np.linalg.norm(
-            expected
-        )
+        assert np.linalg.norm(normal @ u - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 class TestAssembledMatchesOracleSolve:
@@ -295,6 +289,41 @@ class TestSolveCoreStage:
         with pytest.warns(UserWarning, match="dropped 1 samples"):
             sol = solve_core_stage(np.ones((2, 2)), positions, velocities, cfg)
         assert sol.dropped_samples == 1
+
+    def test_out_of_hull_sample_leaves_the_kept_solve_unchanged(self):
+        grid = GridGeometry(shape=(6, 6), spacing=(1.0, 1.0), origin=(0.0, 0.0))
+        cfg = CoreStageConfig(grid=grid, gamma=1e-3)
+        rng = np.random.default_rng(4)
+        positions = rng.uniform(0.0, 5.0, size=(200, 2))
+        velocities = rng.normal(size=(200, 2))
+        values = rng.normal(size=(200, 2))
+        kept = solve_core_stage(values, positions, velocities, cfg)
+        with pytest.warns(UserWarning, match="dropped 1 samples"):
+            sol = solve_core_stage(
+                np.insert(values, 80, [5.0, -5.0], axis=0),
+                np.insert(positions, 80, [7.0, 2.0], axis=0),
+                np.insert(velocities, 80, [1.0, 1.0], axis=0),
+                cfg,
+            )
+        assert kept.dropped_samples == 0 and sol.dropped_samples == 1
+        for key, entry in kept.field.entries.items():
+            assert sol.field.entry(*key).tobytes() == entry.tobytes(), key
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_position_rejected(self, bad):
+        grid = GridGeometry(shape=(8, 8), spacing=(1.0, 1.0), origin=(0.0, 0.0))
+        positions = np.full((3, 2), 2.5)
+        positions[1, 0] = bad
+        with pytest.raises(ValueError, match="^positions must be finite$"):
+            solve_core_stage(np.ones((3, 2)), positions, np.ones((3, 2)), CoreStageConfig(grid))
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_signal_rejected(self, bad):
+        grid = GridGeometry(shape=(8, 8), spacing=(1.0, 1.0), origin=(0.0, 0.0))
+        values = np.ones((3, 2))
+        values[2, 1] = bad
+        with pytest.raises(ValueError, match="^signal values must be finite$"):
+            solve_core_stage(values, np.full((3, 2), 2.5), np.eye(3, 2), CoreStageConfig(grid))
 
     def test_no_samples_without_regularization_rejected(self):
         grid = GridGeometry(shape=(5, 5), spacing=(1.0, 1.0), origin=(0.0, 0.0))

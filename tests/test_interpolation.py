@@ -5,6 +5,7 @@ import pytest
 from core_oracle import stencil_gram_bands
 from grid_oracle import interpolate, interpolation_adjoint
 
+from mpirecon import interpolation
 from mpirecon.geometry import GridGeometry
 from mpirecon.interpolation import (
     InterpolationScheme,
@@ -140,6 +141,22 @@ class TestMatrix:
                         rng.uniform(grid.origin[1], y_end, n)], axis=-1)
         pts[: min(n, 2)] = [[x_end, y_end], [grid.origin[0], grid.origin[1]]][: min(n, 2)]
         coefficients = rng.normal(size=n) * rng.normal(size=n)
+        mat = interpolation_matrix(grid, pts, scheme)
+        gram = stencil_gram(grid, mat, coefficients)
+        for offset, band in stencil_gram_bands(grid, mat, coefficients).items():
+            assert gram.diagonal(offset).tobytes() == band.tobytes(), offset
+            assert gram.diagonal(-offset).tobytes() == band.tobytes(), -offset
+
+    @pytest.mark.parametrize("scheme", [COSINE, BILINEAR])
+    def test_stencil_gram_sums_across_blocks_in_sample_order(self, scheme, monkeypatch):
+        # six full blocks of 7 samples and a remainder of 5 on a 3 x 4 grid,
+        # so every node collects samples from several blocks
+        monkeypatch.setattr(interpolation, "GRAM_BLOCK", 7)
+        grid = GridGeometry(shape=(3, 4), spacing=(1.0, 1.0), origin=(0.0, 0.0))
+        rng = np.random.default_rng(9)
+        pts = np.stack([rng.uniform(0, 3, 47), rng.uniform(0, 2, 47)], axis=-1)
+        pts[:2] = [[3.0, 2.0], [0.0, 0.0]]
+        coefficients = rng.normal(size=47) * rng.normal(size=47)
         mat = interpolation_matrix(grid, pts, scheme)
         gram = stencil_gram(grid, mat, coefficients)
         for offset, band in stencil_gram_bands(grid, mat, coefficients).items():

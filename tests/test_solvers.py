@@ -41,3 +41,24 @@ class TestConjugateGradient:
         assert not result.converged
         assert result.iterations == 2
         assert result.final_residual > 1e-14
+
+    def test_non_finite_residual_stops_unconverged(self):
+        rng = np.random.default_rng(3)
+        a = random_spd(rng, 10)
+        calls = []
+
+        def operator(x):
+            calls.append(1)
+            return a @ x if len(calls) < 3 else np.full_like(x, np.nan)
+
+        result = conjugate_gradient(operator, rng.normal(size=10), 1e-14, 10_000)
+        assert not result.converged
+        assert result.iterations == len(calls) == 3
+        assert np.isnan(result.final_residual)
+
+    def test_non_finite_rhs_stops_before_the_first_iteration(self):
+        b = np.ones(4)
+        b[2] = np.nan
+        result = conjugate_gradient(lambda x: x, b, tolerance=1e-3, max_iterations=10_000)
+        assert not result.converged
+        assert result.iterations == 0
