@@ -5,8 +5,9 @@ channel ``i`` observes ``sum_j I[A_ij](r_k) v_j(k)``.  Rows therefore
 decouple into independent least-squares problems, each regularized by
 the squared Laplacian and solved by conjugate gradients on the normal
 equations.  All rows share one normal matrix, assembled once per solve
-as a single sparse matrix from banded Gram blocks, so a CG iteration is
-one sparse product whose cost does not grow with the number of samples.
+and stored by its diagonals, which are written straight from the banded
+Gram blocks; a CG iteration is one sparse product that reads no column
+indices and whose cost does not grow with the number of samples.
 With a single available channel only that row is recovered (partial
 data), which is enough to deconvolve against the matching kernel entry
 downstream.
@@ -29,26 +30,28 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 
-def _second_difference(n: int) -> sp.csr_matrix:
-    """1D second difference with replicate (Neumann) boundary."""
-    import scipy.sparse as sp
-
+def _second_difference_diagonal(n: int) -> np.ndarray:
+    """Main diagonal of the 1D second difference with replicate (Neumann)
+    boundary; its off-diagonals are ones."""
     main = np.full(n, -2.0)
     main[0] = main[-1] = -1.0
-    off = np.ones(n - 1)
-    return sp.diags([off, main, off], offsets=(-1, 0, 1), format="csr")
+    return main
 
 
-def laplacian_matrix(shape: tuple) -> sp.csr_matrix:
+def laplacian_matrix(shape: tuple) -> sp.dia_matrix:
     """5-point Laplacian in pixel units on raveled row-major images,
-    replicate boundary."""
+    replicate boundary, stored by its five diagonals."""
     h, w = shape
     if h < 3 or w < 3:
         raise ValueError(f"Laplacian needs a grid of at least 3 x 3, got {shape}")
     import scipy.sparse as sp
 
-    return sp.kron(sp.eye(h), _second_difference(w)) + sp.kron(
-        _second_difference(h), sp.eye(w)
+    main = np.add.outer(_second_difference_diagonal(h), _second_difference_diagonal(w))
+    across = np.ones(h * w - 1)
+    across[w - 1 :: w] = 0.0  # no x neighbour across an image row's end
+    vertical = np.ones(h * w - w)
+    return sp.diags(
+        [vertical, across, main.ravel(), across, vertical], (-w, -1, 0, 1, w), format="dia"
     )
 
 
@@ -89,22 +92,43 @@ class CoreStageSolution:
 
 def _normal_matrix(grid, sample_matrix, velocities, gamma, reg, n_kept):
     """The normal matrix ``N = [[G00 + gamma R, G01], [G01, G11 + gamma R]]``
-    as one CSR matrix, with ``Gjk = S^T diag(v_j v_k) S / L``.  Each block
-    is exactly symmetric and the off-diagonal block is used twice, so N is
-    exactly symmetric.  With no kept sample the data term vanishes and
-    only ``gamma R`` stays."""
+    stored by its diagonals, with ``Gjk = S^T diag(v_j v_k) S / L``.
+
+    Band ``d`` of ``Gjj + gamma R`` is N's diagonal ``d`` (G00 in the
+    first ``n_pix`` columns, G11 in the rest); band ``d`` of G01 is N's
+    diagonals ``d + n_pix`` and ``d - n_pix``.  Offsets that coincide on
+    small grids share one stored row, on disjoint columns.  Offsets
+    ascend, so each row of ``N @ x`` sums in column order, as CSR does.
+    Each block is exactly symmetric and G01 is used twice, so N is
+    exactly symmetric.  With no kept sample only ``gamma R`` stays."""
     import scipy.sparse as sp
 
+    n_pix = grid.n_pixels
     scale = 1.0 / max(n_kept, 1)
-    reg = gamma * reg
 
     def gram(j, k):
         return stencil_gram(grid, sample_matrix, velocities[:, j] * velocities[:, k] * scale)
 
-    off = gram(0, 1)
-    top = sp.hstack([gram(0, 0) + reg, off], format="csr")
-    bottom = sp.hstack([off, gram(1, 1) + reg], format="csr")
-    return sp.vstack([top, bottom], format="csr")
+    g00, g11, g01 = gram(0, 0), gram(1, 1), gram(0, 1)
+    reg = gamma * sp.dia_matrix(reg)
+    left, right = slice(0, n_pix), slice(n_pix, 2 * n_pix)
+    # (band source, shift from its offset to N's, columns of N it fills)
+    parts = [
+        (g00, 0, left),
+        (reg, 0, left),
+        (g11, 0, right),
+        (reg, 0, right),
+        (g01, n_pix, right),
+        (g01, -n_pix, left),
+    ]
+    offsets = np.unique(np.concatenate([m.offsets + shift for m, shift, _ in parts]))
+    row = {d: k for k, d in enumerate(offsets.tolist())}
+    data = np.zeros((len(offsets), 2 * n_pix))
+    # a band's zero padding adds nothing to a band that shares its row
+    for matrix, shift, columns in parts:
+        for d, values in zip(matrix.offsets.tolist(), matrix.data):
+            data[row[d + shift], columns][: len(values)] += values
+    return sp.dia_matrix((data, offsets), shape=(2 * n_pix, 2 * n_pix))
 
 
 def solve_core_stage(

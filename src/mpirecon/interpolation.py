@@ -25,8 +25,9 @@ if TYPE_CHECKING:
 
 KINDS = ("cosine", "bilinear")
 
-# samples per pass of ``stencil_gram``: the block's four weight columns,
-# node indices and products (about 1 MB) fit in a core's L2 cache
+# samples per pass of ``interp_weights`` and ``stencil_gram``: the block's
+# four weight columns, node indices and products (about 1 MB) fit in a
+# core's L2 cache
 GRAM_BLOCK = 16_384
 
 
@@ -56,7 +57,6 @@ def _axis_cells(coords, origin, spacing, count, atol=1e-9):
     if np.any(g < -atol) or np.any(g > count - 1 + atol):
         raise ValueError("interpolation point outside the grid hull")
     g = np.clip(g, 0.0, count - 1)
-    # int32 node indices go into the CSR matrix without a downcast copy
     cell = np.minimum(g.astype(np.int32), count - 2)
     return cell, g - cell
 
@@ -66,26 +66,33 @@ def interp_weights(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Flat node indices (L, 4) and weights (L, 4) for points (L, 2).
 
-    Weight columns follow node order (y0x0, y0x1, y1x0, y1x1).
+    Weight columns follow node order (y0x0, y0x1, y1x0, y1x1).  Points
+    are taken in blocks of ``GRAM_BLOCK`` so that each block's
+    temporaries stay in cache; every step is elementwise, so the blocks
+    do not change a bit of the result.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     h, w = grid.shape
     if h < 2 or w < 2:
         raise ValueError("interpolation needs at least 2 nodes per axis")
-    ix, fx = _axis_cells(points[:, 0], grid.origin[0], grid.spacing[0], w)
-    iy, fy = _axis_cells(points[:, 1], grid.origin[1], grid.spacing[1], h)
-    wx = _ramp(fx, scheme.kind)
-    wy = _ramp(fy, scheme.kind)
-    vx, vy = 1 - wx, 1 - wy
-    weights = np.empty((len(points), 4))
-    np.multiply(vy, vx, out=weights[:, 0])
-    np.multiply(vy, wx, out=weights[:, 1])
-    np.multiply(wy, vx, out=weights[:, 2])
-    np.multiply(wy, wx, out=weights[:, 3])
-    base = iy * w + ix
-    indices = np.empty((len(points), 4), dtype=base.dtype)
-    for col, offset in enumerate((0, 1, w, w + 1)):
-        np.add(base, offset, out=indices[:, col])
+    n_points = points.shape[0]
+    # int32 node indices go into the CSR matrix without a downcast copy
+    indices = np.empty((n_points, 4), dtype=np.int32)
+    weights = np.empty((n_points, 4))
+    for lo in range(0, n_points, GRAM_BLOCK):
+        block = slice(lo, min(lo + GRAM_BLOCK, n_points))
+        ix, fx = _axis_cells(points[block, 0], grid.origin[0], grid.spacing[0], w)
+        iy, fy = _axis_cells(points[block, 1], grid.origin[1], grid.spacing[1], h)
+        wx = _ramp(fx, scheme.kind)
+        wy = _ramp(fy, scheme.kind)
+        vx, vy = 1 - wx, 1 - wy
+        np.multiply(vy, vx, out=weights[block, 0])
+        np.multiply(vy, wx, out=weights[block, 1])
+        np.multiply(wy, vx, out=weights[block, 2])
+        np.multiply(wy, wx, out=weights[block, 3])
+        base = iy * w + ix
+        for col, offset in enumerate((0, 1, w, w + 1)):
+            np.add(base, offset, out=indices[block, col])
     return indices, weights
 
 
@@ -111,8 +118,9 @@ def interpolation_matrix(
 
 def stencil_gram(
     grid: GridGeometry, sample_matrix: sp.csr_matrix, coefficients: np.ndarray
-) -> sp.csr_matrix:
-    """``S^T diag(coefficients) S`` for ``S = interpolation_matrix(grid, ...)``.
+) -> sp.dia_matrix:
+    """``S^T diag(coefficients) S`` for ``S = interpolation_matrix(grid, ...)``,
+    stored by its diagonals.
 
     Each row of S touches the nodes ``base + (0, 1, w, w + 1)``, so the
     product is banded with the nine diagonals 0, +-1, +-(w - 1), +-w and
@@ -160,6 +168,6 @@ def stencil_gram(
         [upper[0]] + [upper[d] for d in offsets] * 2,
         [0] + offsets + [-d for d in offsets],
         shape=(n_pix, n_pix),
-        format="csr",
+        format="dia",
         dtype=float,
     )

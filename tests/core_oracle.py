@@ -5,10 +5,13 @@ gamma R x_j`` sample by sample, straight from the least-squares misfit,
 so it shares no assembly code with the banded normal matrix the library
 builds.  ``stencil_gram_bands`` is the straightforward per-stencil-pair
 bincount of the banded Gram product; the library's ``stencil_gram`` must
-match it bit for bit.
+match it bit for bit.  ``normal_matrix_csr`` stacks those bands into the
+CSR normal matrix block by block; the library's diagonal-stored normal
+matrix must equal it entry for entry and apply it bit for bit.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 
 def stencil_gram_bands(grid, sample_matrix, coefficients):
@@ -29,6 +32,30 @@ def stencil_gram_bands(grid, sample_matrix, coefficients):
             band = band[: n_pix - offset]
             upper[offset] = upper[offset] + band if offset in upper else band
     return upper
+
+
+def normal_matrix_csr(grid, sample_matrix, velocities, gamma, reg, n_kept):
+    """``[[G00 + gamma R, G01], [G01, G11 + gamma R]]`` as one CSR matrix,
+    stacked with ``hstack``/``vstack`` from ``stencil_gram_bands``."""
+    n_pix = grid.n_pixels
+    scale = 1.0 / max(n_kept, 1)
+    reg = gamma * sp.csr_matrix(reg)
+
+    def gram(j, k):
+        upper = stencil_gram_bands(grid, sample_matrix, velocities[:, j] * velocities[:, k] * scale)
+        offsets = [d for d in upper if d > 0]
+        return sp.diags(
+            [upper[0]] + [upper[d] for d in offsets] * 2,
+            [0] + offsets + [-d for d in offsets],
+            shape=(n_pix, n_pix),
+            format="csr",
+            dtype=float,
+        )
+
+    off = gram(0, 1)
+    top = sp.hstack([gram(0, 0) + reg, off], format="csr")
+    bottom = sp.hstack([off, gram(1, 1) + reg], format="csr")
+    return sp.vstack([top, bottom], format="csr")
 
 
 def normal_operator(sample_matrix, velocities, gamma, reg, n_kept):

@@ -13,7 +13,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from core_oracle import normal_operator
+from core_oracle import normal_matrix_csr, normal_operator
 from grid_oracle import interpolate, interpolation_adjoint
 
 from mpirecon.core_stage import (
@@ -229,6 +229,7 @@ def test_criterion_03_adjoint_and_symmetry():
     worst_adjoint = 0.0
     worst_symmetry = 0.0
     worst_oracle = 0.0
+    unequal_csr = 0
     for _ in range(100):
         h = int(rng.integers(3, 9))
         w = int(rng.integers(3, 9))
@@ -250,6 +251,8 @@ def test_criterion_03_adjoint_and_symmetry():
         gamma = 10.0 ** rng.uniform(-8, -2)
         normal = _normal_matrix(grid, mat, vel, gamma, reg, n_pts)
         oracle = normal_operator(mat, vel, gamma=gamma, reg=reg, n_kept=n_pts)
+        csr = normal_matrix_csr(grid, mat, vel, gamma, reg, n_pts)
+        unequal_csr += not np.array_equal(normal.toarray(), csr.toarray())
         u = rng.normal(size=2 * h * w)
         v = rng.normal(size=2 * h * w)
         nu = normal @ u
@@ -263,6 +266,7 @@ def test_criterion_03_adjoint_and_symmetry():
     crit.check(worst_adjoint < 1e-10, f"adjoint dot-product error {worst_adjoint:.2e}")
     crit.check(worst_symmetry < 1e-10, f"normal operator asymmetry {worst_symmetry:.2e}")
     crit.check(worst_oracle <= 1e-12, f"assembled vs matrix-free operator {worst_oracle:.2e}")
+    crit.check(unequal_csr == 0, f"{unequal_csr} of 100 normal matrices differ from the CSR oracle")
     crit.conclude(
         f"adjoint {worst_adjoint:.1e}, symmetry {worst_symmetry:.1e}, oracle {worst_oracle:.1e}"
     )

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from core_oracle import normal_operator
+from core_oracle import normal_matrix_csr, normal_operator
 from grid_oracle import laplacian_apply
 
 from mpirecon.core_stage import (
@@ -171,6 +171,106 @@ class TestNormalOperatorSymmetry:
         u = np.random.default_rng(3).normal(size=2 * grid.n_pixels)
         expected = oracle(u)
         assert np.linalg.norm(normal @ u - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def oracle_instance(seed, shape, kind, gamma, n_samples):
+    """A random normal system on ``shape``: its grid, the library's
+    diagonal-stored N and the CSR oracle N."""
+    rng = np.random.default_rng(seed)
+    h, w = shape
+    grid = GridGeometry(shape=shape, spacing=(1.0, 1.0), origin=(0.0, 0.0))
+    pts = np.stack(
+        [rng.uniform(0, w - 1, n_samples), rng.uniform(0, h - 1, n_samples)], axis=-1
+    )
+    pts[: n_samples // 4, 0] = w - 1
+    vel = rng.normal(size=(n_samples, 2))
+    mat = interpolation_matrix(grid, pts, InterpolationScheme(kind))
+    lap = laplacian_matrix(shape)
+    reg = lap.T @ lap
+    normal = _normal_matrix(grid, mat, vel, gamma, reg, n_samples)
+    oracle = normal_matrix_csr(grid, mat, vel, gamma, reg, n_samples)
+    return grid, normal, oracle
+
+
+# with height 3 the cross offset n_pix - w equals the block offset 2w (6 on
+# 3 x 3, 16 on 3 x 8), so two bands share one stored diagonal
+ORACLE_CASES = [
+    (seed, shape, kind, gamma, n_samples)
+    for seed, (shape, gamma, n_samples) in enumerate(
+        [
+            ((3, 3), 1e-3, 30),
+            ((3, 3), 0.0, 30),
+            ((3, 3), 1e-3, 0),
+            ((3, 8), 1e-5, 17),
+            ((8, 3), 1e-2, 40),
+            ((4, 6), 0.0, 60),
+            ((7, 5), 1e-4, 0),
+            ((8, 8), 1e-7, 200),
+            ((6, 6), 1e-3, 1),
+        ]
+    )
+    for kind in ("cosine", "bilinear")
+]
+
+
+class TestNormalMatrixMatchesCsrOracle:
+    @pytest.mark.parametrize("seed, shape, kind, gamma, n_samples", ORACLE_CASES)
+    def test_entries_equal(self, seed, shape, kind, gamma, n_samples):
+        grid, normal, oracle = oracle_instance(seed, shape, kind, gamma, n_samples)
+        assert normal.format == "dia"
+        assert np.all(np.diff(normal.offsets) > 0)
+        assert normal.shape == oracle.shape == (2 * grid.n_pixels,) * 2
+        assert np.array_equal(normal.toarray(), oracle.toarray())
+
+    @pytest.mark.parametrize("seed, shape, kind, gamma, n_samples", ORACLE_CASES)
+    def test_product_bit_equal(self, seed, shape, kind, gamma, n_samples):
+        grid, normal, oracle = oracle_instance(seed, shape, kind, gamma, n_samples)
+        x = np.random.default_rng(seed).normal(size=2 * grid.n_pixels)
+        assert (normal @ x).tobytes() == (oracle @ x).tobytes()
+
+    def test_three_by_three_shares_a_stored_diagonal(self):
+        _, normal, _ = oracle_instance(0, (3, 3), "cosine", 1e-3, 30)
+        # block offsets 0, 1, 2, 3, 4, 6 and cross offsets 5 ... 13, each with
+        # its mirror: 6 is both 2w and n_pix - w
+        assert len(normal.offsets) == 27
+        assert 6 in normal.offsets and -6 in normal.offsets
+
+    @pytest.mark.parametrize("shape", [(3, 3), (5, 7)])
+    def test_pixel_blocks_read_from_the_diagonals(self, shape):
+        grid, normal, oracle = oracle_instance(3, shape, "cosine", 0.0, 50)
+        n_pix = grid.n_pixels
+        for k in (0, n_pix, -n_pix):
+            assert normal.diagonal(k).tobytes() == oracle.diagonal(k).tobytes(), k
+
+    @pytest.mark.parametrize("rows", [(0, 1), (1,)])
+    def test_cg_bit_equal(self, rows):
+        grid = GridGeometry(shape=(9, 11), spacing=(1.0, 1.0), origin=(0.0, 0.0))
+        rng = np.random.default_rng(5)
+        positions = rng.uniform(0.0, 8.0, size=(900, 2))
+        velocities = rng.normal(size=(900, 2))
+        values = rng.normal(size=(900, len(rows)))
+        cfg = CoreStageConfig(grid=grid, gamma=1e-4, cg_tolerance=1e-8, rows=rows)
+        sol = solve_core_stage(values, positions, velocities, cfg)
+        mat = interpolation_matrix(grid, positions, InterpolationScheme())
+        lap = laplacian_matrix(grid.shape)
+        oracle = normal_matrix_csr(grid, mat, velocities, cfg.gamma, lap.T @ lap, 900)
+        for idx, row in enumerate(rows):
+            b = np.concatenate(
+                [mat.T @ (values[:, idx] * velocities[:, j]) for j in range(2)]
+            ) / 900
+            want = conjugate_gradient(oracle.dot, b, cfg.cg_tolerance, cfg.cg_max_iterations)
+            got = sol.cg[row]
+            assert got.iterations == want.iterations > 10
+            assert got.residuals == want.residuals
+            assert got.x.tobytes() == want.x.tobytes()
+
+    def test_singular_check_reads_the_diagonals(self):
+        # the unvisited-pixel rejection of TestSolveCoreStage, on a 3 x 3
+        # grid where a cross offset shares a stored diagonal with a block one
+        grid = GridGeometry(shape=(3, 3), spacing=(1.0, 1.0), origin=(0.0, 0.0))
+        args = (np.ones((2, 2)), np.full((2, 2), 0.5), np.eye(2))
+        with pytest.raises(ValueError, match="singular: 5 of 9 pixels"):
+            solve_core_stage(*args, CoreStageConfig(grid=grid, gamma=0.0))
 
 
 class TestAssembledMatchesOracleSolve:

@@ -58,6 +58,23 @@ class TestInterpolate:
         with pytest.raises(ValueError):
             interpolate(field, (GRID.origin[0] - 0.1, GRID.origin[1]), GRID, COSINE)
 
+    @pytest.mark.parametrize("scheme", [COSINE, BILINEAR])
+    def test_weights_in_blocks_are_bit_equal_to_one_pass(self, scheme, monkeypatch):
+        # 47 points: six blocks of 7 and a remainder of 5, hull corners included
+        rng = np.random.default_rng(10)
+        pts = random_points(rng, 47)
+        x_end = GRID.origin[0] + GRID.spacing[0] * (GRID.shape[1] - 1)
+        y_end = GRID.origin[1] + GRID.spacing[1] * (GRID.shape[0] - 1)
+        pts[[0, 20, 46]] = [[x_end, y_end], [GRID.origin[0], y_end], [x_end, GRID.origin[1]]]
+        whole = interp_weights(GRID, pts, scheme)
+        monkeypatch.setattr(interpolation, "GRAM_BLOCK", 7)
+        blocked = interp_weights(GRID, pts, scheme)
+        for a, b in zip(whole, blocked):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        pts[40, 1] = y_end + 0.1  # in the last full block
+        with pytest.raises(ValueError, match="^interpolation point outside the grid hull$"):
+            interp_weights(GRID, pts, scheme)
+
     def test_hull_edge_ok(self):
         field = np.ones(GRID.shape)
         edge = (
