@@ -4,13 +4,16 @@ Each matrix row of the core operator couples to one signal channel:
 channel ``i`` observes ``sum_j I[A_ij](r_k) v_j(k)``.  Rows therefore
 decouple into independent least-squares problems, each regularized by
 the squared Laplacian and solved by conjugate gradients on the normal
-equations.  All rows share one normal matrix, assembled once per solve
-and stored by its diagonals, which are written straight from the banded
-Gram blocks; a CG iteration is one sparse product that reads no column
-indices and whose cost does not grow with the number of samples.
-With a single available channel only that row is recovered (partial
-data), which is enough to deconvolve against the matching kernel entry
-downstream.
+equations.  The normal equations are streamed: one pass over blocks of
+samples adds each block's share of the banded Gram blocks and of every
+row's right-hand side, so the solve holds no per-sample array beyond its
+inputs and a one-byte hull mask, and its memory is O(pixels + block).
+All rows share one normal matrix, stored by its diagonals, which are
+written straight from the Gram bands; a CG iteration is one sparse
+product that reads no column indices and whose cost does not grow with
+the number of samples.  With a single available channel only that row
+is recovered (partial data), which is enough to deconvolve against the
+matching kernel entry downstream.
 """
 
 from __future__ import annotations
@@ -21,9 +24,16 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import interpolation
 from .forward import CoreOperatorField
 from .geometry import GridGeometry
-from .interpolation import InterpolationScheme, interpolation_matrix, stencil_gram
+from .interpolation import (
+    InterpolationScheme,
+    add_stencil_products,
+    csr_from_weights,
+    interp_weights,
+    stencil_gram,
+)
 from .solvers import CgResult, conjugate_gradient
 
 if TYPE_CHECKING:
@@ -90,9 +100,80 @@ class CoreStageSolution:
     dropped_samples: int
 
 
-def _normal_matrix(grid, sample_matrix, velocities, gamma, reg, n_kept):
+# the velocity pairs (j, k) of the Gram blocks Gjk; G10 is G01
+PAIRS = ((0, 0), (1, 1), (0, 1))
+
+
+def _kept_blocks(inside, size):
+    """Consecutive sample slices that each hold ``size`` kept samples (the
+    last may hold fewer), so the blocks of kept samples do not depend on
+    where dropped ones fall.  The mask is read ``size`` entries at a time."""
+    lo = hi = 0
+    need = size
+    while hi < len(inside):
+        window = inside[hi : hi + size]
+        kept = np.count_nonzero(window)
+        if kept < need:
+            need -= kept
+            hi += len(window)
+            continue
+        # the block ends at the window's need-th kept sample
+        if kept == len(window):
+            hi += need
+        else:
+            hi += int(np.searchsorted(np.cumsum(window), need)) + 1
+        yield slice(lo, hi)
+        lo, need = hi, size
+    if need < size:
+        yield slice(lo, hi)
+
+
+def _normal_equations(grid, positions, velocities, signal_values, inside, scheme):
+    """Gram blocks ``Gjk = S^T diag(v_j v_k) S / L`` (by ``PAIRS``) and,
+    per signal column ``s_i``, the right-hand side ``[S^T (s_i v_0),
+    S^T (s_i v_1)] / L``, from one pass over the samples where ``inside``
+    holds; S samples the grid at the L kept positions.
+
+    Kept samples are taken in blocks of ``GRAM_BLOCK``, so dropping a
+    sample gives the bits of never having it.  Each block computes
+    its interpolation weights, its ``v_j v_k / L`` coefficients and its
+    ``s_i v_j`` columns, adds its stencil products into the Gram sums in
+    sample order, so the bands carry the bits of one bincount over all
+    samples, and adds its right-hand sides as one product ``S_b^T Y_b``
+    with the block's own sampling matrix.  Those block sums are added in
+    block order, so with more than one block the right-hand sides differ
+    from the one transposed product ``S^T (s_i v_j)`` by rounding.
+    """
+    n_pix = grid.n_pixels
+    divisor = max(int(np.count_nonzero(inside)), 1)
+    scale = 1.0 / divisor
+    sums = np.zeros((len(PAIRS), 10, n_pix))
+    rhs = np.zeros((n_pix, signal_values.shape[1], 2))
+    for block in _kept_blocks(inside, interpolation.GRAM_BLOCK):
+        keep = inside[block]
+        points, vel, sig = positions[block], velocities[block], signal_values[block]
+        if not keep.all():  # copies only the blocks that hold dropped samples
+            points, vel, sig = (values.compress(keep, axis=0) for values in (points, vel, sig))
+        indices, weights = interp_weights(grid, points, scheme)
+        m = vel.shape[0]
+        coefficients = np.empty((len(PAIRS), m))
+        for c, (j, k) in zip(coefficients, PAIRS):
+            np.multiply(vel[:, j], vel[:, k], out=c)
+            c *= scale
+        add_stencil_products(sums, indices, weights, coefficients)
+        y = np.empty((m, sig.shape[1], 2))  # y[:, i, j] = s_i v_j
+        for i in range(sig.shape[1]):
+            for j in range(2):
+                np.multiply(sig[:, i], vel[:, j], out=y[:, i, j])
+        sampled = csr_from_weights(indices, weights, n_pix)
+        rhs += (sampled.T @ y.reshape(m, rhs[0].size)).reshape(rhs.shape)
+    grams = {pair: stencil_gram(grid, pair_sums) for pair, pair_sums in zip(PAIRS, sums)}
+    return grams, [rhs[:, idx].T.ravel() / divisor for idx in range(rhs.shape[1])]
+
+
+def _normal_matrix(grid, grams, gamma, reg):
     """The normal matrix ``N = [[G00 + gamma R, G01], [G01, G11 + gamma R]]``
-    stored by its diagonals, with ``Gjk = S^T diag(v_j v_k) S / L``.
+    stored by its diagonals, from the Gram blocks of ``_normal_equations``.
 
     Band ``d`` of ``Gjj + gamma R`` is N's diagonal ``d`` (G00 in the
     first ``n_pix`` columns, G11 in the rest); band ``d`` of G01 is N's
@@ -104,12 +185,7 @@ def _normal_matrix(grid, sample_matrix, velocities, gamma, reg, n_kept):
     import scipy.sparse as sp
 
     n_pix = grid.n_pixels
-    scale = 1.0 / max(n_kept, 1)
-
-    def gram(j, k):
-        return stencil_gram(grid, sample_matrix, velocities[:, j] * velocities[:, k] * scale)
-
-    g00, g11, g01 = gram(0, 0), gram(1, 1), gram(0, 1)
+    g00, g11, g01 = (grams[pair] for pair in PAIRS)
     reg = gamma * sp.dia_matrix(reg)
     left, right = slice(0, n_pix), slice(n_pix, 2 * n_pix)
     # (band source, shift from its offset to N's, columns of N it fills)
@@ -140,6 +216,11 @@ def solve_core_stage(
 ) -> CoreStageSolution:
     """Minimize the per-sample misfit ``|s_k - I[A](r_k) v_k|^2`` (mean
     over samples) plus ``gamma ||Laplacian A||^2`` entry-wise, row by row.
+
+    The normal equations of all rows come from one blocked pass over the
+    samples (``_normal_equations``); no sample matrix and no per-sample
+    weight array is formed, so beyond its inputs and a one-byte hull mask
+    per sample the solve holds O(pixels + ``GRAM_BLOCK``) memory.
 
     Positions and velocities are ``(L, 2)``; ``signal_values`` carries
     one column per entry of ``config.rows``.  Samples outside the grid
@@ -185,26 +266,16 @@ def solve_core_stage(
         if not np.all(np.isfinite(values)):
             raise ValueError(f"{name} must be finite")
 
-    inside = config.grid.contains(positions)
-    n_kept = int(np.count_nonzero(inside))
-    dropped = positions.shape[0] - n_kept
+    grid = config.grid
+    inside = grid.contains(positions)
+    dropped = positions.shape[0] - int(np.count_nonzero(inside))
     if dropped:
         warnings.warn(f"dropped {dropped} samples outside the grid hull", stacklevel=2)
-        positions, velocities = positions[inside], velocities[inside]
-        signal_values = signal_values[inside]
 
-    grid = config.grid
-    sample_matrix = interpolation_matrix(grid, positions, scheme)
-    rhs = [
-        np.concatenate(
-            [sample_matrix.T @ (signal_values[:, idx] * velocities[:, j]) for j in range(2)]
-        )
-        / max(n_kept, 1)
-        for idx in range(len(rows))
-    ]
+    grams, rhs = _normal_equations(grid, positions, velocities, signal_values, inside, scheme)
     lap = laplacian_matrix(grid.shape)
-    normal = _normal_matrix(grid, sample_matrix, velocities, config.gamma, lap.T @ lap, n_kept)
-    del sample_matrix  # CG needs only N
+    normal = _normal_matrix(grid, grams, config.gamma, lap.T @ lap)
+    del grams  # CG needs only N
     if config.gamma == 0:
         n_pix = grid.n_pixels
         diagonal, off = normal.diagonal(), normal.diagonal(n_pix)

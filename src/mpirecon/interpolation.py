@@ -1,9 +1,14 @@
-"""Separable grid interpolation as a sparse sampling matrix.
+"""Separable grid interpolation: per-point node weights, the sparse
+sampling matrix and the banded Gram products of that matrix.
 
 Sampling a grid image at off-grid scan positions is the forward leg of
 the core-stage data term; the matrix transpose scatters sample residuals
 back to the bracketing grid nodes with the same weights, which makes the
-normal matrix exactly symmetric.
+normal matrix exactly symmetric.  The core stage never forms the matrix
+for all samples: it takes ``interp_weights`` block by block, adds each
+block to the Gram sums with ``add_stencil_products`` and scatters its
+right-hand sides through the block's own ``csr_from_weights`` matrix.
+``interpolation_matrix`` serves the forward simulation.
 
 The default per-axis weight is the cosine ramp ``(1 - cos(pi a)) / 2``
 for fractional offset ``a`` in [0, 1]: smooth, exact at the nodes,
@@ -25,9 +30,9 @@ if TYPE_CHECKING:
 
 KINDS = ("cosine", "bilinear")
 
-# samples per pass of ``interp_weights`` and ``stencil_gram``: the block's
-# four weight columns, node indices and products (about 1 MB) fit in a
-# core's L2 cache
+# samples per pass of ``interp_weights`` and of the core stage's normal
+# equations: the block's four weight columns, node indices and products
+# (about 1 MB) fit in a core's L2 cache
 GRAM_BLOCK = 16_384
 
 
@@ -96,78 +101,78 @@ def interp_weights(
     return indices, weights
 
 
+def csr_from_weights(indices: np.ndarray, weights: np.ndarray, n_pixels: int) -> sp.csr_matrix:
+    """Sparse (L x n_pixels) matrix whose row k stores the four weights of
+    ``interp_weights`` row k at its node indices, in that node order."""
+    import scipy.sparse as sp
+
+    indptr = np.arange(0, 4 * indices.shape[0] + 1, 4, dtype=indices.dtype)
+    return sp.csr_matrix(
+        (weights.ravel(), indices.ravel(), indptr), shape=(indices.shape[0], n_pixels)
+    )
+
+
 def interpolation_matrix(
     grid: GridGeometry, points: np.ndarray, scheme: InterpolationScheme
 ) -> sp.csr_matrix:
     """Sparse (L x n_pixels) matrix that samples a raveled grid image at
     the points; its transpose scatters sample values back to the nodes
-    with the same weights, which is the exact adjoint.
+    with the same weights, which is the exact adjoint."""
+    return csr_from_weights(*interp_weights(grid, points, scheme), grid.n_pixels)
 
-    Row k stores exactly the four weights of point k, in the node order
-    of ``interp_weights``; ``stencil_gram`` relies on this layout.
+
+def add_stencil_products(
+    sums: np.ndarray, indices: np.ndarray, weights: np.ndarray, coefficients: np.ndarray
+) -> None:
+    """Add one block of samples to the sums ``stencil_gram`` places.
+
+    ``indices`` and ``weights`` are the block's ``interp_weights``
+    (m, 4), ``coefficients`` is (P, m) and ``sums`` (P, 10, n_pixels).
+    For each coefficient row ``c`` and stencil pair ``a <= b`` (in the
+    order (0, 0), (0, 1), ..., (3, 3)), ``c w_a w_b`` is added at each
+    sample's first node.  ``np.add.at`` adds in sample order, so blocks
+    added in sample order give the bits of one bincount over all samples.
     """
-    import scipy.sparse as sp
+    base = indices[:, 0].astype(np.intp)
+    columns = weights.T.copy()  # contiguous weight columns stay in cache
+    scaled = np.empty(base.shape)
+    product = np.empty(base.shape)
+    for pair_sums, c in zip(sums, coefficients):
+        pair = 0
+        for a in range(4):
+            np.multiply(c, columns[a], out=scaled)
+            for b in range(a, 4):
+                np.multiply(scaled, columns[b], out=product)
+                np.add.at(pair_sums[pair], base, product)
+                pair += 1
 
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    indices, weights = interp_weights(grid, points, scheme)
-    indptr = np.arange(0, 4 * points.shape[0] + 1, 4, dtype=indices.dtype)
-    return sp.csr_matrix(
-        (weights.ravel(), indices.ravel(), indptr), shape=(points.shape[0], grid.n_pixels)
-    )
 
-
-def stencil_gram(
-    grid: GridGeometry, sample_matrix: sp.csr_matrix, coefficients: np.ndarray
-) -> sp.dia_matrix:
-    """``S^T diag(coefficients) S`` for ``S = interpolation_matrix(grid, ...)``,
-    stored by its diagonals.
+def stencil_gram(grid: GridGeometry, sums: np.ndarray) -> sp.dia_matrix:
+    """``S^T diag(c) S`` for ``S = interpolation_matrix(grid, ...)``, stored
+    by its diagonals, from the (10, n_pixels) stencil-pair sums that
+    ``add_stencil_products`` collected for ``c``.
 
     Each row of S touches the nodes ``base + (0, 1, w, w + 1)``, so the
     product is banded with the nine diagonals 0, +-1, +-(w - 1), +-w and
-    +-(w + 1).  Each stencil pair ``a <= b`` sums its weight products per
-    ``base`` node in sample order, as one bincount would, and adds the
-    sums to the upper diagonal ``o_b - o_a``; the lower diagonals mirror
-    the upper ones, which makes the result exactly symmetric.  Samples
-    are read in blocks of ``GRAM_BLOCK``, copied to contiguous buffers so
-    that the block's columns and products stay in cache.
+    +-(w + 1).  The sum of pair ``a <= b`` at node ``base`` is the entry
+    ``(base + o_a, base + o_b)``, so it goes to diagonal ``o_b - o_a``
+    and, mirrored, to ``o_a - o_b``; pairs sharing a diagonal are added
+    in pair order.  The result is exactly symmetric.
     """
     import scipy.sparse as sp
 
     w = grid.shape[1]
     n_pix = grid.n_pixels
     stencil = (0, 1, w, w + 1)
-    weights = sample_matrix.data.reshape(-1, 4)
-    starts = sample_matrix.indices[::4]
-    n_samples = weights.shape[0]
-    size = min(GRAM_BLOCK, n_samples)
-    columns = np.empty((4, size))
-    base = np.empty(size, dtype=np.intp)
-    scaled = np.empty(size)
-    product = np.empty(size)
-    sums = {(a, b): np.zeros(n_pix) for a in range(4) for b in range(a, 4)}
-    for lo in range(0, n_samples, GRAM_BLOCK):
-        hi = min(lo + GRAM_BLOCK, n_samples)
-        m = hi - lo
-        np.copyto(columns[:, :m], weights[lo:hi].T)
-        np.copyto(base[:m], starts[lo:hi])
-        for a in range(4):
-            np.multiply(coefficients[lo:hi], columns[a, :m], out=scaled[:m])
-            for b in range(a, 4):
-                np.multiply(scaled[:m], columns[b, :m], out=product[:m])
-                # adds in sample order, so the sums carry bincount's bits
-                np.add.at(sums[a, b], base[:m], product[:m])
-    upper: dict[int, np.ndarray] = {}
-    for (a, b), counts in sums.items():
+    pairs = [(a, b) for a in range(4) for b in range(a, 4)]
+    rows: dict[int, np.ndarray] = {}
+    for (a, b), counts in zip(pairs, sums):
         offset = stencil[b] - stencil[a]
-        # node base + stencil[a] is bin base shifted by stencil[a]
-        band = np.zeros(n_pix - offset)
-        band[stencil[a]:] = counts[: n_pix - offset - stencil[a]]
-        upper[offset] = upper[offset] + band if offset in upper else band
-    offsets = [d for d in upper if d > 0]
-    return sp.diags(
-        [upper[0]] + [upper[d] for d in offsets] * 2,
-        [0] + offsets + [-d for d in offsets],
-        shape=(n_pix, n_pix),
-        format="dia",
-        dtype=float,
-    )
+        n_base = n_pix - stencil[b]  # first nodes whose node base + o_b is on the grid
+        # a stored diagonal is indexed by column: the entry's column is
+        # base + o_b above the main diagonal and base + o_a below it
+        for d, first in {offset: stencil[b], -offset: stencil[a]}.items():
+            if d not in rows:
+                rows[d] = np.zeros(n_pix)
+            rows[d][first : first + n_base] += counts[:n_base]
+    return sp.dia_matrix((np.array(list(rows.values())), list(rows)), shape=(n_pix, n_pix))

@@ -1,13 +1,19 @@
 """Core-stage solve: Laplacian regularizer, normal equations, round trips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from core_oracle import normal_matrix_csr, normal_operator
+from core_oracle import normal_matrix_csr, normal_operator, stencil_gram_bands
 from grid_oracle import laplacian_apply
 
+from mpirecon import interpolation
 from mpirecon.core_stage import (
+    PAIRS,
     CoreStageConfig,
+    _kept_blocks,
+    _normal_equations,
     _normal_matrix,
     extract_trace,
     laplacian_matrix,
@@ -102,6 +108,13 @@ class TestLaplacian:
         assert np.allclose(laplacian_via_matrix(field), laplacian_apply(field), rtol=1e-14)
 
 
+def assembled_normal(grid, pts, vel, gamma, reg, scheme):
+    """The library's diagonal-stored N for samples that are all kept."""
+    n = len(pts)
+    grams, _ = _normal_equations(grid, pts, vel, np.zeros((n, 1)), np.ones(n, bool), scheme)
+    return _normal_matrix(grid, grams, gamma, reg)
+
+
 def random_normal_instance(rng, scheme, n_samples):
     """Random grid, samples (some on the far hull edges, in clamped
     cells) and velocities, with the assembled and the oracle operator."""
@@ -118,7 +131,7 @@ def random_normal_instance(rng, scheme, n_samples):
     lap = laplacian_matrix(grid.shape)
     reg = (lap.T @ lap).tocsr()
     gamma = 10.0 ** rng.uniform(-8, -2)
-    normal = _normal_matrix(grid, mat, vel, gamma, reg, n_samples)
+    normal = assembled_normal(grid, pts, vel, gamma, reg, scheme)
     oracle = normal_operator(mat, vel, gamma=gamma, reg=reg, n_kept=n_samples)
     return grid, normal, oracle
 
@@ -166,7 +179,7 @@ class TestNormalOperatorSymmetry:
         vel = np.zeros((0, 2))
         lap = laplacian_matrix(grid.shape)
         reg = (lap.T @ lap).tocsr()
-        normal = _normal_matrix(grid, mat, vel, 1e-3, reg, 0)
+        normal = assembled_normal(grid, np.zeros((0, 2)), vel, 1e-3, reg, InterpolationScheme())
         oracle = normal_operator(mat, vel, gamma=1e-3, reg=reg, n_kept=0)
         u = np.random.default_rng(3).normal(size=2 * grid.n_pixels)
         expected = oracle(u)
@@ -184,10 +197,11 @@ def oracle_instance(seed, shape, kind, gamma, n_samples):
     )
     pts[: n_samples // 4, 0] = w - 1
     vel = rng.normal(size=(n_samples, 2))
-    mat = interpolation_matrix(grid, pts, InterpolationScheme(kind))
+    scheme = InterpolationScheme(kind)
+    mat = interpolation_matrix(grid, pts, scheme)
     lap = laplacian_matrix(shape)
     reg = lap.T @ lap
-    normal = _normal_matrix(grid, mat, vel, gamma, reg, n_samples)
+    normal = assembled_normal(grid, pts, vel, gamma, reg, scheme)
     oracle = normal_matrix_csr(grid, mat, vel, gamma, reg, n_samples)
     return grid, normal, oracle
 
@@ -271,6 +285,130 @@ class TestNormalMatrixMatchesCsrOracle:
         args = (np.ones((2, 2)), np.full((2, 2), 0.5), np.eye(2))
         with pytest.raises(ValueError, match="singular: 5 of 9 pixels"):
             solve_core_stage(*args, CoreStageConfig(grid=grid, gamma=0.0))
+
+
+# the streamed right-hand sides add their blocks' sums in block order, one
+# transposed product adds sample by sample: they agree to rounding
+RHS_TOLERANCE = 1e-14
+
+
+def streamed_instance(seed, kind, n_samples, n_columns):
+    """Random samples on a 5 x 6 grid (a quarter on the far x edge, in
+    clamped cells), their oracle sampling matrix and the streamed normal
+    equations."""
+    rng = np.random.default_rng(seed)
+    grid = GridGeometry(shape=(5, 6), spacing=(1.0, 1.0), origin=(0.0, 0.0))
+    pts = np.stack([rng.uniform(0, 5, n_samples), rng.uniform(0, 4, n_samples)], axis=-1)
+    pts[: n_samples // 4, 0] = 5.0
+    vel = rng.normal(size=(n_samples, 2))
+    values = rng.normal(size=(n_samples, n_columns))
+    scheme = InterpolationScheme(kind)
+    grams, rhs = _normal_equations(grid, pts, vel, values, np.ones(n_samples, bool), scheme)
+    mat = interpolation_matrix(grid, pts, scheme)
+    return grid, pts, vel, values, mat, grams, rhs
+
+
+def transposed_product_rhs(mat, values, vel, idx):
+    """``[S^T (s_idx v_0), S^T (s_idx v_1)] / L`` as two full products."""
+    stacked = np.concatenate([mat.T @ (values[:, idx] * vel[:, j]) for j in range(2)])
+    return stacked / max(len(vel), 1)
+
+
+# in blocks of 7, no sample makes no block, one sample one block, 47 samples
+# seven blocks (the last of 5) and 300 samples 43
+STREAMED_CASES = [(n, kind) for n in (0, 1, 47, 300) for kind in ("cosine", "bilinear")]
+
+
+class TestStreamedNormalEquations:
+    @pytest.mark.parametrize("n_samples, kind", STREAMED_CASES)
+    def test_gram_bands_bit_equal_to_the_per_pair_bincount(self, monkeypatch, n_samples, kind):
+        monkeypatch.setattr(interpolation, "GRAM_BLOCK", 7)
+        grid, _, vel, _, mat, grams, _ = streamed_instance(n_samples, kind, n_samples, 2)
+        scale = 1.0 / max(n_samples, 1)
+        for j, k in PAIRS:
+            upper = stencil_gram_bands(grid, mat, vel[:, j] * vel[:, k] * scale)
+            for offset, band in upper.items():
+                assert grams[j, k].diagonal(offset).tobytes() == band.tobytes(), (j, k, offset)
+                assert grams[j, k].diagonal(-offset).tobytes() == band.tobytes(), (j, k, -offset)
+
+    @pytest.mark.parametrize("n_samples, kind", STREAMED_CASES)
+    def test_normal_matrix_equals_the_csr_oracle(self, monkeypatch, n_samples, kind):
+        monkeypatch.setattr(interpolation, "GRAM_BLOCK", 7)
+        grid, _, vel, _, mat, grams, _ = streamed_instance(n_samples, kind, n_samples, 2)
+        lap = laplacian_matrix(grid.shape)
+        normal = _normal_matrix(grid, grams, 1e-3, lap.T @ lap)
+        oracle = normal_matrix_csr(grid, mat, vel, 1e-3, lap.T @ lap, n_samples)
+        assert np.array_equal(normal.toarray(), oracle.toarray())
+
+    @pytest.mark.parametrize("rows", [(0, 1), (1,), (1, 0)])
+    @pytest.mark.parametrize("n_samples, kind", STREAMED_CASES)
+    def test_right_hand_sides_match_the_transposed_product(
+        self, monkeypatch, n_samples, kind, rows
+    ):
+        monkeypatch.setattr(interpolation, "GRAM_BLOCK", 7)
+        _, _, vel, values, mat, _, rhs = streamed_instance(n_samples, kind, n_samples, len(rows))
+        assert len(rhs) == len(rows)
+        for idx in range(len(rows)):
+            want = transposed_product_rhs(mat, values, vel, idx)
+            assert np.linalg.norm(rhs[idx] - want) <= RHS_TOLERANCE * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("kind", ["cosine", "bilinear"])
+    def test_one_block_right_hand_sides_bit_equal_to_the_transposed_product(self, kind):
+        _, _, vel, values, mat, _, rhs = streamed_instance(9, kind, 300, 2)
+        for idx in range(2):
+            assert rhs[idx].tobytes() == transposed_product_rhs(mat, values, vel, idx).tobytes()
+
+    @pytest.mark.parametrize("rows", [(0, 1), (1,), (1, 0)])
+    def test_each_row_solves_its_signal_column(self, monkeypatch, rows):
+        monkeypatch.setattr(interpolation, "GRAM_BLOCK", 7)
+        grid, pts, vel, values, _, grams, rhs = streamed_instance(3, "cosine", 300, len(rows))
+        cfg = CoreStageConfig(grid=grid, gamma=1e-3, cg_tolerance=1e-8, rows=rows)
+        sol = solve_core_stage(values, pts, vel, cfg)
+        lap = laplacian_matrix(grid.shape)
+        normal = _normal_matrix(grid, grams, cfg.gamma, lap.T @ lap)
+        # the columns in row order, solved as rows (0, 1) or (1,)
+        ordered = CoreStageConfig(grid=grid, gamma=1e-3, cg_tolerance=1e-8, rows=tuple(sorted(rows)))
+        in_order = solve_core_stage(values[:, np.argsort(rows)], pts, vel, ordered)
+        for idx, row in enumerate(rows):
+            want = conjugate_gradient(normal.dot, rhs[idx], cfg.cg_tolerance, cfg.cg_max_iterations)
+            assert sol.cg[row].x.tobytes() == want.x.tobytes(), row
+            assert in_order.cg[row].x.tobytes() == want.x.tobytes(), row
+
+    def test_kept_blocks_split_the_kept_samples_in_order(self):
+        rng = np.random.default_rng(8)
+        for _ in range(500):
+            inside = rng.random(int(rng.integers(0, 80))) < rng.choice([0.0, 0.1, 0.5, 0.9, 1.0])
+            size = int(rng.integers(1, 10))
+            blocks = list(_kept_blocks(inside, size))
+            kept = np.flatnonzero(inside)
+            assert len(blocks) == -(-len(kept) // size)
+            for k, block in enumerate(blocks):
+                assert block.start == (blocks[k - 1].stop if k else 0)
+                got = np.flatnonzero(inside[block]) + block.start
+                assert np.array_equal(got, kept[k * size : (k + 1) * size])
+
+    def test_peak_memory_does_not_grow_with_the_samples(self):
+        # a warm-up solve first, so that the lazy scipy imports are not counted
+        block = interpolation.GRAM_BLOCK
+        grid = GridGeometry(shape=(20, 20), spacing=(1.0, 1.0), origin=(0.0, 0.0))
+        cfg = CoreStageConfig(grid=grid, gamma=1e-3)
+        rng = np.random.default_rng(7)
+
+        def inputs(n):
+            return rng.normal(size=(n, 2)), rng.uniform(0, 19, (n, 2)), rng.normal(size=(n, 2))
+
+        solve_core_stage(*inputs(100), cfg)
+        peaks = []
+        for n in (2 * block, 16 * block):
+            args = inputs(n)
+            tracemalloc.start()
+            try:
+                solve_core_stage(*args, cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        per_sample = (peaks[1] - peaks[0]) / (14 * block)
+        assert per_sample < 4.0, f"peak grows by {per_sample:.1f} bytes per added sample"
 
 
 class TestAssembledMatchesOracleSolve:
@@ -406,6 +544,33 @@ class TestSolveCoreStage:
                 cfg,
             )
         assert kept.dropped_samples == 0 and sol.dropped_samples == 1
+        for key, entry in kept.field.entries.items():
+            assert sol.field.entry(*key).tobytes() == entry.tobytes(), key
+
+    def test_out_of_hull_samples_across_blocks_leave_the_kept_solve_unchanged(
+        self, monkeypatch
+    ):
+        # 13 dropped samples interleaved through 15 blocks of 7 kept ones
+        monkeypatch.setattr(interpolation, "GRAM_BLOCK", 7)
+        grid = GridGeometry(shape=(6, 6), spacing=(1.0, 1.0), origin=(0.0, 0.0))
+        cfg = CoreStageConfig(grid=grid, gamma=1e-3)
+        rng = np.random.default_rng(6)
+        positions = rng.uniform(0.0, 5.0, size=(100, 2))
+        velocities = rng.normal(size=(100, 2))
+        values = rng.normal(size=(100, 2))
+        kept = solve_core_stage(values, positions, velocities, cfg)
+        at = np.sort(rng.choice(101, size=13))
+        outside = rng.uniform(5.5, 9.0, size=(13, 2)) * rng.choice([-1.0, 1.0], size=(13, 1))
+        with pytest.warns(UserWarning, match="^dropped 13 samples outside the grid hull$"):
+            sol = solve_core_stage(
+                np.insert(values, at, rng.normal(size=(13, 2)), axis=0),
+                np.insert(positions, at, outside, axis=0),
+                np.insert(velocities, at, rng.normal(size=(13, 2)), axis=0),
+                cfg,
+            )
+        assert kept.dropped_samples == 0 and sol.dropped_samples == 13
+        for row in (0, 1):
+            assert sol.cg[row].residuals == kept.cg[row].residuals, row
         for key, entry in kept.field.entries.items():
             assert sol.field.entry(*key).tobytes() == entry.tobytes(), key
 

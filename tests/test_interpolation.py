@@ -9,6 +9,7 @@ from mpirecon import interpolation
 from mpirecon.geometry import GridGeometry
 from mpirecon.interpolation import (
     InterpolationScheme,
+    add_stencil_products,
     interp_weights,
     interpolation_matrix,
     stencil_gram,
@@ -17,6 +18,17 @@ from mpirecon.interpolation import (
 GRID = GridGeometry(shape=(9, 11), spacing=(0.5, 0.25), origin=(-1.0, -2.0))
 COSINE = InterpolationScheme("cosine")
 BILINEAR = InterpolationScheme("bilinear")
+
+
+def blocked_gram(grid, pts, coefficients, scheme):
+    """``stencil_gram`` of the stencil products added in blocks of
+    ``GRAM_BLOCK``, in sample order, as the core stage adds them."""
+    sums = np.zeros((1, 10, grid.n_pixels))
+    for lo in range(0, len(pts), interpolation.GRAM_BLOCK):
+        block = slice(lo, lo + interpolation.GRAM_BLOCK)
+        indices, weights = interp_weights(grid, pts[block], scheme)
+        add_stencil_products(sums, indices, weights, coefficients[None, block])
+    return stencil_gram(grid, sums[0])
 
 
 def random_points(rng, n):
@@ -137,7 +149,7 @@ class TestMatrix:
         pts[:3] = [[x_end, y_end], [GRID.origin[0], y_end], [x_end, GRID.origin[1]]]
         coefficients = rng.normal(size=200)
         mat = interpolation_matrix(GRID, pts, scheme)
-        gram = stencil_gram(GRID, mat, coefficients)
+        gram = blocked_gram(GRID, pts, coefficients, scheme)
         dense = mat.T.toarray() @ (coefficients[:, None] * mat.toarray())
         assert np.allclose(gram.toarray(), dense, rtol=0, atol=1e-13 * np.abs(dense).max())
         assert (gram != gram.T).nnz == 0
@@ -159,7 +171,7 @@ class TestMatrix:
         pts[: min(n, 2)] = [[x_end, y_end], [grid.origin[0], grid.origin[1]]][: min(n, 2)]
         coefficients = rng.normal(size=n) * rng.normal(size=n)
         mat = interpolation_matrix(grid, pts, scheme)
-        gram = stencil_gram(grid, mat, coefficients)
+        gram = blocked_gram(grid, pts, coefficients, scheme)
         for offset, band in stencil_gram_bands(grid, mat, coefficients).items():
             assert gram.diagonal(offset).tobytes() == band.tobytes(), offset
             assert gram.diagonal(-offset).tobytes() == band.tobytes(), -offset
@@ -175,7 +187,7 @@ class TestMatrix:
         pts[:2] = [[3.0, 2.0], [0.0, 0.0]]
         coefficients = rng.normal(size=47) * rng.normal(size=47)
         mat = interpolation_matrix(grid, pts, scheme)
-        gram = stencil_gram(grid, mat, coefficients)
+        gram = blocked_gram(grid, pts, coefficients, scheme)
         for offset, band in stencil_gram_bands(grid, mat, coefficients).items():
             assert gram.diagonal(offset).tobytes() == band.tobytes(), offset
             assert gram.diagonal(-offset).tobytes() == band.tobytes(), -offset

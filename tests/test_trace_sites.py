@@ -23,9 +23,10 @@ def test_no_traced_site_is_absent(monkeypatch):
     assert spans.absent_names(workloads.trace_sites(mpirecon)) == set()
 
 
-def test_traced_core_solve_records_interpolation_and_cg_per_row(monkeypatch):
-    # a site that still exists but is no longer called records nothing, and
-    # its per-layer metric would read 0
+def test_traced_core_solve_builds_no_sample_matrix_and_records_cg_per_row(monkeypatch):
+    # the solve streams its normal equations, so the interpolation-matrix
+    # site (kept for the forward simulation) records nothing here, while
+    # every row's CG still records one span
     monkeypatch.syspath_prepend(BENCH)
     import spans
     import workloads
@@ -44,7 +45,7 @@ def test_traced_core_solve_records_interpolation_and_cg_per_row(monkeypatch):
                 rng.normal(size=(200, len(rows))), positions, velocities, config
             )
             names = [span.name for span in tracer.spans]
-            assert names.count("interpolation.interpolation_matrix") == 1, rows
+            assert names.count("interpolation.interpolation_matrix") == 0, rows
             assert names.count("core_stage.cg") == len(rows), rows
     finally:
         tracer.uninstall()
