@@ -5,15 +5,15 @@ channel ``i`` observes ``sum_j I[A_ij](r_k) v_j(k)``.  Rows therefore
 decouple into independent least-squares problems, each regularized by
 the squared Laplacian and solved by conjugate gradients on the normal
 equations.  The normal equations are streamed: one pass over blocks of
-samples adds each block's share of the banded Gram blocks and of every
-row's right-hand side, so the solve holds no per-sample array beyond its
-inputs and a one-byte hull mask, and its memory is O(pixels + block).
-All rows share one normal matrix, stored by its diagonals, which are
-written straight from the Gram bands; a CG iteration is one sparse
-product that reads no column indices and whose cost does not grow with
-the number of samples.  With a single available channel only that row
-is recovered (partial data), which is enough to deconvolve against the
-matching kernel entry downstream.
+samples adds each block's share of the stencil-pair sums of the Gram
+blocks and of every row's right-hand side, so the solve holds no
+per-sample array beyond its inputs and a one-byte hull mask, and its
+memory is O(pixels + block).  All rows share one normal matrix, stored
+by its diagonals, which are written straight from those sums; a CG
+iteration is one sparse product that reads no column indices and whose
+cost does not grow with the number of samples.  With a single available
+channel only that row is recovered (partial data), which is enough to
+deconvolve against the matching kernel entry downstream.
 """
 
 from __future__ import annotations
@@ -27,13 +27,7 @@ import numpy as np
 from . import interpolation
 from .forward import CoreOperatorField
 from .geometry import GridGeometry
-from .interpolation import (
-    InterpolationScheme,
-    add_stencil_products,
-    csr_from_weights,
-    interp_weights,
-    stencil_gram,
-)
+from .interpolation import InterpolationScheme, csr_from_weights, interp_weights
 from .solvers import CgResult, conjugate_gradient
 
 if TYPE_CHECKING:
@@ -102,6 +96,8 @@ class CoreStageSolution:
 
 # the velocity pairs (j, k) of the Gram blocks Gjk; G10 is G01
 PAIRS = ((0, 0), (1, 1), (0, 1))
+# the stencil pairs a <= b of a sample's four nodes base + (0, 1, w, w + 1)
+STENCIL_PAIRS = tuple((a, b) for a in range(4) for b in range(a, 4))
 
 
 def _kept_blocks(inside, size):
@@ -128,17 +124,41 @@ def _kept_blocks(inside, size):
         yield slice(lo, hi)
 
 
+def _add_stencil_products(sums, indices, weights, coefficients):
+    """Add one block of samples to the stencil-pair sums ``_normal_matrix``
+    places.
+
+    ``indices`` and ``weights`` are the block's ``interp_weights``
+    (m, 4), ``coefficients`` is (P, m) and ``sums`` (P, 10, n_pixels).
+    For each coefficient row ``c`` and stencil pair ``(a, b)`` of
+    ``STENCIL_PAIRS``, ``c w_a w_b`` is added at each sample's first node.
+    ``np.add.at`` adds in sample order, so blocks added in sample order
+    give the bits of one bincount over all samples.
+    """
+    base = indices[:, 0].astype(np.intp)
+    columns = weights.T.copy()  # contiguous weight columns stay in cache
+    scaled = np.empty(base.shape)
+    product = np.empty(base.shape)
+    for pair_sums, c in zip(sums, coefficients):
+        for counts, (a, b) in zip(pair_sums, STENCIL_PAIRS):
+            if a == b:  # each a's pairs start with (a, a)
+                np.multiply(c, columns[a], out=scaled)
+            np.multiply(scaled, columns[b], out=product)
+            np.add.at(counts, base, product)
+
+
 def _normal_equations(grid, positions, velocities, signal_values, inside, scheme):
-    """Gram blocks ``Gjk = S^T diag(v_j v_k) S / L`` (by ``PAIRS``) and,
-    per signal column ``s_i``, the right-hand side ``[S^T (s_i v_0),
-    S^T (s_i v_1)] / L``, from one pass over the samples where ``inside``
-    holds; S samples the grid at the L kept positions.
+    """Stencil-pair sums of the Gram blocks ``Gjk = S^T diag(v_j v_k) S / L``
+    (one ``(10, n_pixels)`` array per pair of ``PAIRS``) and, per signal
+    column ``s_i``, the right-hand side ``[S^T (s_i v_0), S^T (s_i v_1)]
+    / L``, from one pass over the samples where ``inside`` holds; S
+    samples the grid at the L kept positions.
 
     Kept samples are taken in blocks of ``GRAM_BLOCK``, so dropping a
     sample gives the bits of never having it.  Each block computes
     its interpolation weights, its ``v_j v_k / L`` coefficients and its
-    ``s_i v_j`` columns, adds its stencil products into the Gram sums in
-    sample order, so the bands carry the bits of one bincount over all
+    ``s_i v_j`` columns, adds its stencil products into the sums in
+    sample order, so they carry the bits of one bincount over all
     samples, and adds its right-hand sides as one product ``S_b^T Y_b``
     with the block's own sampling matrix.  Those block sums are added in
     block order, so with more than one block the right-hand sides differ
@@ -147,7 +167,7 @@ def _normal_equations(grid, positions, velocities, signal_values, inside, scheme
     n_pix = grid.n_pixels
     divisor = max(int(np.count_nonzero(inside)), 1)
     scale = 1.0 / divisor
-    sums = np.zeros((len(PAIRS), 10, n_pix))
+    sums = np.zeros((len(PAIRS), len(STENCIL_PAIRS), n_pix))
     rhs = np.zeros((n_pix, signal_values.shape[1], 2))
     for block in _kept_blocks(inside, interpolation.GRAM_BLOCK):
         keep = inside[block]
@@ -160,50 +180,58 @@ def _normal_equations(grid, positions, velocities, signal_values, inside, scheme
         for c, (j, k) in zip(coefficients, PAIRS):
             np.multiply(vel[:, j], vel[:, k], out=c)
             c *= scale
-        add_stencil_products(sums, indices, weights, coefficients)
+        _add_stencil_products(sums, indices, weights, coefficients)
         y = np.empty((m, sig.shape[1], 2))  # y[:, i, j] = s_i v_j
         for i in range(sig.shape[1]):
             for j in range(2):
                 np.multiply(sig[:, i], vel[:, j], out=y[:, i, j])
         sampled = csr_from_weights(indices, weights, n_pix)
         rhs += (sampled.T @ y.reshape(m, rhs[0].size)).reshape(rhs.shape)
-    grams = {pair: stencil_gram(grid, pair_sums) for pair, pair_sums in zip(PAIRS, sums)}
-    return grams, [rhs[:, idx].T.ravel() / divisor for idx in range(rhs.shape[1])]
+    return sums, [rhs[:, idx].T.ravel() / divisor for idx in range(rhs.shape[1])]
 
 
-def _normal_matrix(grid, grams, gamma, reg):
+def _normal_matrix(grid, sums, gamma):
     """The normal matrix ``N = [[G00 + gamma R, G01], [G01, G11 + gamma R]]``
-    stored by its diagonals, from the Gram blocks of ``_normal_equations``.
+    with ``R = L^T L`` (L from ``laplacian_matrix``), stored by its
+    diagonals and written straight from the stencil-pair sums of
+    ``_normal_equations``.
 
-    Band ``d`` of ``Gjj + gamma R`` is N's diagonal ``d`` (G00 in the
+    A sample touches the nodes ``base + o`` for ``o`` in (0, 1, w, w + 1).
+    The sum of stencil pair ``a <= b`` at node ``base`` is the Gram entry
+    ``(base + o_a, base + o_b)``: band ``o_b - o_a``, which a diagonal
+    stores at column ``base + o_b``, and its mirror, stored at column
+    ``base + o_a``.  Band ``d`` of Gjj is N's diagonal ``d`` (G00 in the
     first ``n_pix`` columns, G11 in the rest); band ``d`` of G01 is N's
-    diagonals ``d + n_pix`` and ``d - n_pix``.  Offsets that coincide on
-    small grids share one stored row, on disjoint columns.  Offsets
-    ascend, so each row of ``N @ x`` sums in column order, as CSR does.
-    Each block is exactly symmetric and G01 is used twice, so N is
-    exactly symmetric.  With no kept sample only ``gamma R`` stays."""
+    diagonals ``d + n_pix`` and ``d - n_pix``.  Pairs are added in pair
+    order, then gamma R.  Offsets that coincide on small grids share one
+    stored row, on disjoint columns.  Offsets ascend, so each row of
+    ``N @ x`` sums in column order, as CSR does.  Each block is exactly
+    symmetric and G01 is used twice, so N is exactly symmetric.  With no
+    kept sample only ``gamma R`` stays."""
     import scipy.sparse as sp
 
     n_pix = grid.n_pixels
-    g00, g11, g01 = (grams[pair] for pair in PAIRS)
-    reg = gamma * sp.dia_matrix(reg)
-    left, right = slice(0, n_pix), slice(n_pix, 2 * n_pix)
-    # (band source, shift from its offset to N's, columns of N it fills)
-    parts = [
-        (g00, 0, left),
-        (reg, 0, left),
-        (g11, 0, right),
-        (reg, 0, right),
-        (g01, n_pix, right),
-        (g01, -n_pix, left),
-    ]
-    offsets = np.unique(np.concatenate([m.offsets + shift for m, shift, _ in parts]))
+    w = grid.shape[1]
+    stencil = (0, 1, w, w + 1)
+    lap = laplacian_matrix(grid.shape)
+    reg = gamma * sp.dia_matrix(lap.T @ lap)
+    bands = np.array([stencil[b] - stencil[a] for a, b in STENCIL_PAIRS])
+    bands = np.concatenate([bands, -bands])
+    offsets = np.unique(np.concatenate([reg.offsets, bands, bands + n_pix, bands - n_pix]))
     row = {d: k for k, d in enumerate(offsets.tolist())}
     data = np.zeros((len(offsets), 2 * n_pix))
-    # a band's zero padding adds nothing to a band that shares its row
-    for matrix, shift, columns in parts:
-        for d, values in zip(matrix.offsets.tolist(), matrix.data):
-            data[row[d + shift], columns][: len(values)] += values
+    # (stencil-pair sums, shift from a Gram offset to N's, N's first column)
+    blocks = ((sums[0], 0, 0), (sums[1], 0, n_pix), (sums[2], n_pix, n_pix), (sums[2], -n_pix, 0))
+    for pair_sums, shift, start in blocks:
+        for (a, b), counts in zip(STENCIL_PAIRS, pair_sums):
+            offset = stencil[b] - stencil[a]
+            n_base = n_pix - stencil[b]  # first nodes whose node base + o_b is on the grid
+            for d, first in {offset: stencil[b], -offset: stencil[a]}.items():
+                lo = start + first
+                data[row[d + shift], lo : lo + n_base] += counts[:n_base]
+    for d, values in zip(reg.offsets.tolist(), reg.data):
+        for start in (0, n_pix):
+            data[row[d], start : start + len(values)] += values
     return sp.dia_matrix((data, offsets), shape=(2 * n_pix, 2 * n_pix))
 
 
@@ -272,10 +300,9 @@ def solve_core_stage(
     if dropped:
         warnings.warn(f"dropped {dropped} samples outside the grid hull", stacklevel=2)
 
-    grams, rhs = _normal_equations(grid, positions, velocities, signal_values, inside, scheme)
-    lap = laplacian_matrix(grid.shape)
-    normal = _normal_matrix(grid, grams, config.gamma, lap.T @ lap)
-    del grams  # CG needs only N
+    sums, rhs = _normal_equations(grid, positions, velocities, signal_values, inside, scheme)
+    normal = _normal_matrix(grid, sums, config.gamma)
+    del sums  # CG needs only N
     if config.gamma == 0:
         n_pix = grid.n_pixels
         diagonal, off = normal.diagonal(), normal.diagonal(n_pix)

@@ -1,14 +1,14 @@
-"""Separable grid interpolation: per-point node weights, the sparse
-sampling matrix and the banded Gram products of that matrix.
+"""Separable grid interpolation: per-point node weights and the sparse
+sampling matrix they make.
 
 Sampling a grid image at off-grid scan positions is the forward leg of
 the core-stage data term; the matrix transpose scatters sample residuals
 back to the bracketing grid nodes with the same weights, which makes the
-normal matrix exactly symmetric.  The core stage never forms the matrix
-for all samples: it takes ``interp_weights`` block by block, adds each
-block to the Gram sums with ``add_stencil_products`` and scatters its
-right-hand sides through the block's own ``csr_from_weights`` matrix.
-``interpolation_matrix`` serves the forward simulation.
+normal matrix exactly symmetric.  ``interpolation_matrix`` serves the
+forward simulation.  The core stage never forms the matrix for all
+samples: it takes ``interp_weights`` block by block and scatters each
+block's right-hand sides through that block's ``csr_from_weights``
+matrix.
 
 The default per-axis weight is the cosine ramp ``(1 - cos(pi a)) / 2``
 for fractional offset ``a`` in [0, 1]: smooth, exact at the nodes,
@@ -31,8 +31,8 @@ if TYPE_CHECKING:
 KINDS = ("cosine", "bilinear")
 
 # samples per pass of ``interp_weights`` and of the core stage's normal
-# equations: the block's four weight columns, node indices and products
-# (about 1 MB) fit in a core's L2 cache
+# equations: a block's weights, node indices, stencil products and
+# right-hand-side columns take one to two MB, about a core's L2 cache
 GRAM_BLOCK = 16_384
 
 
@@ -55,13 +55,10 @@ def _ramp(frac: np.ndarray, kind: str) -> np.ndarray:
     return frac
 
 
-def _axis_cells(coords, origin, spacing, count, atol=1e-9):
+def _axis_cells(coords, origin, spacing, count):
     """Cell index and fractional offset per query coordinate; clamps
-    queries on (or within rounding of) the hull boundary."""
-    g = (np.asarray(coords, dtype=float) - origin) / spacing
-    if np.any(g < -atol) or np.any(g > count - 1 + atol):
-        raise ValueError("interpolation point outside the grid hull")
-    g = np.clip(g, 0.0, count - 1)
+    queries within rounding of the hull boundary onto it."""
+    g = np.clip((coords - origin) / spacing, 0.0, count - 1)
     cell = np.minimum(g.astype(np.int32), count - 2)
     return cell, g - cell
 
@@ -71,7 +68,8 @@ def interp_weights(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Flat node indices (L, 4) and weights (L, 4) for points (L, 2).
 
-    Weight columns follow node order (y0x0, y0x1, y1x0, y1x1).  Points
+    Weight columns follow node order (y0x0, y0x1, y1x0, y1x1).  Raises
+    ``ValueError`` exactly when ``grid.contains`` rejects a point.  Points
     are taken in blocks of ``GRAM_BLOCK`` so that each block's
     temporaries stay in cache; every step is elementwise, so the blocks
     do not change a bit of the result.
@@ -86,6 +84,8 @@ def interp_weights(
     weights = np.empty((n_points, 4))
     for lo in range(0, n_points, GRAM_BLOCK):
         block = slice(lo, min(lo + GRAM_BLOCK, n_points))
+        if not grid.contains(points[block]).all():
+            raise ValueError("interpolation point outside the grid hull")
         ix, fx = _axis_cells(points[block, 0], grid.origin[0], grid.spacing[0], w)
         iy, fy = _axis_cells(points[block, 1], grid.origin[1], grid.spacing[1], h)
         wx = _ramp(fx, scheme.kind)
@@ -119,60 +119,3 @@ def interpolation_matrix(
     the points; its transpose scatters sample values back to the nodes
     with the same weights, which is the exact adjoint."""
     return csr_from_weights(*interp_weights(grid, points, scheme), grid.n_pixels)
-
-
-def add_stencil_products(
-    sums: np.ndarray, indices: np.ndarray, weights: np.ndarray, coefficients: np.ndarray
-) -> None:
-    """Add one block of samples to the sums ``stencil_gram`` places.
-
-    ``indices`` and ``weights`` are the block's ``interp_weights``
-    (m, 4), ``coefficients`` is (P, m) and ``sums`` (P, 10, n_pixels).
-    For each coefficient row ``c`` and stencil pair ``a <= b`` (in the
-    order (0, 0), (0, 1), ..., (3, 3)), ``c w_a w_b`` is added at each
-    sample's first node.  ``np.add.at`` adds in sample order, so blocks
-    added in sample order give the bits of one bincount over all samples.
-    """
-    base = indices[:, 0].astype(np.intp)
-    columns = weights.T.copy()  # contiguous weight columns stay in cache
-    scaled = np.empty(base.shape)
-    product = np.empty(base.shape)
-    for pair_sums, c in zip(sums, coefficients):
-        pair = 0
-        for a in range(4):
-            np.multiply(c, columns[a], out=scaled)
-            for b in range(a, 4):
-                np.multiply(scaled, columns[b], out=product)
-                np.add.at(pair_sums[pair], base, product)
-                pair += 1
-
-
-def stencil_gram(grid: GridGeometry, sums: np.ndarray) -> sp.dia_matrix:
-    """``S^T diag(c) S`` for ``S = interpolation_matrix(grid, ...)``, stored
-    by its diagonals, from the (10, n_pixels) stencil-pair sums that
-    ``add_stencil_products`` collected for ``c``.
-
-    Each row of S touches the nodes ``base + (0, 1, w, w + 1)``, so the
-    product is banded with the nine diagonals 0, +-1, +-(w - 1), +-w and
-    +-(w + 1).  The sum of pair ``a <= b`` at node ``base`` is the entry
-    ``(base + o_a, base + o_b)``, so it goes to diagonal ``o_b - o_a``
-    and, mirrored, to ``o_a - o_b``; pairs sharing a diagonal are added
-    in pair order.  The result is exactly symmetric.
-    """
-    import scipy.sparse as sp
-
-    w = grid.shape[1]
-    n_pix = grid.n_pixels
-    stencil = (0, 1, w, w + 1)
-    pairs = [(a, b) for a in range(4) for b in range(a, 4)]
-    rows: dict[int, np.ndarray] = {}
-    for (a, b), counts in zip(pairs, sums):
-        offset = stencil[b] - stencil[a]
-        n_base = n_pix - stencil[b]  # first nodes whose node base + o_b is on the grid
-        # a stored diagonal is indexed by column: the entry's column is
-        # base + o_b above the main diagonal and base + o_a below it
-        for d, first in {offset: stencil[b], -offset: stencil[a]}.items():
-            if d not in rows:
-                rows[d] = np.zeros(n_pix)
-            rows[d][first : first + n_base] += counts[:n_base]
-    return sp.dia_matrix((np.array(list(rows.values())), list(rows)), shape=(n_pix, n_pix))

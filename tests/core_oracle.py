@@ -5,9 +5,11 @@ gamma R x_j`` sample by sample, straight from the least-squares misfit,
 so it shares no assembly code with the banded normal matrix the library
 builds.  ``stencil_gram_bands`` is the straightforward per-stencil-pair
 bincount of the banded Gram product over the whole sampling matrix; the
-Gram bands the library streams block by block must match it bit for bit.  ``normal_matrix_csr`` stacks those bands into the
-CSR normal matrix block by block; the library's diagonal-stored normal
-matrix must equal it entry for entry and apply it bit for bit.
+Gram bands the library writes into its normal matrix from sums streamed
+block by block (read back from N's blocks at gamma = 0) must match it bit
+for bit.  ``normal_matrix_csr`` stacks those bands into the CSR normal
+matrix block by block; the library's diagonal-stored normal matrix must
+equal it entry for entry and apply it bit for bit.
 """
 
 import numpy as np

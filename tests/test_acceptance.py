@@ -250,10 +250,10 @@ def test_criterion_03_adjoint_and_symmetry():
         lap = laplacian_matrix(grid.shape)
         reg = (lap.T @ lap).tocsr()
         gamma = 10.0 ** rng.uniform(-8, -2)
-        grams, _ = _normal_equations(
+        sums, _ = _normal_equations(
             grid, pts, vel, np.zeros((n_pts, 1)), np.ones(n_pts, bool), scheme
         )
-        normal = _normal_matrix(grid, grams, gamma, reg)
+        normal = _normal_matrix(grid, sums, gamma)
         oracle = normal_operator(mat, vel, gamma=gamma, reg=reg, n_kept=n_pts)
         csr = normal_matrix_csr(grid, mat, vel, gamma, reg, n_pts)
         unequal_csr += not np.array_equal(normal.toarray(), csr.toarray())

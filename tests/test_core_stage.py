@@ -108,11 +108,34 @@ class TestLaplacian:
         assert np.allclose(laplacian_via_matrix(field), laplacian_apply(field), rtol=1e-14)
 
 
-def assembled_normal(grid, pts, vel, gamma, reg, scheme):
-    """The library's diagonal-stored N for samples that are all kept."""
+def kept_sums(grid, pts, vel, scheme):
+    """The streamed stencil-pair sums for samples that are all kept."""
     n = len(pts)
-    grams, _ = _normal_equations(grid, pts, vel, np.zeros((n, 1)), np.ones(n, bool), scheme)
-    return _normal_matrix(grid, grams, gamma, reg)
+    return _normal_equations(grid, pts, vel, np.zeros((n, 1)), np.ones(n, bool), scheme)[0]
+
+
+def assembled_normal(grid, pts, vel, gamma, scheme):
+    """The library's diagonal-stored N for samples that are all kept."""
+    return _normal_matrix(grid, kept_sums(grid, pts, vel, scheme), gamma)
+
+
+def gram_blocks(grid, sums):
+    """The Gram blocks Gjk by ``PAIRS``, read from N's blocks ``[:n, :n]``,
+    ``[n:, n:]`` and ``[:n, n:]`` at gamma = 0."""
+    n = grid.n_pixels
+    normal = _normal_matrix(grid, sums, 0.0).tocsr()
+    return dict(zip(PAIRS, (normal[:n, :n], normal[n:, n:], normal[:n, n:])))
+
+
+def assert_bands_bit_equal(grid, blocks, mat, vel):
+    """Every band of each Gjk carries the bits of the per-pair bincount of
+    ``S^T diag(v_j v_k / L) S`` over the whole sampling matrix."""
+    scale = 1.0 / max(len(vel), 1)
+    for (j, k), gram in blocks.items():
+        upper = stencil_gram_bands(grid, mat, vel[:, j] * vel[:, k] * scale)
+        for offset, band in upper.items():
+            assert gram.diagonal(offset).tobytes() == band.tobytes(), (j, k, offset)
+            assert gram.diagonal(-offset).tobytes() == band.tobytes(), (j, k, -offset)
 
 
 def random_normal_instance(rng, scheme, n_samples):
@@ -131,7 +154,7 @@ def random_normal_instance(rng, scheme, n_samples):
     lap = laplacian_matrix(grid.shape)
     reg = (lap.T @ lap).tocsr()
     gamma = 10.0 ** rng.uniform(-8, -2)
-    normal = assembled_normal(grid, pts, vel, gamma, reg, scheme)
+    normal = assembled_normal(grid, pts, vel, gamma, scheme)
     oracle = normal_operator(mat, vel, gamma=gamma, reg=reg, n_kept=n_samples)
     return grid, normal, oracle
 
@@ -179,7 +202,7 @@ class TestNormalOperatorSymmetry:
         vel = np.zeros((0, 2))
         lap = laplacian_matrix(grid.shape)
         reg = (lap.T @ lap).tocsr()
-        normal = assembled_normal(grid, np.zeros((0, 2)), vel, 1e-3, reg, InterpolationScheme())
+        normal = assembled_normal(grid, np.zeros((0, 2)), vel, 1e-3, InterpolationScheme())
         oracle = normal_operator(mat, vel, gamma=1e-3, reg=reg, n_kept=0)
         u = np.random.default_rng(3).normal(size=2 * grid.n_pixels)
         expected = oracle(u)
@@ -201,7 +224,7 @@ def oracle_instance(seed, shape, kind, gamma, n_samples):
     mat = interpolation_matrix(grid, pts, scheme)
     lap = laplacian_matrix(shape)
     reg = lap.T @ lap
-    normal = assembled_normal(grid, pts, vel, gamma, reg, scheme)
+    normal = assembled_normal(grid, pts, vel, gamma, scheme)
     oracle = normal_matrix_csr(grid, mat, vel, gamma, reg, n_samples)
     return grid, normal, oracle
 
@@ -303,9 +326,9 @@ def streamed_instance(seed, kind, n_samples, n_columns):
     vel = rng.normal(size=(n_samples, 2))
     values = rng.normal(size=(n_samples, n_columns))
     scheme = InterpolationScheme(kind)
-    grams, rhs = _normal_equations(grid, pts, vel, values, np.ones(n_samples, bool), scheme)
+    sums, rhs = _normal_equations(grid, pts, vel, values, np.ones(n_samples, bool), scheme)
     mat = interpolation_matrix(grid, pts, scheme)
-    return grid, pts, vel, values, mat, grams, rhs
+    return grid, pts, vel, values, mat, sums, rhs
 
 
 def transposed_product_rhs(mat, values, vel, idx):
@@ -323,20 +346,15 @@ class TestStreamedNormalEquations:
     @pytest.mark.parametrize("n_samples, kind", STREAMED_CASES)
     def test_gram_bands_bit_equal_to_the_per_pair_bincount(self, monkeypatch, n_samples, kind):
         monkeypatch.setattr(interpolation, "GRAM_BLOCK", 7)
-        grid, _, vel, _, mat, grams, _ = streamed_instance(n_samples, kind, n_samples, 2)
-        scale = 1.0 / max(n_samples, 1)
-        for j, k in PAIRS:
-            upper = stencil_gram_bands(grid, mat, vel[:, j] * vel[:, k] * scale)
-            for offset, band in upper.items():
-                assert grams[j, k].diagonal(offset).tobytes() == band.tobytes(), (j, k, offset)
-                assert grams[j, k].diagonal(-offset).tobytes() == band.tobytes(), (j, k, -offset)
+        grid, _, vel, _, mat, sums, _ = streamed_instance(n_samples, kind, n_samples, 2)
+        assert_bands_bit_equal(grid, gram_blocks(grid, sums), mat, vel)
 
     @pytest.mark.parametrize("n_samples, kind", STREAMED_CASES)
     def test_normal_matrix_equals_the_csr_oracle(self, monkeypatch, n_samples, kind):
         monkeypatch.setattr(interpolation, "GRAM_BLOCK", 7)
-        grid, _, vel, _, mat, grams, _ = streamed_instance(n_samples, kind, n_samples, 2)
+        grid, _, vel, _, mat, sums, _ = streamed_instance(n_samples, kind, n_samples, 2)
         lap = laplacian_matrix(grid.shape)
-        normal = _normal_matrix(grid, grams, 1e-3, lap.T @ lap)
+        normal = _normal_matrix(grid, sums, 1e-3)
         oracle = normal_matrix_csr(grid, mat, vel, 1e-3, lap.T @ lap, n_samples)
         assert np.array_equal(normal.toarray(), oracle.toarray())
 
@@ -361,11 +379,10 @@ class TestStreamedNormalEquations:
     @pytest.mark.parametrize("rows", [(0, 1), (1,), (1, 0)])
     def test_each_row_solves_its_signal_column(self, monkeypatch, rows):
         monkeypatch.setattr(interpolation, "GRAM_BLOCK", 7)
-        grid, pts, vel, values, _, grams, rhs = streamed_instance(3, "cosine", 300, len(rows))
+        grid, pts, vel, values, _, sums, rhs = streamed_instance(3, "cosine", 300, len(rows))
         cfg = CoreStageConfig(grid=grid, gamma=1e-3, cg_tolerance=1e-8, rows=rows)
         sol = solve_core_stage(values, pts, vel, cfg)
-        lap = laplacian_matrix(grid.shape)
-        normal = _normal_matrix(grid, grams, cfg.gamma, lap.T @ lap)
+        normal = _normal_matrix(grid, sums, cfg.gamma)
         # the columns in row order, solved as rows (0, 1) or (1,)
         ordered = CoreStageConfig(grid=grid, gamma=1e-3, cg_tolerance=1e-8, rows=tuple(sorted(rows)))
         in_order = solve_core_stage(values[:, np.argsort(rows)], pts, vel, ordered)
@@ -409,6 +426,76 @@ class TestStreamedNormalEquations:
                 tracemalloc.stop()
         per_sample = (peaks[1] - peaks[0]) / (14 * block)
         assert per_sample < 4.0, f"peak grows by {per_sample:.1f} bytes per added sample"
+
+
+def hull_points(rng, grid, n):
+    """``n`` points uniform in the grid hull, the first (up to) three on
+    hull corners, in clamped cells."""
+    h, w = grid.shape
+    x_end = grid.origin[0] + grid.spacing[0] * (w - 1)
+    y_end = grid.origin[1] + grid.spacing[1] * (h - 1)
+    pts = np.stack(
+        [rng.uniform(grid.origin[0], x_end, n), rng.uniform(grid.origin[1], y_end, n)], axis=-1
+    )
+    corners = [[x_end, y_end], [grid.origin[0], grid.origin[1]], [x_end, grid.origin[1]]]
+    pts[: min(n, 3)] = corners[: min(n, 3)]
+    return pts
+
+
+class TestGramBlocksOfNormalMatrix:
+    """N at gamma = 0 holds the Gram blocks alone: ``[:n, :n]`` is G00,
+    ``[n:, n:]`` G11 and ``[:n, n:]`` G01."""
+
+    @pytest.mark.parametrize("kind", ["cosine", "bilinear"])
+    def test_blocks_match_the_dense_product(self, kind):
+        grid = GridGeometry(shape=(9, 11), spacing=(0.5, 0.25), origin=(-1.0, -2.0))
+        rng = np.random.default_rng(8)
+        pts = hull_points(rng, grid, 200)
+        vel = rng.normal(size=(200, 2))
+        scheme = InterpolationScheme(kind)
+        dense_s = interpolation_matrix(grid, pts, scheme).toarray()
+        w = grid.shape[1]
+        for (j, k), gram in gram_blocks(grid, kept_sums(grid, pts, vel, scheme)).items():
+            dense = dense_s.T @ ((vel[:, j] * vel[:, k] / 200)[:, None] * dense_s)
+            assert np.allclose(gram.toarray(), dense, rtol=0, atol=1e-13 * np.abs(dense).max())
+            assert (gram != gram.T).nnz == 0
+            coo = gram.tocoo()
+            assert set(np.abs(coo.col - coo.row)) <= {0, 1, w - 1, w, w + 1}
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kind", ["cosine", "bilinear"])
+    def test_bands_bit_equal_to_the_per_pair_loop(self, kind, seed):
+        # grid sides from 3 up: the regularizer's Laplacian needs 3 x 3
+        rng = np.random.default_rng(100 + seed)
+        h, w = rng.integers(3, 13, size=2)
+        grid = GridGeometry(shape=(h, w), spacing=(0.5, 0.25), origin=(-1.0, -2.0))
+        n = int(rng.integers(1, 400))
+        pts = hull_points(rng, grid, n)
+        vel = rng.normal(size=(n, 2))
+        scheme = InterpolationScheme(kind)
+        mat = interpolation_matrix(grid, pts, scheme)
+        assert_bands_bit_equal(grid, gram_blocks(grid, kept_sums(grid, pts, vel, scheme)), mat, vel)
+
+    @pytest.mark.parametrize("kind", ["cosine", "bilinear"])
+    def test_bands_sum_across_blocks_in_sample_order(self, kind, monkeypatch):
+        # six full blocks of 7 samples and a remainder of 5 on a 3 x 4 grid,
+        # so every node collects samples from several blocks
+        monkeypatch.setattr(interpolation, "GRAM_BLOCK", 7)
+        grid = GridGeometry(shape=(3, 4), spacing=(1.0, 1.0), origin=(0.0, 0.0))
+        rng = np.random.default_rng(9)
+        pts = hull_points(rng, grid, 47)
+        vel = rng.normal(size=(47, 2))
+        scheme = InterpolationScheme(kind)
+        mat = interpolation_matrix(grid, pts, scheme)
+        assert_bands_bit_equal(grid, gram_blocks(grid, kept_sums(grid, pts, vel, scheme)), mat, vel)
+
+    def test_large_grid_stores_31_ascending_offsets(self):
+        # the 13 offsets of R and the 9 Gram bands shifted by +-n_pix (the
+        # 3 x 3 case, where two coincide, is in TestNormalMatrixMatchesCsrOracle)
+        grid = GridGeometry(shape=(160, 160), spacing=(1.0, 1.0), origin=(0.0, 0.0))
+        normal = _normal_matrix(grid, np.zeros((3, 10, grid.n_pixels)), 1e-3)
+        assert len(normal.offsets) == 31
+        assert np.all(np.diff(normal.offsets) > 0)
 
 
 class TestAssembledMatchesOracleSolve:
@@ -572,6 +659,23 @@ class TestSolveCoreStage:
         for row in (0, 1):
             assert sol.cg[row].residuals == kept.cg[row].residuals, row
         for key, entry in kept.field.entries.items():
+            assert sol.field.entry(*key).tobytes() == entry.tobytes(), key
+
+    def test_sample_just_outside_the_hull_is_kept_and_clamped(self):
+        # 5e-13 m left of the hull is within the 1e-12 m that contains allows,
+        # but more than 1e-9 grid units (2.4e-13 m) on 100 x 100 over 24 mm
+        grid = GridGeometry.node_centered((24e-3, 24e-3), (100, 100))
+        cfg = CoreStageConfig(grid=grid, gamma=1e-3)
+        rng = np.random.default_rng(11)
+        positions = rng.uniform(-12e-3, 12e-3, size=(400, 2))
+        velocities = rng.normal(size=(400, 2))
+        values = rng.normal(size=(400, 2))
+        positions[0] = (grid.origin[0], 0.0)
+        on_edge = solve_core_stage(values, positions, velocities, cfg)
+        positions[0, 0] -= 5e-13
+        sol = solve_core_stage(values, positions, velocities, cfg)
+        assert sol.dropped_samples == 0
+        for key, entry in on_edge.field.entries.items():
             assert sol.field.entry(*key).tobytes() == entry.tobytes(), key
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

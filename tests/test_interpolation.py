@@ -2,33 +2,15 @@
 
 import numpy as np
 import pytest
-from core_oracle import stencil_gram_bands
 from grid_oracle import interpolate, interpolation_adjoint
 
 from mpirecon import interpolation
 from mpirecon.geometry import GridGeometry
-from mpirecon.interpolation import (
-    InterpolationScheme,
-    add_stencil_products,
-    interp_weights,
-    interpolation_matrix,
-    stencil_gram,
-)
+from mpirecon.interpolation import InterpolationScheme, interp_weights, interpolation_matrix
 
 GRID = GridGeometry(shape=(9, 11), spacing=(0.5, 0.25), origin=(-1.0, -2.0))
 COSINE = InterpolationScheme("cosine")
 BILINEAR = InterpolationScheme("bilinear")
-
-
-def blocked_gram(grid, pts, coefficients, scheme):
-    """``stencil_gram`` of the stencil products added in blocks of
-    ``GRAM_BLOCK``, in sample order, as the core stage adds them."""
-    sums = np.zeros((1, 10, grid.n_pixels))
-    for lo in range(0, len(pts), interpolation.GRAM_BLOCK):
-        block = slice(lo, lo + interpolation.GRAM_BLOCK)
-        indices, weights = interp_weights(grid, pts[block], scheme)
-        add_stencil_products(sums, indices, weights, coefficients[None, block])
-    return stencil_gram(grid, sums[0])
 
 
 def random_points(rng, n):
@@ -87,6 +69,27 @@ class TestInterpolate:
         with pytest.raises(ValueError, match="^interpolation point outside the grid hull$"):
             interp_weights(GRID, pts, scheme)
 
+    @pytest.mark.parametrize(
+        "grid", [GRID, GridGeometry.node_centered((24e-3, 24e-3), (100, 100))], ids=["9x11", "100"]
+    )
+    def test_raises_exactly_where_contains_rejects(self, grid):
+        # contains widens the hull by 1e-12 m; a grid unit is 0.25 to 0.5 m
+        # on 9 x 11 and 2.4e-4 m on 100 x 100
+        h, w = grid.shape
+        low = np.array(grid.origin)
+        high = low + np.array(grid.spacing) * (w - 1, h - 1)
+        for axis in range(2):
+            for edge, outward in ((low, -1.0), (high, 1.0)):
+                for distance in (0.0, 1e-13, -1e-13, 5e-13, -5e-13, 1e-11, -1e-11):
+                    point = (low + high) / 2
+                    point[axis] = edge[axis] + outward * distance
+                    if grid.contains(point)[0]:
+                        interp_weights(grid, point, COSINE)
+                    else:
+                        assert distance > 1e-12
+                        with pytest.raises(ValueError, match="^interpolation point outside"):
+                            interp_weights(grid, point, COSINE)
+
     def test_hull_edge_ok(self):
         field = np.ones(GRID.shape)
         edge = (
@@ -138,59 +141,6 @@ class TestMatrix:
         scattered = (mat.T @ values).reshape(GRID.shape)
         direct = interpolation_adjoint(pts, values, GRID, COSINE)
         assert np.allclose(scattered, direct, atol=1e-15)
-
-    @pytest.mark.parametrize("scheme", [COSINE, BILINEAR])
-    def test_stencil_gram_matches_dense_product(self, scheme):
-        rng = np.random.default_rng(8)
-        pts = random_points(rng, 200)
-        # corners and far edges land in clamped cells
-        x_end = GRID.origin[0] + GRID.spacing[0] * (GRID.shape[1] - 1)
-        y_end = GRID.origin[1] + GRID.spacing[1] * (GRID.shape[0] - 1)
-        pts[:3] = [[x_end, y_end], [GRID.origin[0], y_end], [x_end, GRID.origin[1]]]
-        coefficients = rng.normal(size=200)
-        mat = interpolation_matrix(GRID, pts, scheme)
-        gram = blocked_gram(GRID, pts, coefficients, scheme)
-        dense = mat.T.toarray() @ (coefficients[:, None] * mat.toarray())
-        assert np.allclose(gram.toarray(), dense, rtol=0, atol=1e-13 * np.abs(dense).max())
-        assert (gram != gram.T).nnz == 0
-        w = GRID.shape[1]
-        bands = {0, 1, w - 1, w, w + 1}
-        assert set(np.abs(gram.tocoo().col - gram.tocoo().row)) <= bands
-
-    @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("scheme", [COSINE, BILINEAR])
-    def test_stencil_gram_is_bit_equal_to_the_per_pair_loop(self, scheme, seed):
-        rng = np.random.default_rng(100 + seed)
-        h, w = rng.integers(2, 13, size=2)
-        grid = GridGeometry(shape=(h, w), spacing=(0.5, 0.25), origin=(-1.0, -2.0))
-        n = int(rng.integers(1, 400))
-        x_end = grid.origin[0] + grid.spacing[0] * (w - 1)
-        y_end = grid.origin[1] + grid.spacing[1] * (h - 1)
-        pts = np.stack([rng.uniform(grid.origin[0], x_end, n),
-                        rng.uniform(grid.origin[1], y_end, n)], axis=-1)
-        pts[: min(n, 2)] = [[x_end, y_end], [grid.origin[0], grid.origin[1]]][: min(n, 2)]
-        coefficients = rng.normal(size=n) * rng.normal(size=n)
-        mat = interpolation_matrix(grid, pts, scheme)
-        gram = blocked_gram(grid, pts, coefficients, scheme)
-        for offset, band in stencil_gram_bands(grid, mat, coefficients).items():
-            assert gram.diagonal(offset).tobytes() == band.tobytes(), offset
-            assert gram.diagonal(-offset).tobytes() == band.tobytes(), -offset
-
-    @pytest.mark.parametrize("scheme", [COSINE, BILINEAR])
-    def test_stencil_gram_sums_across_blocks_in_sample_order(self, scheme, monkeypatch):
-        # six full blocks of 7 samples and a remainder of 5 on a 3 x 4 grid,
-        # so every node collects samples from several blocks
-        monkeypatch.setattr(interpolation, "GRAM_BLOCK", 7)
-        grid = GridGeometry(shape=(3, 4), spacing=(1.0, 1.0), origin=(0.0, 0.0))
-        rng = np.random.default_rng(9)
-        pts = np.stack([rng.uniform(0, 3, 47), rng.uniform(0, 2, 47)], axis=-1)
-        pts[:2] = [[3.0, 2.0], [0.0, 0.0]]
-        coefficients = rng.normal(size=47) * rng.normal(size=47)
-        mat = interpolation_matrix(grid, pts, scheme)
-        gram = blocked_gram(grid, pts, coefficients, scheme)
-        for offset, band in stencil_gram_bands(grid, mat, coefficients).items():
-            assert gram.diagonal(offset).tobytes() == band.tobytes(), offset
-            assert gram.diagonal(-offset).tobytes() == band.tobytes(), -offset
 
 
 def test_unknown_kind_rejected():
