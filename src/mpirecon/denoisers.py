@@ -1,18 +1,17 @@
 """Denoiser backends for the plug-and-play loop.
 
-Three kinds are supported:
+A reference names one of two backends, chosen by whether it has a
+command:
 
-* ``gaussian-blur``: Gaussian smoothing with kernel width proportional
-  to the declared noise level,
-* ``total-variation``: the proximal operator of a TV penalty with weight
-  proportional to the squared noise level (Chambolle's projection),
-* ``external``: a child process speaking a binary request/response
-  protocol over stdin/stdout, so a pretrained neural denoiser can be
-  plugged in without rebuilding this package.
+* external (``command`` set): a child process speaking a binary
+  request/response protocol over stdin/stdout, so a pretrained neural
+  denoiser can be plugged in without rebuilding this package,
+* total variation (no command): the proximal operator of a TV penalty
+  with weight proportional to the squared noise level (Chambolle's
+  projection), the in-repo reference.
 
-All backends receive images normalized to [0, 1] with the noise level
-expressed in that range; the reference kinds act as the identity at
-noise level zero.
+Both receive images normalized to [0, 1] with the noise level expressed
+in that range; total variation acts as the identity at noise level zero.
 
 External protocol, version 1 (little-endian): request and response both
 consist of the 24-byte header ``b"ZSPD"``, u32 version, u32 height,
@@ -34,52 +33,34 @@ PROTOCOL_MAGIC = b"ZSPD"
 PROTOCOL_VERSION = 1
 _HEADER = struct.Struct("<4sIIId")
 
-KINDS = ("gaussian-blur", "total-variation", "external")
-
 
 class ExternalDenoiserError(RuntimeError):
     """Protocol failure of an external denoiser (timeout, bad reply)."""
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, kw_only=True)
 class DenoiserRef:
-    """Reference to a denoiser backend plus its per-kind parameters.
+    """Reference to a denoiser backend plus its parameters; a ``command``
+    selects the external backend, else total variation.
 
-    blur_scale -- gaussian-blur: kernel width in pixels per unit noise
-    tv_scale   -- total-variation: penalty weight per unit squared noise
-    tv_iterations -- total-variation: projection iterations
+    tv_scale   -- total variation: penalty weight per unit squared noise
+    tv_iterations -- total variation: projection iterations
     command    -- external: argv of the child process
     timeout    -- external: seconds to wait per request
     """
 
-    kind: str
-    blur_scale: float = 4.0
     tv_scale: float = 1.0
     tv_iterations: int = 60
     command: tuple = ()
     timeout: float = 30.0
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown denoiser kind {self.kind!r}; choose from {KINDS}")
-        if self.kind == "external" and len(self.command) == 0:
-            raise ValueError("external denoiser requires a command")
-
-
-class GaussianBlurDenoiser:
-    def __init__(self, ref: DenoiserRef):
-        self.blur_scale = ref.blur_scale
-
-    def __call__(self, image: np.ndarray, sigma: float) -> np.ndarray:
-        width = self.blur_scale * sigma
-        if width == 0.0:
-            return image.copy()
-        from scipy.ndimage import gaussian_filter
-
-        return gaussian_filter(image, sigma=width, mode="nearest")
-
-    def close(self):
-        pass
+        if not self.tv_scale >= 0:
+            raise ValueError(f"tv_scale must be nonnegative, got {self.tv_scale!r}")
+        if self.tv_iterations < 1:
+            raise ValueError(f"tv_iterations must be at least 1, got {self.tv_iterations!r}")
+        if not self.timeout > 0:
+            raise ValueError(f"timeout must be positive, got {self.timeout!r}")
 
 
 def tv_prox(image: np.ndarray, weight: float, n_iterations: int = 60) -> np.ndarray:
@@ -227,8 +208,4 @@ class ExternalDenoiser:
 
 def open_denoiser(ref: DenoiserRef):
     """Instantiate the backend for a denoiser reference."""
-    if ref.kind == "gaussian-blur":
-        return GaussianBlurDenoiser(ref)
-    if ref.kind == "total-variation":
-        return TotalVariationDenoiser(ref)
-    return ExternalDenoiser(ref)
+    return ExternalDenoiser(ref) if ref.command else TotalVariationDenoiser(ref)

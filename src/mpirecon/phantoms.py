@@ -36,10 +36,9 @@ class PhantomSpec:
     """Phantom kind, geometry in millimeters, and the target grid.
 
     dot:     square sample of ``dot_size_mm`` at ``dot_center_mm``
-    two-bar: bars of lengths ``bar_lengths_mm`` and width ``bar_width_mm``
-             whose centers sit ``separation_mm`` apart along ``bar_axis``
-             ("x": upright bars side by side, "y": stacked like an
-             equality sign)
+    two-bar: upright bars of lengths ``bar_lengths_mm`` and width
+             ``bar_width_mm`` side by side, centers ``separation_mm``
+             apart along x
     snake:   five rods of ``SNAKE_LENGTHS_MM`` and square cross-section
              ``SNAKE_WIDTH_MM`` in a winding layout
     ice-cream: downward cone topped by a disk, overall ``CONE_HEIGHT_MM``
@@ -57,13 +56,10 @@ class PhantomSpec:
     separation_mm: float = 3.0
     bar_lengths_mm: tuple = (20.0, 17.5)
     bar_width_mm: float = 1.0
-    bar_axis: str = "x"
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown phantom kind {self.kind!r}; choose from {KINDS}")
-        if self.bar_axis not in ("x", "y"):
-            raise ValueError("bar_axis must be 'x' or 'y'")
         if self.margin_mm < 0:
             raise ValueError("margin_mm must be nonnegative")
 
@@ -117,13 +113,8 @@ def _two_bar(spec: PhantomSpec, mask):
     sep = spec.separation_mm
     la, lb = spec.bar_lengths_mm
     w = spec.bar_width_mm
-    if spec.bar_axis == "x":
-        # upright bars, centers sep apart along x
-        _box(spec.grid, mask, (-sep / 2, 0.0), (w, la), spec.margin_mm)
-        _box(spec.grid, mask, (+sep / 2, 0.0), (w, lb), spec.margin_mm)
-    else:
-        _box(spec.grid, mask, (0.0, -sep / 2), (la, w), spec.margin_mm)
-        _box(spec.grid, mask, (0.0, +sep / 2), (lb, w), spec.margin_mm)
+    _box(spec.grid, mask, (-sep / 2, 0.0), (w, la), spec.margin_mm)
+    _box(spec.grid, mask, (+sep / 2, 0.0), (w, lb), spec.margin_mm)
 
 
 def _snake(spec: PhantomSpec, mask):

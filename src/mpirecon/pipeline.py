@@ -132,11 +132,10 @@ SCHEMA = {
         ("nu0", FLOAT, PnPConfig.nu0, "initial coupling of the Tikhonov step"),
         ("iterations", INT, PnPConfig.n_iterations, "plug-and-play iterations"),
         ("trim_percentile", FLOAT, PnPConfig.trim_percentile, "trimmed before noise estimation"),
-        ("denoiser", TEXT, PnPConfig.denoiser.kind, "total-variation, gaussian-blur or external"),
         ("tv_scale", FLOAT, DenoiserRef.tv_scale, "TV weight per unit squared noise"),
         ("tv_iterations", INT, DenoiserRef.tv_iterations, "TV projection iterations"),
-        ("blur_scale", FLOAT, DenoiserRef.blur_scale, "blur width in pixels per unit noise"),
-        ("denoiser_command", WORDS, DenoiserRef.command, "argv of the external denoiser"),
+        ("denoiser_command", WORDS, DenoiserRef.command, "argv of the external denoiser; "
+         "empty: total variation"),
         ("denoiser_timeout_s", FLOAT, DenoiserRef.timeout, "wait per external request"),
     ),
     "phantom": (
@@ -149,7 +148,6 @@ SCHEMA = {
         ("bar_length_a_mm", FLOAT, PhantomSpec.bar_lengths_mm[0], "first bar"),
         ("bar_length_b_mm", FLOAT, PhantomSpec.bar_lengths_mm[1], "second bar"),
         ("bar_width_mm", FLOAT, PhantomSpec.bar_width_mm, "both bars"),
-        ("bar_axis", TEXT, PhantomSpec.bar_axis, "x: side by side; y: stacked"),
     ),
     "preprocess": (
         ("signal_file", TEXT, None, "signal .npy or CSV core fits; empty: <out>/signal.npy"),
@@ -162,6 +160,7 @@ SCHEMA = {
     "sweep": (("pairs", PAIRS, (), "h_sat,nu0 pairs separated by ';'"),),
 }
 _TYPES = {section: {row[0]: row[1] for row in rows} for section, rows in SCHEMA.items()}
+_DEFAULTS = {section: {row[0]: row[2] for row in rows} for section, rows in SCHEMA.items()}
 # (section, key, suffix) of every input a config can name; suffix picks the file to check
 _INPUTS = [(s, key, "") for s, types in _TYPES.items() for key in types if key.endswith("_file")]
 _INPUTS.append(("deconvolve", "input_trace", ".float.txt"))
@@ -178,7 +177,7 @@ def _parse(text: str, source: str) -> dict:
     """Every key's typed value or default; unknown or unparsable entries raise."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     parser.read_string(text, source)
-    values = {s: {row[0]: row[2] for row in rows} for s, rows in SCHEMA.items()}
+    values = {section: dict(defaults) for section, defaults in _DEFAULTS.items()}
     if parser.defaults():
         raise ValueError(f"[{parser.default_section}] unknown section")
     for section in parser.sections():
@@ -300,8 +299,6 @@ class PipelineConfig:
     def denoiser(self) -> DenoiserRef:
         v = self.values["pnp"]
         return DenoiserRef(
-            kind=v["denoiser"],
-            blur_scale=v["blur_scale"],
             tv_scale=v["tv_scale"],
             tv_iterations=v["tv_iterations"],
             command=v["denoiser_command"],
@@ -328,7 +325,6 @@ class PipelineConfig:
             separation_mm=v["separation_mm"],
             bar_lengths_mm=(v["bar_length_a_mm"], v["bar_length_b_mm"]),
             bar_width_mm=v["bar_width_mm"],
-            bar_axis=v["bar_axis"],
         )
 
     def sweep_pairs(self) -> list:
@@ -364,6 +360,14 @@ class PipelineConfig:
                 raise ValueError(
                     f"[preprocess] {key} = {preprocess[key]} is only read with an snr_file"
                 )
+        pnp = self.values["pnp"]
+        if pnp["denoiser_command"]:
+            unread, reader = ("tv_scale", "tv_iterations"), "without a denoiser_command"
+        else:
+            unread, reader = ("denoiser_timeout_s",), "with a denoiser_command"
+        for key in unread:
+            if pnp[key] != _DEFAULTS["pnp"][key]:
+                raise ValueError(f"[pnp] {key} = {pnp[key]} is only read {reader}")
         for section, key, suffix in _INPUTS if inputs else ():
             path = self.path(section, key)
             if path is not None and not os.path.exists(path + suffix):
@@ -407,7 +411,7 @@ def extract_profile(image: np.ndarray, axis: str, index: int, geometry: GridGeom
         if not 0 <= index < image.shape[0]:
             raise IndexError(f"row {index} out of range for {image.shape}")
         return geometry.x_coords(), image[index, :].copy()
-    if axis in ("column", "col"):
+    if axis == "column":
         if not 0 <= index < image.shape[1]:
             raise IndexError(f"column {index} out of range for {image.shape}")
         return geometry.y_coords(), image[:, index].copy()

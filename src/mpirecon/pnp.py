@@ -36,7 +36,7 @@ class PnPConfig:
     nu0: float = 1e-5
     n_iterations: int = 10
     trim_percentile: float = 5.0
-    denoiser: DenoiserRef = DenoiserRef("total-variation")
+    denoiser: DenoiserRef = DenoiserRef()
 
     def __post_init__(self):
         if self.nu0 <= 0:

@@ -24,7 +24,6 @@ from mpirecon.core_stage import (
     laplacian_matrix,
     solve_core_stage,
 )
-from mpirecon.denoisers import DenoiserRef
 from mpirecon.forward import ScanSignal, apply_analog_filter, core_operator, simulate_signal
 from mpirecon.geometry import ConcentrationImage, GridGeometry
 from mpirecon.interpolation import InterpolationScheme, interpolation_matrix
@@ -126,7 +125,6 @@ h_sat_a_per_m = {h_sat}
 nu0 = 1e-5
 iterations = 10
 trim_percentile = 5.0
-denoiser = total-variation
 tv_iterations = 60
 """
 
@@ -409,12 +407,7 @@ def test_criterion_08_percentile_trim_artifact_suppression():
 
     energy = {}
     for trim in (0.0, 5.0):
-        config = PnPConfig(
-            nu0=1e-5,
-            n_iterations=10,
-            trim_percentile=trim,
-            denoiser=DenoiserRef("total-variation"),
-        )
+        config = PnPConfig(nu0=1e-5, n_iterations=10, trim_percentile=trim)
         result = zero_shot_pnp(u, kernel, config)
         record_pnp_run(f"criterion-8 trim{trim:g}", [
             {"nu": r.nu, "sigma": r.sigma, "lambda": r.lam}

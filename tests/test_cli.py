@@ -46,7 +46,6 @@ h_sat_a_per_m = {h_sat}
 [pnp]
 nu0 = 1e-5
 iterations = 5
-denoiser = total-variation
 tv_iterations = 40
 
 [phantom]
@@ -193,11 +192,13 @@ class TestFailures:
             ("core", "rows", "2", "rows must be distinct values of {0, 1}, got (2,)"),
             ("core", "interpolation", "cubic", "unknown interpolation kind 'cubic'"),
             ("pnp", "nu0", "-1", "nu0 must be positive"),
-            ("pnp", "denoiser", "median", "unknown denoiser kind 'median'"),
+            ("pnp", "tv_scale", "-1", "tv_scale must be nonnegative, got -1.0"),
+            ("pnp", "tv_iterations", "-5", "tv_iterations must be at least 1, got -5"),
+            ("pnp", "denoiser_timeout_s", "-1", "timeout must be positive, got -1.0"),
             ("phantom", "margin_mm", "-1", "margin_mm must be nonnegative"),
         ],
         ids=["grid", "scanner", "particle", "kernel", "core", "rows-repeated", "rows-range",
-             "interpolation", "pnp", "denoiser", "phantom"],
+             "interpolation", "pnp", "tv-scale", "tv-iterations", "timeout", "phantom"],
     )
     def test_bad_value_fails_before_any_stage(self, config_file, capsys, section, key, value,
                                               message):

@@ -46,19 +46,6 @@ class TestTwoBar:
             centers.append(xs.mean())
         assert abs(centers[1] - centers[0]) == pytest.approx(3.0, abs=1e-9)
 
-    def test_equality_sign_orientation(self):
-        spec = PhantomSpec(
-            kind="two-bar",
-            grid=GRID,
-            separation_mm=4.0,
-            bar_axis="y",
-            bar_width_mm=0.9,
-        )
-        img = generate_phantom(spec)
-        ys, xs = np.nonzero(img.values)
-        # stacked bars span more columns than rows
-        assert np.ptp(xs) > np.ptp(ys)
-
     def test_unequal_lengths(self):
         spec = PhantomSpec(
             kind="two-bar",

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from denoiser_stubs import CLOSE_EARLY_BODY, HALVE_BODY, external_script
 from mpirecon.core_stage import CoreStageConfig, extract_trace, solve_core_stage
+from mpirecon.denoisers import DenoiserRef
 from mpirecon.fileio import (
     load_image,
     load_signal,
@@ -88,7 +90,6 @@ rows = {overrides.get("rows", "0,1")}
 [pnp]
 nu0 = 1e-5
 iterations = {overrides.get("pnp_iterations", 6)}
-denoiser = total-variation
 tv_iterations = 40
 
 [phantom]
@@ -144,26 +145,40 @@ class TestConfig:
             config.validate()
 
     @pytest.mark.parametrize(
-        "scanner, message",
+        "text, message",
         [
             (
-                "excitation_amplitude_mt = 1.5\nexcitation_frequency_hz = 2500.0\n",
+                "[scanner]\ntrajectory_file = traj.csv\nexcitation_amplitude_mt = 1.5\n"
+                "excitation_frequency_hz = 2500.0\n",
                 r"^\[scanner\] excitation_amplitude_mt = 1.5 is not read with a trajectory_file$",
             ),
             (
-                "trajectory = file\n",
+                "[scanner]\ntrajectory_file = traj.csv\ntrajectory = file\n",
                 r"^\[scanner\] trajectory: unknown key; did you mean 'trajectory_file'\?$",
             ),
+            (
+                "[pnp]\ndenoiser_command = drunet --sigma-in\ntv_scale = 2.0\n",
+                r"^\[pnp\] tv_scale = 2.0 is only read without a denoiser_command$",
+            ),
+            (
+                "[pnp]\ndenoiser_command = drunet\ntv_iterations = 30\n",
+                r"^\[pnp\] tv_iterations = 30 is only read without a denoiser_command$",
+            ),
+            (
+                "[pnp]\ndenoiser_timeout_s = 5.0\n",
+                r"^\[pnp\] denoiser_timeout_s = 5.0 is only read with a denoiser_command$",
+            ),
         ],
-        ids=["file-with-excitation", "trajectory-key"],
+        ids=["file-with-excitation", "trajectory-key", "tv-scale-with-command",
+             "tv-iterations-with-command", "timeout-without-command"],
     )
-    def test_every_trajectory_key_set_is_read(self, tmp_path, scanner, message):
-        # the trajectory follows from the keys: a file is read, the excitation is not
+    def test_every_key_set_is_read(self, tmp_path, text, message):
+        # the trajectory and the denoiser follow from the keys set: a
+        # trajectory file is read, the excitation is not; a denoiser
+        # command is run, the TV settings are not
         (tmp_path / "traj.csv").write_text("t,x,y\n0,0,0\n1,0,0\n")
         with pytest.raises(ValueError, match=message):
-            PipelineConfig.from_string(
-                f"[scanner]\ntrajectory_file = traj.csv\n{scanner}", base_dir=str(tmp_path)
-            ).validate()
+            PipelineConfig.from_string(text, base_dir=str(tmp_path)).validate()
 
     @pytest.mark.parametrize("key", ["threshold_x", "threshold_y"])
     def test_snr_thresholds_named_only_with_an_snr_file(self, tmp_path, key):
@@ -186,7 +201,7 @@ class TestSchema:
         raw.read_string(text)
         assert [(s, k) for s in raw.sections() for k in raw[s]] == KEYS
         # keys that neither the shipped configs nor the tests set
-        unset = {"bar_axis", "denoiser_command", "denoiser_timeout_s", "pairs"}
+        unset = {"pairs"}
         assert unset <= {k for _, k in KEYS}
 
     def test_defaults_of_dataclass_backed_keys_come_from_the_dataclasses(self):
@@ -222,9 +237,13 @@ class TestSchema:
             # removed keys: the Laplacian is in pixel units, the series cutoff a constant
             ("[core]\nlaplacian_units = pixel\n", r"^\[core\] laplacian_units: unknown key"),
             ("[kernel]\ntaylor_cutoff = 0.02\n", r"^\[kernel\] taylor_cutoff: unknown key"),
+            # removed keys: denoiser_command picks the backend, TV and external are the two
+            ("[pnp]\ndenoiser = external\n", r"^\[pnp\] denoiser: unknown key"),
+            ("[pnp]\nblur_scale = 4.0\n", r"^\[pnp\] blur_scale: unknown key"),
+            ("[phantom]\nbar_axis = y\n", r"^\[phantom\] bar_axis: unknown key"),
         ],
         ids=["typo", "section", "float", "ints", "pairs", "default-section", "laplacian-units",
-             "taylor-cutoff"],
+             "taylor-cutoff", "denoiser", "blur-scale", "bar-axis"],
     )
     def test_bad_config_rejected_when_read(self, text, message):
         with pytest.raises(ValueError, match=message):
@@ -680,7 +699,6 @@ rows = 0
 [pnp]
 nu0 = 1e-5
 iterations = 4
-denoiser = total-variation
 tv_iterations = 30
 
 [phantom]
@@ -704,6 +722,35 @@ dot_size_mm = 2.0
         y = recon.geometry.origin[1] + peak_iy * recon.geometry.spacing[1]
         assert abs(x - 2e-3) <= 2 * recon.geometry.spacing[0]
         assert abs(y - (-2e-3)) <= 2 * recon.geometry.spacing[1]
+
+
+class TestExternalDenoiserRun:
+    """``denoiser_command`` alone selects the external backend."""
+
+    def external_config(self, tmp_path, body):
+        command = external_script(tmp_path, body)
+        text = config_text(str(tmp_path / "run"), pnp_iterations=3).replace(
+            "tv_iterations = 40\n", f"denoiser_command = {' '.join(command)}\n"
+        )
+        return PipelineConfig.from_string(text, base_dir=str(tmp_path)), command
+
+    def test_recon_equals_zero_shot_pnp_with_the_stub(self, tmp_path):
+        config, command = self.external_config(tmp_path, HALVE_BODY)
+        result = run_pipeline(config)
+        trace = load_image(result.artifacts["trace"])
+        kernel = _deconvolution_kernel(config, trace.geometry)
+        external = PnPConfig(nu0=1e-5, n_iterations=3, denoiser=DenoiserRef(command=command))
+        recon = load_image(result.artifacts["recon"]).values
+        assert np.array_equal(recon, zero_shot_pnp(trace.values, kernel, external).image)
+        tv = PnPConfig(nu0=1e-5, n_iterations=3)
+        assert not np.array_equal(recon, zero_shot_pnp(trace.values, kernel, tv).image)
+
+    def test_stub_that_closes_its_output_fails_the_deconvolve_stage(self, tmp_path):
+        config, _ = self.external_config(tmp_path, CLOSE_EARLY_BODY)
+        with pytest.raises(
+            PipelineError, match=r"^\[deconvolve\] external denoiser closed its output early$"
+        ):
+            run_pipeline(config)
 
 
 class TestSweep:
