@@ -11,14 +11,21 @@ per-sample array beyond its inputs and a one-byte hull mask, and its
 memory is O(pixels + block).  All rows share one normal matrix, stored
 by its diagonals, which are written straight from those sums; a CG
 iteration is one sparse product that reads no column indices and whose
-cost does not grow with the number of samples.  With a single available
-channel only that row is recovered (partial data), which is enough to
-deconvolve against the matching kernel entry downstream.
+cost does not grow with the number of samples.  The rows' CG solves
+run concurrently: the caller's thread solves the first row and one extra
+thread the second, both reading the one N.  Each solve does the same
+operations in the same order as when the rows are solved in turn, so
+the threads change no bit of the result; the sparse products and BLAS
+dot products release the GIL, so the two solves overlap.  With a single
+available channel only that row is recovered (partial data) and no
+thread is started, which is enough to deconvolve against the matching
+kernel entry downstream.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import threading
 import warnings
 from typing import TYPE_CHECKING
 
@@ -235,6 +242,34 @@ def _normal_matrix(grid, sums, gamma):
     return sp.dia_matrix((data, offsets), shape=(2 * n_pix, 2 * n_pix))
 
 
+def _solve_rows(solve, rhs):
+    """``[solve(b) for b in rhs]``, with the first right-hand side solved
+    on the caller's thread while one extra thread solves the second (one
+    right-hand side starts no thread).  The thread is joined before this
+    returns, also when a solve raises; the first exception, in ``rhs``
+    order, is re-raised here."""
+    if len(rhs) == 1:
+        return [solve(rhs[0])]
+    first, second = rhs
+    outcome = {}
+
+    def run_second():
+        try:
+            outcome["result"] = solve(second)
+        except BaseException as exc:  # re-raised on the caller's thread
+            outcome["error"] = exc
+
+    worker = threading.Thread(target=run_second, name="core-stage-row")
+    worker.start()
+    try:
+        result = solve(first)
+    finally:
+        worker.join()
+    if "error" in outcome:
+        raise outcome["error"]
+    return [result, outcome["result"]]
+
+
 def solve_core_stage(
     signal_values: np.ndarray,
     positions: np.ndarray,
@@ -255,7 +290,11 @@ def solve_core_stage(
     hull are dropped with a warning; non-finite positions, velocities or
     signal values raise ``ValueError``.  The row solves run CG to
     ``cg_tolerance`` on the relative residual and report non-convergence
-    without discarding the iterate.  With gamma = 0, raises
+    without discarding the iterate.  With two rows the second row's CG
+    runs on one extra thread while the caller's thread solves the first;
+    the result is bit-identical to solving the rows in turn, and the
+    non-convergence warnings and any solve's exception are raised on the
+    caller's thread, in row order.  With gamma = 0, raises
     ``ValueError`` when some pixel's 2 x 2 data block is
     numerically rank-deficient (no kept sample touches the pixel, or the
     velocities through it span too few directions): lambda_min <= 1e-12
@@ -316,10 +355,12 @@ def solve_core_stage(
                 "too few directions) and gamma = 0"
             )
 
+    def solve(b):
+        return conjugate_gradient(normal.dot, b, config.cg_tolerance, config.cg_max_iterations)
+
     entries = {}
     cg_records: dict[int, CgResult] = {}
-    for row, b in zip(rows, rhs):
-        result = conjugate_gradient(normal.dot, b, config.cg_tolerance, config.cg_max_iterations)
+    for row, result in zip(rows, _solve_rows(solve, rhs)):
         if not result.converged:
             warnings.warn(
                 f"core-stage CG for row {row} stopped at relative residual "

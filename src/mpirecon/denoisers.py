@@ -61,6 +61,8 @@ class DenoiserRef:
             raise ValueError(f"tv_iterations must be at least 1, got {self.tv_iterations!r}")
         if not self.timeout > 0:
             raise ValueError(f"timeout must be positive, got {self.timeout!r}")
+        if self.timeout == np.inf:
+            raise ValueError(f"timeout must be finite, got {self.timeout!r}")
 
 
 def tv_prox(image: np.ndarray, weight: float, n_iterations: int = 60) -> np.ndarray:

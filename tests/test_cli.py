@@ -12,6 +12,9 @@ from mpirecon.fileio import load_image
 from mpirecon.pipeline import STAGES, PipelineConfig
 
 VACUUM_PERMEABILITY = 4e-7 * np.pi
+# a key that is only read next to another is set with it, so the value
+# itself is what fails
+COMPANIONS = {"denoiser_timeout_s": {"denoiser_command": "true"}}
 
 
 @pytest.fixture
@@ -195,10 +198,12 @@ class TestFailures:
             ("pnp", "tv_scale", "-1", "tv_scale must be nonnegative, got -1.0"),
             ("pnp", "tv_iterations", "-5", "tv_iterations must be at least 1, got -5"),
             ("pnp", "denoiser_timeout_s", "-1", "timeout must be positive, got -1.0"),
+            ("pnp", "denoiser_timeout_s", "inf", "timeout must be finite, got inf"),
             ("phantom", "margin_mm", "-1", "margin_mm must be nonnegative"),
         ],
         ids=["grid", "scanner", "particle", "kernel", "core", "rows-repeated", "rows-range",
-             "interpolation", "pnp", "tv-scale", "tv-iterations", "timeout", "phantom"],
+             "interpolation", "pnp", "tv-scale", "tv-iterations", "timeout", "timeout-inf",
+             "phantom"],
     )
     def test_bad_value_fails_before_any_stage(self, config_file, capsys, section, key, value,
                                               message):
@@ -208,6 +213,7 @@ class TestFailures:
         if not config.has_section(section):
             config.add_section(section)
         config[section][key] = value
+        config[section].update(COMPANIONS.get(key, {}))
         with open(path, "w") as f:
             config.write(f)
         assert main(["run", "--config", path]) == 1

@@ -1,5 +1,11 @@
 """Core-stage solve: Laplacian regularizer, normal equations, round trips."""
 
+import json
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -8,7 +14,7 @@ import scipy.sparse as sp
 from core_oracle import normal_matrix_csr, normal_operator, stencil_gram_bands
 from grid_oracle import laplacian_apply
 
-from mpirecon import interpolation
+from mpirecon import core_stage, interpolation
 from mpirecon.core_stage import (
     PAIRS,
     CoreStageConfig,
@@ -768,6 +774,142 @@ class TestSolveCoreStage:
         cfg = CoreStageConfig(grid=grid, rows=(0,))
         with pytest.raises(ValueError, match=r"^signal has 4 samples but the trajectory has 3$"):
             solve_core_stage(np.zeros((4, 1)), np.ones((3, 2)), np.ones((3, 2)), cfg)
+
+
+def small_two_row_instance():
+    grid = GridGeometry(shape=(6, 6), spacing=(1.0, 1.0), origin=(0.0, 0.0))
+    rng = np.random.default_rng(0)
+    positions = rng.uniform(0.0, 5.0, size=(200, 2))
+    velocities = rng.normal(size=(200, 2))
+    return grid, rng.normal(size=(200, 2)), positions, velocities
+
+
+# A 100 x 100 solve in a fresh interpreter at the BLAS thread count of
+# its environment: two concurrent solves against conjugate_gradient run
+# row by row on the same N.  Its 20,000 unknowns exceed OpenBLAS's
+# 10,000-element threshold for threaded dot products.
+DETERMINISM_SCRIPT = """
+import json
+import numpy as np
+from mpirecon.core_stage import CoreStageConfig, _normal_equations, _normal_matrix, solve_core_stage
+from mpirecon.geometry import GridGeometry
+from mpirecon.interpolation import InterpolationScheme
+from mpirecon.solvers import conjugate_gradient
+
+grid = GridGeometry(shape=(100, 100), spacing=(1.0, 1.0), origin=(0.0, 0.0))
+rng = np.random.default_rng(3)
+positions = rng.uniform(0.0, 99.0, size=(40_000, 2))
+velocities = rng.normal(size=(40_000, 2))
+values = rng.normal(size=(40_000, 2))
+config = CoreStageConfig(grid=grid, gamma=1e-6, cg_tolerance=1e-6, cg_max_iterations=400)
+inside = grid.contains(positions)
+sums, rhs = _normal_equations(grid, positions, velocities, values, inside, InterpolationScheme())
+normal = _normal_matrix(grid, sums, config.gamma)
+want = [
+    conjugate_gradient(normal.dot, b, config.cg_tolerance, config.cg_max_iterations) for b in rhs
+]
+runs = [solve_core_stage(values, positions, velocities, config) for _ in range(2)]
+print(json.dumps({
+    "iterations": [w.iterations for w in want],
+    "bit_equal": [
+        [run.cg[row].x.tobytes() == w.x.tobytes() and run.cg[row].residuals == w.residuals
+         for row, w in zip(config.rows, want)]
+        for run in runs
+    ],
+}))
+"""
+
+
+class TestConcurrentRows:
+    """The second row's CG runs on one extra thread; what the caller sees
+    is what solving the rows in turn gives."""
+
+    @pytest.mark.parametrize("rows", [(0, 1), (1, 0)])
+    def test_non_convergence_warnings_reach_the_caller_in_row_order(self, rows):
+        grid, values, positions, velocities = small_two_row_instance()
+        cfg = CoreStageConfig(grid=grid, gamma=1e-3, cg_max_iterations=1, rows=rows)
+        before = threading.active_count()
+        with pytest.warns(UserWarning, match="core-stage CG") as record:
+            solve_core_stage(values, positions, velocities, cfg)
+        assert [str(w.message).split(" stopped")[0] for w in record] == [
+            f"core-stage CG for row {row}" for row in rows
+        ]
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("failing", [1, 0], ids=["extra-thread", "caller"])
+    def test_a_row_solve_failure_reaches_the_caller(self, monkeypatch, failing):
+        # a zero signal column gives that row the zero right-hand side
+        grid, values, positions, velocities = small_two_row_instance()
+        values[:, failing] = 0.0
+        real = core_stage.conjugate_gradient
+        finished = []
+
+        def fail_on_zero(operator, b, *args):
+            if not b.any():
+                raise RuntimeError(f"no data for column {failing}")
+            time.sleep(0.05)  # still running when the other row fails
+            result = real(operator, b, *args)
+            finished.append(result)
+            return result
+
+        monkeypatch.setattr(core_stage, "conjugate_gradient", fail_on_zero)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"^no data for column {failing}$"):
+            solve_core_stage(values, positions, velocities, CoreStageConfig(grid=grid, gamma=1e-3))
+        # the other row's solve ended before the failure reached the caller
+        assert len(finished) == 1
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("rows", [(0, 1), (1,)])
+    def test_rows_minus_one_extra_threads(self, monkeypatch, rows):
+        grid, values, positions, velocities = small_two_row_instance()
+        real = core_stage.conjugate_gradient
+        threads = []
+
+        def recording(*args):
+            threads.append(threading.current_thread())
+            return real(*args)
+
+        monkeypatch.setattr(core_stage, "conjugate_gradient", recording)
+        cfg = CoreStageConfig(grid=grid, gamma=1e-3, rows=rows)
+        solve_core_stage(values[:, : len(rows)], positions, velocities, cfg)
+        assert threading.current_thread() in threads
+        assert len(set(threads)) == len(threads) == len(rows)
+
+    def test_bit_equal_to_row_by_row_under_frequent_thread_switches(self):
+        grid, values, positions, velocities = small_two_row_instance()
+        cfg = CoreStageConfig(grid=grid, gamma=1e-3, cg_tolerance=1e-10)
+        inside = grid.contains(positions)
+        sums, rhs = _normal_equations(
+            grid, positions, velocities, values, inside, InterpolationScheme()
+        )
+        normal = _normal_matrix(grid, sums, cfg.gamma)
+        want = [conjugate_gradient(normal.dot, b, cfg.cg_tolerance, 1000) for b in rhs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = [solve_core_stage(values, positions, velocities, cfg) for _ in range(5)]
+        finally:
+            sys.setswitchinterval(interval)
+        for run in runs:
+            for row, w in zip(cfg.rows, want):
+                assert run.cg[row].iterations == w.iterations > 10
+                assert run.cg[row].x.tobytes() == w.x.tobytes()
+
+    def test_bit_equal_to_row_by_row_at_two_blas_threads(self):
+        # On a one-core host OpenBLAS runs one thread whatever is asked,
+        # so there this test cannot fail; it is not skipped, since at one
+        # BLAS thread the comparison still holds.
+        env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
+        env.update(OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2", MKL_NUM_THREADS="2")
+        done = subprocess.run(
+            [sys.executable, "-c", DETERMINISM_SCRIPT], env=env, capture_output=True, text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        result = json.loads(done.stdout.splitlines()[-1])
+        assert min(result["iterations"]) > 50
+        assert result["bit_equal"] == [[True, True], [True, True]]
 
 
 class TestExtract:

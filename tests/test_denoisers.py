@@ -30,6 +30,16 @@ class TestDenoiserRef:
         assert isinstance(open_denoiser(DenoiserRef()), TotalVariationDenoiser)
         assert isinstance(open_denoiser(DenoiserRef(command=("true",))), ExternalDenoiser)
 
+    @pytest.mark.parametrize(
+        "timeout, message",
+        [(-1.0, "timeout must be positive"), (float("nan"), "timeout must be positive"),
+         (float("inf"), "timeout must be finite, got inf")],
+    )
+    def test_timeout_must_be_positive_and_finite(self, timeout, message):
+        # select.select overflows on an infinite wait, so it fails here
+        with pytest.raises(ValueError, match=message):
+            DenoiserRef(command=("true",), timeout=timeout)
+
     def test_fields_are_keyword_only(self):
         # a positional backend name must not land in tv_scale
         with pytest.raises(TypeError):
