@@ -55,9 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument(
         "--pairs",
-        default=None,
-        help="semicolon-separated h_sat,nu0 pairs, e.g. '800,1e-5;1000,1e-4' "
-        "(defaults to the [sweep] section)",
+        required=True,
+        help="semicolon-separated h_sat,nu0 pairs, e.g. '800,1e-5;1000,1e-4'",
     )
 
     p = sub.add_parser("profile", help="extract a row or column profile from an image")
@@ -96,8 +95,7 @@ def main(argv=None) -> int:
         if args.command == "phantom":
             result = generate_phantom_only(config, out_dir=args.out)
         elif args.command == "sweep":
-            pairs = parse_pairs(args.pairs) if args.pairs else None
-            ranked = sweep(config, pairs=pairs, out_dir=args.out, seed=args.seed)
+            ranked = sweep(config, parse_pairs(args.pairs), out_dir=args.out, seed=args.seed)
             for row in ranked:
                 print(f"h_sat={row['h_sat']} nu0={row['nu0']} score={row['score']} {row['status']}")
             return 0

@@ -12,7 +12,7 @@ memory is O(pixels + block).  All rows share one normal matrix, stored
 by its diagonals, which are written straight from those sums; a CG
 iteration is one sparse product that reads no column indices and whose
 cost does not grow with the number of samples.  The rows' CG solves
-run concurrently: the caller's thread solves the first row and one extra
+run concurrently: the caller's thread solves the first row and one worker
 thread the second, both reading the one N.  Each solve does the same
 operations in the same order as when the rows are solved in turn, so
 the threads change no bit of the result; the sparse products and BLAS
@@ -25,7 +25,6 @@ kernel entry downstream.
 from __future__ import annotations
 
 import dataclasses
-import threading
 import warnings
 from typing import TYPE_CHECKING
 
@@ -85,8 +84,14 @@ class CoreStageConfig:
     def __post_init__(self):
         if self.gamma < 0:
             raise ValueError("gamma must be nonnegative")
+        if not np.isfinite(self.gamma):
+            raise ValueError(f"gamma must be finite, got {self.gamma!r}")
         if self.cg_tolerance <= 0:
             raise ValueError("cg_tolerance must be positive")
+        if not self.cg_tolerance < 1:  # CG would stop at x = 0
+            raise ValueError(f"cg_tolerance must lie in (0, 1), got {self.cg_tolerance!r}")
+        if self.cg_max_iterations < 1:
+            raise ValueError(f"cg_max_iterations must be at least 1, got {self.cg_max_iterations}")
         if sorted(self.rows) not in ([0], [1], [0, 1]):
             raise ValueError(f"rows must be distinct values of {{0, 1}}, got {self.rows}")
 
@@ -242,34 +247,6 @@ def _normal_matrix(grid, sums, gamma):
     return sp.dia_matrix((data, offsets), shape=(2 * n_pix, 2 * n_pix))
 
 
-def _solve_rows(solve, rhs):
-    """``[solve(b) for b in rhs]``, with the first right-hand side solved
-    on the caller's thread while one extra thread solves the second (one
-    right-hand side starts no thread).  The thread is joined before this
-    returns, also when a solve raises; the first exception, in ``rhs``
-    order, is re-raised here."""
-    if len(rhs) == 1:
-        return [solve(rhs[0])]
-    first, second = rhs
-    outcome = {}
-
-    def run_second():
-        try:
-            outcome["result"] = solve(second)
-        except BaseException as exc:  # re-raised on the caller's thread
-            outcome["error"] = exc
-
-    worker = threading.Thread(target=run_second, name="core-stage-row")
-    worker.start()
-    try:
-        result = solve(first)
-    finally:
-        worker.join()
-    if "error" in outcome:
-        raise outcome["error"]
-    return [result, outcome["result"]]
-
-
 def solve_core_stage(
     signal_values: np.ndarray,
     positions: np.ndarray,
@@ -291,7 +268,7 @@ def solve_core_stage(
     signal values raise ``ValueError``.  The row solves run CG to
     ``cg_tolerance`` on the relative residual and report non-convergence
     without discarding the iterate.  With two rows the second row's CG
-    runs on one extra thread while the caller's thread solves the first;
+    runs on one worker thread while the caller's thread solves the first;
     the result is bit-identical to solving the rows in turn, and the
     non-convergence warnings and any solve's exception are raised on the
     caller's thread, in row order.  With gamma = 0, raises
@@ -355,12 +332,19 @@ def solve_core_stage(
                 "too few directions) and gamma = 0"
             )
 
+    from concurrent.futures import ThreadPoolExecutor
+
     def solve(b):
         return conjugate_gradient(normal.dot, b, config.cg_tolerance, config.cg_max_iterations)
 
+    # one row starts no thread; leaving the block joins the worker, also on an error
+    with ThreadPoolExecutor(1, thread_name_prefix="core-stage-row") as pool:
+        rest = [pool.submit(solve, b) for b in rhs[1:]]
+        results = [solve(rhs[0])] + [future.result() for future in rest]
+
     entries = {}
     cg_records: dict[int, CgResult] = {}
-    for row, result in zip(rows, _solve_rows(solve, rhs)):
+    for row, result in zip(rows, results):
         if not result.converged:
             warnings.warn(
                 f"core-stage CG for row {row} stopped at relative residual "

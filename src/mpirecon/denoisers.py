@@ -26,6 +26,7 @@ import os
 import select
 import struct
 import subprocess
+import threading
 
 import numpy as np
 
@@ -57,12 +58,16 @@ class DenoiserRef:
     def __post_init__(self):
         if not self.tv_scale >= 0:
             raise ValueError(f"tv_scale must be nonnegative, got {self.tv_scale!r}")
+        if self.tv_scale == np.inf:
+            raise ValueError(f"tv_scale must be finite, got {self.tv_scale!r}")
         if self.tv_iterations < 1:
             raise ValueError(f"tv_iterations must be at least 1, got {self.tv_iterations!r}")
         if not self.timeout > 0:
             raise ValueError(f"timeout must be positive, got {self.timeout!r}")
-        if self.timeout == np.inf:
-            raise ValueError(f"timeout must be finite, got {self.timeout!r}")
+        if not self.timeout <= threading.TIMEOUT_MAX:  # select.select's limit
+            raise ValueError(
+                f"timeout must be at most {threading.TIMEOUT_MAX!r}, got {self.timeout!r}"
+            )
 
 
 def tv_prox(image: np.ndarray, weight: float, n_iterations: int = 60) -> np.ndarray:

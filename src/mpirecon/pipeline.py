@@ -65,7 +65,7 @@ def _ordered_stages(names) -> tuple:
 
 
 def parse_pairs(raw: str) -> list:
-    """``h_sat,nu0`` pairs separated by ``;`` (``[sweep] pairs``, ``sweep --pairs``)."""
+    """``h_sat,nu0`` pairs separated by ``;`` (``sweep --pairs``)."""
     pairs = []
     for chunk in filter(str.strip, raw.split(";")):
         try:
@@ -83,7 +83,6 @@ TEXT = (str, str)
 INTS = (lambda raw: tuple(map(int, filter(str.strip, raw.split(",")))),
         lambda v: ",".join(map(str, v)))
 WORDS = (lambda raw: tuple(raw.split()), " ".join)
-PAIRS = (parse_pairs, lambda v: ";".join(f"{h!r},{n!r}" for h, n in v))
 
 
 # section -> rows of (key, type, default, doc); a None default means unset.
@@ -157,7 +156,6 @@ SCHEMA = {
         ("threshold_y", FLOAT, 0.0, "core drops bins below this SNR"),
     ),
     "deconvolve": (("input_trace", TEXT, None, "trace image base; empty: the core stage's"),),
-    "sweep": (("pairs", PAIRS, (), "h_sat,nu0 pairs separated by ';'"),),
 }
 _TYPES = {section: {row[0]: row[1] for row in rows} for section, rows in SCHEMA.items()}
 _DEFAULTS = {section: {row[0]: row[2] for row in rows} for section, rows in SCHEMA.items()}
@@ -276,12 +274,9 @@ class PipelineConfig:
             core_diameter=v["core_diameter_nm"] * 1e-9,
         )
 
-    def kernel_spec(self, h_override: float | None = None) -> KernelSpec:
-        v = self.values["kernel"]
-        h = h_override if h_override is not None else v["h_sat_a_per_m"]
-        if h is None:
-            h = saturation_field(self.particle())
-        return KernelSpec(h=h)
+    def kernel_spec(self) -> KernelSpec:
+        h = self.values["kernel"]["h_sat_a_per_m"]
+        return KernelSpec(h=saturation_field(self.particle()) if h is None else h)
 
     def core(self) -> CoreStageConfig:
         v = self.values["core"]
@@ -305,10 +300,10 @@ class PipelineConfig:
             timeout=v["denoiser_timeout_s"],
         )
 
-    def pnp(self, nu0_override: float | None = None) -> PnPConfig:
+    def pnp(self) -> PnPConfig:
         v = self.values["pnp"]
         return PnPConfig(
-            nu0=nu0_override if nu0_override is not None else v["nu0"],
+            nu0=v["nu0"],
             n_iterations=v["iterations"],
             trim_percentile=v["trim_percentile"],
             denoiser=self.denoiser(),
@@ -326,9 +321,6 @@ class PipelineConfig:
             bar_lengths_mm=(v["bar_length_a_mm"], v["bar_length_b_mm"]),
             bar_width_mm=v["bar_width_mm"],
         )
-
-    def sweep_pairs(self) -> list:
-        return list(self.values["sweep"]["pairs"])
 
     def validate(self, inputs: bool = True) -> None:
         """Every getter's dataclass accepts its values; every key set is
@@ -427,10 +419,9 @@ def _deconv_target(config: PipelineConfig):
     return f"entry_a{rows[0]}{rows[0]}", (rows[0], rows[0])
 
 
-def _deconvolution_kernel(config: PipelineConfig, grid, h_override=None):
-    """Kernel image for the deconvolution stage, normalized to unit sum:
-    the kernel of the image ``_deconv_target`` names."""
-    spec = config.kernel_spec(h_override)
+def _deconvolution_kernel(config: PipelineConfig, grid, spec: KernelSpec):
+    """Kernel image of ``spec`` for the deconvolution stage, normalized to
+    unit sum: the kernel of the image ``_deconv_target`` names."""
     _, selector = _deconv_target(config)
     kernel = discretize_kernel(grid, spec, selector, config.scanner().gradient_field())
     total = kernel.sum()
@@ -594,18 +585,18 @@ class _Run:
             self.deconv_input = (image.values, image.geometry)
         return self.deconv_input
 
-    def _deconvolve(self, h_sat=None, nu0=None):
-        """Deconvolve the input with the kernel at ``h_sat`` and coupling
-        ``nu0`` (config values where None); return the kernel, the PnP
-        result and the centre-row dip ratio of its image."""
+    def _deconvolve(self, spec: KernelSpec, pnp: PnPConfig):
+        """Deconvolve the input with the kernel of ``spec`` under ``pnp``;
+        return the kernel, the PnP result and the centre-row dip ratio of
+        its image."""
         values, grid = self._load_deconv_input()
-        kernel = _deconvolution_kernel(self.config, grid, h_sat)
-        result = zero_shot_pnp(values, kernel, self.config.pnp(nu0))
+        kernel = _deconvolution_kernel(self.config, grid, spec)
+        result = zero_shot_pnp(values, kernel, pnp)
         _, profile = extract_profile(result.image, "row", grid.shape[0] // 2, grid)
         return kernel, result, dip_ratio(profile)
 
     def deconvolve_stage(self):
-        _, result, dip = self._deconvolve()
+        _, result, dip = self._deconvolve(self.config.kernel_spec(), self.config.pnp())
         for rec in result.diagnostics.records:
             k = f"iter{rec.iteration}"
             self.rows.append(("deconvolve", k, "nu", rec.nu))
@@ -690,7 +681,7 @@ def generate_phantom_only(
 
 def sweep(
     config: PipelineConfig,
-    pairs: list | None = None,
+    pairs: list,
     out_dir: str | None = None,
     seed: int | None = None,
 ) -> list:
@@ -703,8 +694,6 @@ def sweep(
     recorded and the sweep continues.  Results land in ``sweep.csv``
     ranked by score.
     """
-    if pairs is None:
-        pairs = config.sweep_pairs()
     if not pairs:
         raise ValueError("sweep needs at least one (h_sat, nu0) pair")
     config.validate()
@@ -721,7 +710,8 @@ def sweep(
     results = []
     for h_sat, nu0 in pairs:
         try:
-            kernel, result, score = run._deconvolve(h_sat, nu0)
+            spec, pnp = KernelSpec(h=h_sat), dataclasses.replace(config.pnp(), nu0=nu0)
+            kernel, result, score = run._deconvolve(spec, pnp)
             if not is_bar_phantom:
                 blurred = fft_convolve(result.image, kernel, 1.0)
                 score = -float(

@@ -41,6 +41,8 @@ class PnPConfig:
     def __post_init__(self):
         if self.nu0 <= 0:
             raise ValueError("nu0 must be positive")
+        if not np.isfinite(self.nu0):
+            raise ValueError(f"nu0 must be finite, got {self.nu0!r}")
         if not 0 <= self.trim_percentile < 50:
             raise ValueError("trim_percentile must lie in [0, 50)")
         if self.n_iterations < 1:

@@ -2,6 +2,7 @@
 
 import configparser
 import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -191,19 +192,34 @@ class TestFailures:
             ("particle", "temperature_k", "-1", "ParticleModel.temperature must be strictly"),
             ("kernel", "h_sat_a_per_m", "-1", "kernel resolution h must be positive"),
             ("core", "gamma", "-1", "gamma must be nonnegative"),
+            ("core", "gamma", "nan", "gamma must be finite, got nan"),
+            ("core", "gamma", "inf", "gamma must be finite, got inf"),
+            ("core", "cg_tolerance", "inf", "cg_tolerance must lie in (0, 1), got inf"),
+            ("core", "cg_tolerance", "1e12", "cg_tolerance must lie in (0, 1), got 1000000000000.0"),
+            ("core", "cg_max_iterations", "0", "cg_max_iterations must be at least 1, got 0"),
+            ("core", "cg_max_iterations", "-1", "cg_max_iterations must be at least 1, got -1"),
             ("core", "rows", "0,0", "rows must be distinct values of {0, 1}, got (0, 0)"),
             ("core", "rows", "2", "rows must be distinct values of {0, 1}, got (2,)"),
             ("core", "interpolation", "cubic", "unknown interpolation kind 'cubic'"),
             ("pnp", "nu0", "-1", "nu0 must be positive"),
+            ("pnp", "nu0", "nan", "nu0 must be finite, got nan"),
+            ("pnp", "nu0", "inf", "nu0 must be finite, got inf"),
             ("pnp", "tv_scale", "-1", "tv_scale must be nonnegative, got -1.0"),
+            ("pnp", "tv_scale", "inf", "tv_scale must be finite, got inf"),
             ("pnp", "tv_iterations", "-5", "tv_iterations must be at least 1, got -5"),
             ("pnp", "denoiser_timeout_s", "-1", "timeout must be positive, got -1.0"),
-            ("pnp", "denoiser_timeout_s", "inf", "timeout must be finite, got inf"),
+            # select.select takes no longer wait
+            ("pnp", "denoiser_timeout_s", "inf",
+             f"timeout must be at most {threading.TIMEOUT_MAX!r}, got inf"),
+            ("pnp", "denoiser_timeout_s", "1e10",
+             f"timeout must be at most {threading.TIMEOUT_MAX!r}, got 10000000000.0"),
             ("phantom", "margin_mm", "-1", "margin_mm must be nonnegative"),
         ],
-        ids=["grid", "scanner", "particle", "kernel", "core", "rows-repeated", "rows-range",
-             "interpolation", "pnp", "tv-scale", "tv-iterations", "timeout", "timeout-inf",
-             "phantom"],
+        ids=["grid", "scanner", "particle", "kernel", "core", "gamma-nan", "gamma-inf",
+             "cg-tolerance-inf", "cg-tolerance-1e12", "cg-max-iterations-0",
+             "cg-max-iterations-negative", "rows-repeated", "rows-range", "interpolation", "pnp",
+             "nu0-nan", "nu0-inf", "tv-scale", "tv-scale-inf", "tv-iterations", "timeout",
+             "timeout-inf", "timeout-1e10", "phantom"],
     )
     def test_bad_value_fails_before_any_stage(self, config_file, capsys, section, key, value,
                                               message):
@@ -224,6 +240,14 @@ class TestFailures:
         path, out = config_file
         assert main(["sweep", "--config", path, "--pairs", "800"]) == 1
         assert capsys.readouterr().err == "error: [config] pair '800' is not h_sat,nu0\n"
+        assert not os.path.exists(out)
+
+    def test_sweep_without_pairs_fails_and_writes_nothing(self, config_file, capsys):
+        path, out = config_file
+        with pytest.raises(SystemExit) as exit_:
+            main(["sweep", "--config", path])
+        assert exit_.value.code != 0
+        assert "--pairs" in capsys.readouterr().err
         assert not os.path.exists(out)
 
     def test_stage_failure_is_tagged(self, config_file, tmp_path, capsys):

@@ -820,8 +820,12 @@ print(json.dumps({
 """
 
 
+class RowAbort(BaseException):
+    """A row solve's failure that is not an ``Exception``."""
+
+
 class TestConcurrentRows:
-    """The second row's CG runs on one extra thread; what the caller sees
+    """The second row's CG runs on one worker thread; what the caller sees
     is what solving the rows in turn gives."""
 
     @pytest.mark.parametrize("rows", [(0, 1), (1, 0)])
@@ -836,8 +840,12 @@ class TestConcurrentRows:
         ]
         assert threading.active_count() == before
 
-    @pytest.mark.parametrize("failing", [1, 0], ids=["extra-thread", "caller"])
-    def test_a_row_solve_failure_reaches_the_caller(self, monkeypatch, failing):
+    @pytest.mark.parametrize(
+        "failing, error",
+        [(1, RuntimeError), (0, RuntimeError), (1, RowAbort)],
+        ids=["extra-thread", "caller", "extra-thread-base-exception"],
+    )
+    def test_a_row_solve_failure_reaches_the_caller(self, monkeypatch, failing, error):
         # a zero signal column gives that row the zero right-hand side
         grid, values, positions, velocities = small_two_row_instance()
         values[:, failing] = 0.0
@@ -846,7 +854,7 @@ class TestConcurrentRows:
 
         def fail_on_zero(operator, b, *args):
             if not b.any():
-                raise RuntimeError(f"no data for column {failing}")
+                raise error(f"no data for column {failing}")
             time.sleep(0.05)  # still running when the other row fails
             result = real(operator, b, *args)
             finished.append(result)
@@ -854,7 +862,7 @@ class TestConcurrentRows:
 
         monkeypatch.setattr(core_stage, "conjugate_gradient", fail_on_zero)
         before = threading.active_count()
-        with pytest.raises(RuntimeError, match=f"^no data for column {failing}$"):
+        with pytest.raises(error, match=f"^no data for column {failing}$"):
             solve_core_stage(values, positions, velocities, CoreStageConfig(grid=grid, gamma=1e-3))
         # the other row's solve ended before the failure reached the caller
         assert len(finished) == 1

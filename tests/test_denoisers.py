@@ -1,5 +1,9 @@
 """Denoiser backends and the external-process protocol."""
 
+import os
+import select
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,12 +37,23 @@ class TestDenoiserRef:
     @pytest.mark.parametrize(
         "timeout, message",
         [(-1.0, "timeout must be positive"), (float("nan"), "timeout must be positive"),
-         (float("inf"), "timeout must be finite, got inf")],
+         (float("inf"), "timeout must be at most .*, got inf"),
+         (1e10, "timeout must be at most .*, got 10000000000.0")],
     )
     def test_timeout_must_be_positive_and_finite(self, timeout, message):
-        # select.select overflows on an infinite wait, so it fails here
+        # select.select overflows on a longer wait, so it fails here
         with pytest.raises(ValueError, match=message):
             DenoiserRef(command=("true",), timeout=timeout)
+
+    def test_timeout_max_is_accepted_and_select_takes_it(self):
+        ref = DenoiserRef(command=("true",), timeout=threading.TIMEOUT_MAX)
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, b"x")
+            assert select.select([read_end], [], [], ref.timeout)[0] == [read_end]
+        finally:
+            os.close(read_end)
+            os.close(write_end)
 
     def test_fields_are_keyword_only(self):
         # a positional backend name must not land in tv_scale

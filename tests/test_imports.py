@@ -1,7 +1,7 @@
 """Start-up cost: each scipy module loads only in the stage that uses it,
 neither start-up nor a run loads ``multiprocessing``, and start-up loads
-no ``concurrent.futures`` (the core stage's extra thread is a plain
-``threading.Thread``)."""
+no ``concurrent.futures`` (the core stage imports its one-worker executor
+when it solves)."""
 
 import json
 import os

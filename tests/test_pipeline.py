@@ -24,7 +24,7 @@ from mpirecon.fileio import (
 from mpirecon.forward import ScanSignal, add_noise, simulate_signal
 from mpirecon.geometry import ConcentrationImage, GridGeometry
 from mpirecon.interpolation import InterpolationScheme
-from mpirecon.kernels import KernelSpec
+from mpirecon.kernels import KernelSpec, saturation_field
 from mpirecon.phantoms import PhantomSpec, generate_phantom
 from mpirecon.pnp import PnPConfig, zero_shot_pnp
 from mpirecon.preprocessing import TransferFunction
@@ -47,7 +47,7 @@ CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "config
 TWO_BAR_33 = os.path.join(os.path.dirname(__file__), "..", "configs", "two_bar_33.ini")
 GETTERS = (
     "stages", "out_dir", "seed", "noise_level", "grid", "scanner", "particle", "kernel_spec",
-    "core", "interpolation", "denoiser", "pnp", "phantom", "sweep_pairs",
+    "core", "interpolation", "denoiser", "pnp", "phantom",
 )
 KEYS = [(section, row[0]) for section, rows in SCHEMA.items() for row in rows]
 NUMERIC_KEYS = [
@@ -200,9 +200,6 @@ class TestSchema:
         raw = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
         raw.read_string(text)
         assert [(s, k) for s in raw.sections() for k in raw[s]] == KEYS
-        # keys that neither the shipped configs nor the tests set
-        unset = {"pairs"}
-        assert unset <= {k for _, k in KEYS}
 
     def test_defaults_of_dataclass_backed_keys_come_from_the_dataclasses(self):
         config = PipelineConfig.from_string("")
@@ -211,12 +208,13 @@ class TestSchema:
         assert config.pnp() == PnPConfig()
         assert config.phantom() == PhantomSpec(kind="two-bar", grid=grid)
         assert config.interpolation() == InterpolationScheme()
-        assert config.kernel_spec(1.0) == KernelSpec(h=1.0)
+        assert config.kernel_spec() == KernelSpec(h=saturation_field(config.particle()))
 
     def test_empty_value_means_default(self):
-        config = PipelineConfig.from_string("[core]\ngamma =\n[sweep]\npairs =\n")
-        assert config.core() == PipelineConfig.from_string("").core()
-        assert config.sweep_pairs() == []
+        config = PipelineConfig.from_string("[core]\ngamma =\n[kernel]\nh_sat_a_per_m =\n")
+        default = PipelineConfig.from_string("")
+        assert config.core() == default.core()
+        assert config.kernel_spec() == default.kernel_spec()
 
     @pytest.mark.parametrize("path", CONFIGS, ids=os.path.basename)
     def test_shipped_configs_parse_and_validate(self, path):
@@ -232,7 +230,6 @@ class TestSchema:
             ("[pnpp]\nnu0 = 1e-5\n", r"^\[pnpp\] unknown section; did you mean 'pnp'\?$"),
             ("[core]\ngamma = abc\n", r"^\[core\] gamma = abc: could not convert"),
             ("[core]\nrows = 0,x\n", r"^\[core\] rows = 0,x: invalid literal"),
-            ("[sweep]\npairs = 800,1e-5;800\n", r"^\[sweep\] pairs = .*'800' is not h_sat,nu0"),
             ("[DEFAULT]\ngamma = 5\n", r"^\[DEFAULT\] unknown section"),
             # removed keys: the Laplacian is in pixel units, the series cutoff a constant
             ("[core]\nlaplacian_units = pixel\n", r"^\[core\] laplacian_units: unknown key"),
@@ -241,9 +238,11 @@ class TestSchema:
             ("[pnp]\ndenoiser = external\n", r"^\[pnp\] denoiser: unknown key"),
             ("[pnp]\nblur_scale = 4.0\n", r"^\[pnp\] blur_scale: unknown key"),
             ("[phantom]\nbar_axis = y\n", r"^\[phantom\] bar_axis: unknown key"),
+            # removed section: sweep takes its pairs from its caller
+            ("[sweep]\npairs = 800,1e-5\n", r"^\[sweep\] unknown section"),
         ],
-        ids=["typo", "section", "float", "ints", "pairs", "default-section", "laplacian-units",
-             "taylor-cutoff", "denoiser", "blur-scale", "bar-axis"],
+        ids=["typo", "section", "float", "ints", "default-section", "laplacian-units",
+             "taylor-cutoff", "denoiser", "blur-scale", "bar-axis", "sweep"],
     )
     def test_bad_config_rejected_when_read(self, text, message):
         with pytest.raises(ValueError, match=message):
@@ -644,7 +643,7 @@ class TestEndToEndRelations:
             straight.times, straight.positions[:, ::-1], straight.velocities[:, ::-1]
         )
         transposed = ConcentrationImage(phantom.values.T, phantom.geometry)
-        kernel = _deconvolution_kernel(config, phantom.geometry)
+        kernel = _deconvolution_kernel(config, phantom.geometry, spec)
         runs = []
         for rho, trajectory in ((phantom, straight), (transposed, swapped)):
             signal = simulate_signal(rho, trajectory, spec, scanner, scheme)
@@ -738,7 +737,7 @@ class TestExternalDenoiserRun:
         config, command = self.external_config(tmp_path, HALVE_BODY)
         result = run_pipeline(config)
         trace = load_image(result.artifacts["trace"])
-        kernel = _deconvolution_kernel(config, trace.geometry)
+        kernel = _deconvolution_kernel(config, trace.geometry, config.kernel_spec())
         external = PnPConfig(nu0=1e-5, n_iterations=3, denoiser=DenoiserRef(command=command))
         recon = load_image(result.artifacts["recon"]).values
         assert np.array_equal(recon, zero_shot_pnp(trace.values, kernel, external).image)
@@ -773,7 +772,7 @@ class TestSweep:
         direct = run_pipeline(config)
         recon = load_image(direct.artifacts["recon"])
         trace = load_image(direct.artifacts["trace"]).values
-        kernel = _deconvolution_kernel(config, recon.geometry)
+        kernel = _deconvolution_kernel(config, recon.geometry, config.kernel_spec())
         blurred = np.real(np.fft.ifft2(np.fft.fft2(recon.values) * np.fft.fft2(kernel)))
         expected = -np.linalg.norm(blurred - trace) / np.linalg.norm(trace)
 
