@@ -7,12 +7,13 @@ the squared Laplacian and solved by conjugate gradients on the normal
 equations.  The normal equations are streamed: one pass over blocks of
 samples adds each block's share of the stencil-pair sums of the Gram
 blocks and of every row's right-hand side, so the solve holds no
-per-sample array beyond its inputs and a one-byte hull mask, and its
-memory is O(pixels + block).  All rows share one normal matrix, stored
-by its diagonals, which are written straight from those sums; a CG
-iteration is one sparse product that reads no column indices and whose
-cost does not grow with the number of samples.  The rows' CG solves
-run concurrently: the caller's thread solves the first row and one worker
+per-sample array beyond its inputs, a one-byte hull mask and, only when
+samples are dropped, one index per kept sample; its memory is otherwise
+O(pixels + block).  All rows share one normal matrix, stored by its
+diagonals, which are written straight from those sums; a CG iteration
+is one sparse product that reads no column indices and whose cost does
+not grow with the number of samples.  The rows' CG solves run
+concurrently: the caller's thread solves the first row and one worker
 thread the second, both reading the one N.  Each solve does the same
 operations in the same order as when the rows are solved in turn, so
 the threads change no bit of the result; the sparse products and BLAS
@@ -48,12 +49,16 @@ def _second_difference_diagonal(n: int) -> np.ndarray:
     return main
 
 
+def _check_laplacian_shape(shape: tuple) -> None:
+    if min(shape) < 3:
+        raise ValueError(f"Laplacian needs a grid of at least 3 x 3, got {shape}")
+
+
 def laplacian_matrix(shape: tuple) -> sp.dia_matrix:
     """5-point Laplacian in pixel units on raveled row-major images,
     replicate boundary, stored by its five diagonals."""
+    _check_laplacian_shape(shape)
     h, w = shape
-    if h < 3 or w < 3:
-        raise ValueError(f"Laplacian needs a grid of at least 3 x 3, got {shape}")
     import scipy.sparse as sp
 
     main = np.add.outer(_second_difference_diagonal(h), _second_difference_diagonal(w))
@@ -82,6 +87,7 @@ class CoreStageConfig:
     rows: tuple = (0, 1)
 
     def __post_init__(self):
+        _check_laplacian_shape(self.grid.shape)
         if self.gamma < 0:
             raise ValueError("gamma must be nonnegative")
         if not np.isfinite(self.gamma):
@@ -110,30 +116,6 @@ class CoreStageSolution:
 PAIRS = ((0, 0), (1, 1), (0, 1))
 # the stencil pairs a <= b of a sample's four nodes base + (0, 1, w, w + 1)
 STENCIL_PAIRS = tuple((a, b) for a in range(4) for b in range(a, 4))
-
-
-def _kept_blocks(inside, size):
-    """Consecutive sample slices that each hold ``size`` kept samples (the
-    last may hold fewer), so the blocks of kept samples do not depend on
-    where dropped ones fall.  The mask is read ``size`` entries at a time."""
-    lo = hi = 0
-    need = size
-    while hi < len(inside):
-        window = inside[hi : hi + size]
-        kept = np.count_nonzero(window)
-        if kept < need:
-            need -= kept
-            hi += len(window)
-            continue
-        # the block ends at the window's need-th kept sample
-        if kept == len(window):
-            hi += need
-        else:
-            hi += int(np.searchsorted(np.cumsum(window), need)) + 1
-        yield slice(lo, hi)
-        lo, need = hi, size
-    if need < size:
-        yield slice(lo, hi)
 
 
 def _add_stencil_products(sums, indices, weights, coefficients):
@@ -166,26 +148,28 @@ def _normal_equations(grid, positions, velocities, signal_values, inside, scheme
     / L``, from one pass over the samples where ``inside`` holds; S
     samples the grid at the L kept positions.
 
-    Kept samples are taken in blocks of ``GRAM_BLOCK``, so dropping a
-    sample gives the bits of never having it.  Each block computes
-    its interpolation weights, its ``v_j v_k / L`` coefficients and its
-    ``s_i v_j`` columns, adds its stencil products into the sums in
-    sample order, so they carry the bits of one bincount over all
-    samples, and adds its right-hand sides as one product ``S_b^T Y_b``
-    with the block's own sampling matrix.  Those block sums are added in
-    block order, so with more than one block the right-hand sides differ
-    from the one transposed product ``S^T (s_i v_j)`` by rounding.
+    Blocks of ``GRAM_BLOCK`` kept samples are gathered through one index
+    of the kept samples, so dropping a sample gives the bits of never
+    having it.  Each block computes its interpolation weights, its
+    ``v_j v_k / L`` coefficients and its ``s_i v_j`` columns, adds its
+    stencil products into the sums in sample order, so they carry the
+    bits of one bincount over all samples, and adds its right-hand sides
+    as one product ``S_b^T Y_b`` with the block's own sampling matrix.
+    Those block sums are added in block order, so with more than one
+    block the right-hand sides differ from the one transposed product
+    ``S^T (s_i v_j)`` by rounding.
     """
     n_pix = grid.n_pixels
-    divisor = max(int(np.count_nonzero(inside)), 1)
+    kept = None if inside.all() else np.flatnonzero(inside)
+    n_kept = len(inside) if kept is None else len(kept)
+    divisor = max(n_kept, 1)
     scale = 1.0 / divisor
     sums = np.zeros((len(PAIRS), len(STENCIL_PAIRS), n_pix))
     rhs = np.zeros((n_pix, signal_values.shape[1], 2))
-    for block in _kept_blocks(inside, interpolation.GRAM_BLOCK):
-        keep = inside[block]
-        points, vel, sig = positions[block], velocities[block], signal_values[block]
-        if not keep.all():  # copies only the blocks that hold dropped samples
-            points, vel, sig = (values.compress(keep, axis=0) for values in (points, vel, sig))
+    size = interpolation.GRAM_BLOCK
+    for lo in range(0, n_kept, size):
+        take = slice(lo, lo + size) if kept is None else kept[lo : lo + size]
+        points, vel, sig = positions[take], velocities[take], signal_values[take]
         indices, weights = interp_weights(grid, points, scheme)
         m = vel.shape[0]
         coefficients = np.empty((len(PAIRS), m))
@@ -259,15 +243,17 @@ def solve_core_stage(
 
     The normal equations of all rows come from one blocked pass over the
     samples (``_normal_equations``); no sample matrix and no per-sample
-    weight array is formed, so beyond its inputs and a one-byte hull mask
-    per sample the solve holds O(pixels + ``GRAM_BLOCK``) memory.
+    weight array is formed, so beyond its inputs, a one-byte hull mask
+    per sample and, only when samples are dropped, one index per kept
+    sample, the solve holds O(pixels + ``GRAM_BLOCK``) memory.
 
     Positions and velocities are ``(L, 2)``; ``signal_values`` carries
     one column per entry of ``config.rows``.  Samples outside the grid
-    hull are dropped with a warning; non-finite positions, velocities or
-    signal values raise ``ValueError``.  The row solves run CG to
-    ``cg_tolerance`` on the relative residual and report non-convergence
-    without discarding the iterate.  With two rows the second row's CG
+    hull are dropped with a warning, with the bits of a solve that never
+    had them; non-finite positions, velocities or signal values raise
+    ``ValueError``.  The row solves run CG to ``cg_tolerance`` on the
+    relative residual and report non-convergence without discarding the
+    iterate.  With two rows the second row's CG
     runs on one worker thread while the caller's thread solves the first;
     the result is bit-identical to solving the rows in turn, and the
     non-convergence warnings and any solve's exception are raised on the

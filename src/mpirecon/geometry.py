@@ -34,6 +34,10 @@ class GridGeometry:
             raise ValueError(f"degenerate grid shape {self.shape}")
         if self.spacing[0] <= 0 or self.spacing[1] <= 0:
             raise ValueError(f"grid spacing must be positive, got {self.spacing}")
+        if not np.all(np.isfinite((self.spacing, self.origin))):
+            raise ValueError(
+                f"grid spacing and origin must be finite, got {self.spacing} and {self.origin}"
+            )
 
     @classmethod
     def node_centered(cls, extent: tuple[float, float], shape: tuple[int, int]) -> "GridGeometry":

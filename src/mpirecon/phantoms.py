@@ -62,6 +62,10 @@ class PhantomSpec:
             raise ValueError(f"unknown phantom kind {self.kind!r}; choose from {KINDS}")
         if self.margin_mm < 0:
             raise ValueError("margin_mm must be nonnegative")
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if field.name.endswith("_mm") and not np.all(np.isfinite(value)):
+                raise ValueError(f"{field.name} must be finite, got {value}")
 
 
 def _pixel_centers(grid: GridGeometry):

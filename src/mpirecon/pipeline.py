@@ -211,7 +211,6 @@ class PipelineError(RuntimeError):
     def __init__(self, stage: str, cause: Exception):
         super().__init__(f"[{stage}] {cause}")
         self.stage = stage
-        self.cause = cause
 
 
 @dataclasses.dataclass
@@ -340,6 +339,10 @@ class PipelineConfig:
                 getter()
             except ValueError as exc:
                 raise ValueError(f"[{section}] {exc}") from None
+        if not 0 <= self.noise_level() < np.inf:
+            raise ValueError(
+                f"[pipeline] noise_level must be finite and nonnegative, got {self.noise_level()}"
+            )
         excitation = self.values["scanner"]["excitation_amplitude_mt"]
         if excitation is not None and self.values["scanner"]["trajectory_file"] is not None:
             raise ValueError(
@@ -374,7 +377,6 @@ class PipelineResult:
     artifacts: dict
     diagnostics_rows: list
     timings: dict
-    manifest_path: str
 
 
 def dip_ratio(profile: np.ndarray) -> float:
@@ -471,8 +473,7 @@ class _Run:
         return decimate(traj, v["decimate"]) if v["decimate"] > 1 else traj
 
     def simulate_stage(self):
-        if self.phantom_image is None:
-            self.phantom_stage()
+        self.phantom_stage()
         scanner = self.config.scanner()
         traj = self.trajectory = self._trajectory()
         spec = self.config.kernel_spec()
@@ -636,7 +637,6 @@ class _Run:
             artifacts=self.artifacts,
             diagnostics_rows=self.rows,
             timings=self.timings,
-            manifest_path=os.path.join(self.out, "manifest.txt"),
         )
 
     def _write_reports(self):

@@ -47,8 +47,14 @@ class ScannerConfig:
         g = np.asarray(self.gradient, dtype=float)
         if np.any(g == 0.0) or not np.all(np.isfinite(g)):
             raise ValueError("gradient diagonal entries must be nonzero and finite")
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if value is not None and not np.all(np.isfinite(value)):
+                raise ValueError(f"{field.name} must be finite, got {value}")
         n_samples = self.sample_rate * self.repetition_time
-        if n_samples <= 0 or abs(n_samples - round(n_samples)) > 1e-9 * max(n_samples, 1.0):
+        if not 0 < n_samples < np.inf or (
+            abs(n_samples - round(n_samples)) > 1e-9 * max(n_samples, 1.0)
+        ):
             raise ValueError(
                 "sample_rate * repetition_time must be a positive integer, "
                 f"got {n_samples}"

@@ -16,6 +16,8 @@ VACUUM_PERMEABILITY = 4e-7 * np.pi
 # a key that is only read next to another is set with it, so the value
 # itself is what fails
 COMPANIONS = {"denoiser_timeout_s": {"denoiser_command": "true"}}
+# a value that its own section accepts and a later section's rule rejects
+REPORTED_UNDER = {("grid", "height", "2"): "core"}
 
 
 @pytest.fixture
@@ -187,8 +189,28 @@ class TestFailures:
     @pytest.mark.parametrize(
         "section, key, value, message",
         [
+            ("pipeline", "noise_level", "nan",
+             "noise_level must be finite and nonnegative, got nan"),
+            ("pipeline", "noise_level", "inf",
+             "noise_level must be finite and nonnegative, got inf"),
+            ("pipeline", "noise_level", "-1",
+             "noise_level must be finite and nonnegative, got -1.0"),
             ("grid", "height", "0", "degenerate grid shape (0, 21)"),
+            ("grid", "height", "2", "Laplacian needs a grid of at least 3 x 3, got (2, 21)"),
+            ("grid", "extent_x_mm", "nan", "grid spacing and origin must be finite, got (nan, "),
+            ("grid", "extent_y_mm", "inf",
+             "grid spacing and origin must be finite, got (0.0012000000000000001, inf) and "
+             "(-0.012, -inf)"),
             ("scanner", "gradient_x_t_per_m", "0", "gradient diagonal entries must be nonzero"),
+            ("scanner", "drive_amplitude_x_mt", "nan",
+             "drive_amplitudes must be finite, got (nan, 0.012)"),
+            ("scanner", "drive_amplitude_y_mt", "inf",
+             "drive_amplitudes must be finite, got (0.012, inf)"),
+            ("scanner", "drive_frequency_x_hz", "nan",
+             "drive_frequencies must be finite, got (nan, 40.0)"),
+            ("scanner", "drive_frequency_y_hz", "inf",
+             "drive_frequencies must be finite, got (41.0, inf)"),
+            ("scanner", "repetition_time_s", "inf", "repetition_time must be finite, got inf"),
             ("particle", "temperature_k", "-1", "ParticleModel.temperature must be strictly"),
             ("kernel", "h_sat_a_per_m", "-1", "kernel resolution h must be positive"),
             ("core", "gamma", "-1", "gamma must be nonnegative"),
@@ -214,12 +236,16 @@ class TestFailures:
             ("pnp", "denoiser_timeout_s", "1e10",
              f"timeout must be at most {threading.TIMEOUT_MAX!r}, got 10000000000.0"),
             ("phantom", "margin_mm", "-1", "margin_mm must be nonnegative"),
+            ("phantom", "margin_mm", "nan", "margin_mm must be finite, got nan"),
         ],
-        ids=["grid", "scanner", "particle", "kernel", "core", "gamma-nan", "gamma-inf",
+        ids=["noise-level-nan", "noise-level-inf", "noise-level-negative", "grid", "grid-2-rows",
+             "extent-x-nan", "extent-y-inf", "scanner", "drive-amplitude-nan",
+             "drive-amplitude-inf", "drive-frequency-nan", "drive-frequency-inf",
+             "repetition-time-inf", "particle", "kernel", "core", "gamma-nan", "gamma-inf",
              "cg-tolerance-inf", "cg-tolerance-1e12", "cg-max-iterations-0",
              "cg-max-iterations-negative", "rows-repeated", "rows-range", "interpolation", "pnp",
              "nu0-nan", "nu0-inf", "tv-scale", "tv-scale-inf", "tv-iterations", "timeout",
-             "timeout-inf", "timeout-1e10", "phantom"],
+             "timeout-inf", "timeout-1e10", "phantom", "margin-nan"],
     )
     def test_bad_value_fails_before_any_stage(self, config_file, capsys, section, key, value,
                                               message):
@@ -233,7 +259,8 @@ class TestFailures:
         with open(path, "w") as f:
             config.write(f)
         assert main(["run", "--config", path]) == 1
-        assert capsys.readouterr().err.startswith(f"error: [config] [{section}] {message}")
+        tag = REPORTED_UNDER.get((section, key, value), section)
+        assert capsys.readouterr().err.startswith(f"error: [config] [{tag}] {message}")
         assert not os.path.exists(out)
 
     def test_bad_sweep_pair_fails_before_the_prelude(self, config_file, capsys):

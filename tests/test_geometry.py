@@ -20,6 +20,13 @@ class TestGridGeometry:
         with pytest.raises(ValueError):
             GridGeometry(shape=(5, 5), spacing=(0.0, 1.0), origin=(0.0, 0.0))
 
+    @pytest.mark.parametrize(
+        "spacing, origin", [((np.inf, 1.0), (0.0, 0.0)), ((1.0, 1.0), (0.0, np.nan))]
+    )
+    def test_non_finite_spacing_or_origin_rejected(self, spacing, origin):
+        with pytest.raises(ValueError, match="^grid spacing and origin must be finite"):
+            GridGeometry(shape=(5, 5), spacing=spacing, origin=origin)
+
     def test_degenerate_shape_rejected(self):
         with pytest.raises(ValueError):
             GridGeometry(shape=(0, 5), spacing=(1.0, 1.0), origin=(0.0, 0.0))

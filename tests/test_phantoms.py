@@ -80,6 +80,21 @@ class TestBounds:
         with pytest.raises(ValueError):
             generate_phantom(tight)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("margin_mm", np.nan),
+            ("dot_center_mm", (0.0, np.inf)),
+            ("dot_size_mm", np.inf),
+            ("separation_mm", np.nan),
+            ("bar_lengths_mm", (np.nan, 12.0)),
+            ("bar_width_mm", -np.inf),
+        ],
+    )
+    def test_non_finite_size_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got"):
+            PhantomSpec(kind="two-bar", grid=GRID, **{name: value})
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             PhantomSpec(kind="triangle", grid=GRID)

@@ -77,6 +77,27 @@ class TestScannerConfig:
         with pytest.raises(ValueError, match=f"^{name} needs an x and a y entry"):
             ScannerConfig(sample_rate=1e4, repetition_time=1e-2, **fields)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("drive_amplitudes", (0.012, np.nan)),
+            ("drive_frequencies", (np.inf, 1e3)),
+            ("sample_rate", np.nan),
+            ("repetition_time", np.inf),
+            ("excitation_amplitude", np.inf),
+            ("excitation_frequency", np.nan),
+        ],
+    )
+    def test_rejects_a_non_finite_value(self, name, value):
+        excitation = {"excitation_amplitude": 1e-3, "excitation_frequency": 1e4}
+        config = dataclasses.replace(reference_config(), **excitation)
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got"):
+            dataclasses.replace(config, **{name: value})
+
+    def test_rejects_an_overflowing_samples_per_period(self):
+        with pytest.raises(ValueError, match="must be a positive integer, got inf"):
+            dataclasses.replace(reference_config(), sample_rate=1e200, repetition_time=1e200)
+
     def test_rejects_fractional_samples_per_period(self):
         with pytest.raises(ValueError):
             ScannerConfig(
