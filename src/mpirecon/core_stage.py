@@ -9,18 +9,22 @@ samples adds each block's share of the stencil-pair sums of the Gram
 blocks and of every row's right-hand side, so the solve holds no
 per-sample array beyond its inputs, a one-byte hull mask and, only when
 samples are dropped, one index per kept sample; its memory is otherwise
-O(pixels + block).  All rows share one normal matrix, stored by its
+O(pixels + block).  The pass is pipelined over one worker thread: the
+worker prepares the next block (its weights and coefficients) and adds
+its right-hand sides while the caller's thread adds the current block's
+stencil products, whose ``np.add.at`` holds the GIL that the worker's
+numpy calls release.  All rows share one normal matrix, stored by its
 diagonals, which are written straight from those sums; a CG iteration
 is one sparse product that reads no column indices and whose cost does
 not grow with the number of samples.  The rows' CG solves run
 concurrently: the caller's thread solves the first row and one worker
-thread the second, both reading the one N.  Each solve does the same
-operations in the same order as when the rows are solved in turn, so
-the threads change no bit of the result; the sparse products and BLAS
-dot products release the GIL, so the two solves overlap.  With a single
-available channel only that row is recovered (partial data) and no
-thread is started, which is enough to deconvolve against the matching
-kernel entry downstream.
+thread the second, both reading the one N; the sparse products and BLAS
+dot products release the GIL, so the two solves overlap.  In both
+stages every number sees the same operations in the same order as in a
+serial run, so the threads change no bit of the result, and at most one
+worker thread is alive at a time.  With a single available channel only
+that row is recovered (partial data), which is enough to deconvolve
+against the matching kernel entry downstream.
 """
 
 from __future__ import annotations
@@ -158,7 +162,19 @@ def _normal_equations(grid, positions, velocities, signal_values, inside, scheme
     Those block sums are added in block order, so with more than one
     block the right-hand sides differ from the one transposed product
     ``S^T (s_i v_j)`` by rounding.
+
+    The pass is pipelined over one worker thread: while the caller's
+    thread adds block k's stencil products, the worker prepares block
+    k + 1 (gather, weights, coefficients) and adds its right-hand sides.
+    The worker takes block k + 1 only after handing over block k, so both
+    kinds of sum are still added in sample and block order and keep the
+    bits of the serial pass; the worker's numpy calls release the GIL
+    that ``np.add.at`` holds.  At most one block is prepared ahead, and
+    leaving the pass joins the worker, also on an error, which reaches
+    the caller unchanged.  With no kept sample no thread is started.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     n_pix = grid.n_pixels
     kept = None if inside.all() else np.flatnonzero(inside)
     n_kept = len(inside) if kept is None else len(kept)
@@ -167,7 +183,10 @@ def _normal_equations(grid, positions, velocities, signal_values, inside, scheme
     sums = np.zeros((len(PAIRS), len(STENCIL_PAIRS), n_pix))
     rhs = np.zeros((n_pix, signal_values.shape[1], 2))
     size = interpolation.GRAM_BLOCK
-    for lo in range(0, n_kept, size):
+
+    def prepare(lo):
+        """Add the right-hand sides of the block at ``lo`` and return what
+        its stencil products need."""
         take = slice(lo, lo + size) if kept is None else kept[lo : lo + size]
         points, vel, sig = positions[take], velocities[take], signal_values[take]
         indices, weights = interp_weights(grid, points, scheme)
@@ -176,13 +195,21 @@ def _normal_equations(grid, positions, velocities, signal_values, inside, scheme
         for c, (j, k) in zip(coefficients, PAIRS):
             np.multiply(vel[:, j], vel[:, k], out=c)
             c *= scale
-        _add_stencil_products(sums, indices, weights, coefficients)
         y = np.empty((m, sig.shape[1], 2))  # y[:, i, j] = s_i v_j
         for i in range(sig.shape[1]):
             for j in range(2):
                 np.multiply(sig[:, i], vel[:, j], out=y[:, i, j])
         sampled = csr_from_weights(indices, weights, n_pix)
-        rhs += (sampled.T @ y.reshape(m, rhs[0].size)).reshape(rhs.shape)
+        np.add(rhs, (sampled.T @ y.reshape(m, rhs[0].size)).reshape(rhs.shape), out=rhs)
+        return indices, weights, coefficients
+
+    with ThreadPoolExecutor(1, thread_name_prefix="core-stage-block") as pool:
+        ahead = pool.submit(prepare, 0) if n_kept else None
+        for lo in range(0, n_kept, size):
+            indices, weights, coefficients = ahead.result()
+            if lo + size < n_kept:
+                ahead = pool.submit(prepare, lo + size)
+            _add_stencil_products(sums, indices, weights, coefficients)
     return sums, [rhs[:, idx].T.ravel() / divisor for idx in range(rhs.shape[1])]
 
 
@@ -253,11 +280,14 @@ def solve_core_stage(
     had them; non-finite positions, velocities or signal values raise
     ``ValueError``.  The row solves run CG to ``cg_tolerance`` on the
     relative residual and report non-convergence without discarding the
-    iterate.  With two rows the second row's CG
-    runs on one worker thread while the caller's thread solves the first;
-    the result is bit-identical to solving the rows in turn, and the
-    non-convergence warnings and any solve's exception are raised on the
-    caller's thread, in row order.  With gamma = 0, raises
+    iterate.  The pass prepares each next block, and adds its right-hand
+    sides, on one worker thread while the caller's thread adds the
+    current block's stencil products; with two rows the second row's CG
+    runs on one worker thread while the caller's thread solves the first.
+    The result is bit-identical to a serial pass and to solving the rows
+    in turn, each worker is joined before the next step starts, also on
+    an error, and the non-convergence warnings and any exception are
+    raised on the caller's thread, in row order.  With gamma = 0, raises
     ``ValueError`` when some pixel's 2 x 2 data block is
     numerically rank-deficient (no kept sample touches the pixel, or the
     velocities through it span too few directions): lambda_min <= 1e-12
@@ -323,7 +353,7 @@ def solve_core_stage(
     def solve(b):
         return conjugate_gradient(normal.dot, b, config.cg_tolerance, config.cg_max_iterations)
 
-    # one row starts no thread; leaving the block joins the worker, also on an error
+    # leaving the block joins the worker, also on an error
     with ThreadPoolExecutor(1, thread_name_prefix="core-stage-row") as pool:
         rest = [pool.submit(solve, b) for b in rhs[1:]]
         results = [solve(rhs[0])] + [future.result() for future in rest]

@@ -45,7 +45,9 @@ class PhantomSpec:
     snail:   spiral polyline of ``SNAIL_TURNS`` turns and stroke width
              ``SNAIL_WIDTH_MM``
 
-    The composite kinds have the fixed sizes of the module constants.
+    Sizes and lengths are positive; a positive size below one pixel
+    snaps to one pixel.  The composite kinds have the fixed sizes of the
+    module constants.
     """
 
     kind: str
@@ -66,6 +68,9 @@ class PhantomSpec:
             value = getattr(self, field.name)
             if field.name.endswith("_mm") and not np.all(np.isfinite(value)):
                 raise ValueError(f"{field.name} must be finite, got {value}")
+        for name in ("dot_size_mm", "bar_lengths_mm", "bar_width_mm"):
+            if not np.all(np.asarray(getattr(self, name), dtype=float) > 0):
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
 
 def _pixel_centers(grid: GridGeometry):

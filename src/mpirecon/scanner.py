@@ -22,8 +22,8 @@ class ScannerConfig:
     """Static description of a 2D FFP scan sequence.
 
     gradient          -- (x, y) diagonal entries of mu0*G in T/m
-    drive_amplitudes  -- (x, y) drive amplitudes in T (mu0-scaled)
-    drive_frequencies -- (x, y) drive frequencies in Hz
+    drive_amplitudes  -- (x, y) positive drive amplitudes in T (mu0-scaled)
+    drive_frequencies -- (x, y) positive drive frequencies in Hz
     sample_rate       -- acquisition rate in Hz
     repetition_time   -- length of one drive period in s
     excitation_*      -- optional fast 1D excitation on x; both set or neither
@@ -51,6 +51,10 @@ class ScannerConfig:
             value = getattr(self, field.name)
             if value is not None and not np.all(np.isfinite(value)):
                 raise ValueError(f"{field.name} must be finite, got {value}")
+        # a zero entry collapses the trajectory onto a line
+        for name in ("drive_amplitudes", "drive_frequencies"):
+            if not np.all(np.asarray(getattr(self, name), dtype=float) > 0):
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         n_samples = self.sample_rate * self.repetition_time
         if not 0 < n_samples < np.inf or (
             abs(n_samples - round(n_samples)) > 1e-9 * max(n_samples, 1.0)

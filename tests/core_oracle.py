@@ -10,10 +10,16 @@ block by block (read back from N's blocks at gamma = 0) must match it bit
 for bit.  ``normal_matrix_csr`` stacks those bands into the CSR normal
 matrix block by block; the library's diagonal-stored normal matrix must
 equal it entry for entry and apply it bit for bit.
+``serial_normal_equations`` is the core stage's pass over the samples
+on one thread, the reference for the pipelined pass.
 """
 
 import numpy as np
 import scipy.sparse as sp
+
+from mpirecon import interpolation
+from mpirecon.core_stage import PAIRS, STENCIL_PAIRS, _add_stencil_products
+from mpirecon.interpolation import csr_from_weights, interp_weights
 
 
 def stencil_gram_bands(grid, sample_matrix, coefficients):
@@ -79,3 +85,36 @@ def normal_operator(sample_matrix, velocities, gamma, reg, n_kept):
         return out.ravel()
 
     return apply
+
+
+def serial_normal_equations(grid, positions, velocities, signal_values, inside, scheme):
+    """The core stage's streamed pass without its worker thread: each
+    block is gathered, prepared and added on the calling thread, in
+    sample and block order.  The library's pipelined
+    ``_normal_equations`` must return the same sums and right-hand sides
+    bit for bit."""
+    n_pix = grid.n_pixels
+    kept = None if inside.all() else np.flatnonzero(inside)
+    n_kept = len(inside) if kept is None else len(kept)
+    divisor = max(n_kept, 1)
+    scale = 1.0 / divisor
+    sums = np.zeros((len(PAIRS), len(STENCIL_PAIRS), n_pix))
+    rhs = np.zeros((n_pix, signal_values.shape[1], 2))
+    size = interpolation.GRAM_BLOCK
+    for lo in range(0, n_kept, size):
+        take = slice(lo, lo + size) if kept is None else kept[lo : lo + size]
+        points, vel, sig = positions[take], velocities[take], signal_values[take]
+        indices, weights = interp_weights(grid, points, scheme)
+        m = vel.shape[0]
+        coefficients = np.empty((len(PAIRS), m))
+        for c, (j, k) in zip(coefficients, PAIRS):
+            np.multiply(vel[:, j], vel[:, k], out=c)
+            c *= scale
+        _add_stencil_products(sums, indices, weights, coefficients)
+        y = np.empty((m, sig.shape[1], 2))  # y[:, i, j] = s_i v_j
+        for i in range(sig.shape[1]):
+            for j in range(2):
+                np.multiply(sig[:, i], vel[:, j], out=y[:, i, j])
+        sampled = csr_from_weights(indices, weights, n_pix)
+        rhs += (sampled.T @ y.reshape(m, rhs[0].size)).reshape(rhs.shape)
+    return sums, [rhs[:, idx].T.ravel() / divisor for idx in range(rhs.shape[1])]

@@ -211,6 +211,14 @@ class TestFailures:
             ("scanner", "drive_frequency_y_hz", "inf",
              "drive_frequencies must be finite, got (41.0, inf)"),
             ("scanner", "repetition_time_s", "inf", "repetition_time must be finite, got inf"),
+            ("scanner", "drive_frequency_x_hz", "0",
+             "drive_frequencies must be positive, got (0.0, 40.0)"),
+            ("scanner", "drive_frequency_x_hz", "-1",
+             "drive_frequencies must be positive, got (-1.0, 40.0)"),
+            ("scanner", "drive_amplitude_x_mt", "0",
+             "drive_amplitudes must be positive, got (0.0, 0.012)"),
+            ("scanner", "drive_amplitude_x_mt", "-1",
+             "drive_amplitudes must be positive, got (-0.001, 0.012)"),
             ("particle", "temperature_k", "-1", "ParticleModel.temperature must be strictly"),
             ("kernel", "h_sat_a_per_m", "-1", "kernel resolution h must be positive"),
             ("core", "gamma", "-1", "gamma must be nonnegative"),
@@ -237,15 +245,21 @@ class TestFailures:
              f"timeout must be at most {threading.TIMEOUT_MAX!r}, got 10000000000.0"),
             ("phantom", "margin_mm", "-1", "margin_mm must be nonnegative"),
             ("phantom", "margin_mm", "nan", "margin_mm must be finite, got nan"),
+            ("phantom", "dot_size_mm", "-1", "dot_size_mm must be positive, got -1.0"),
+            ("phantom", "bar_width_mm", "0", "bar_width_mm must be positive, got 0.0"),
+            ("phantom", "bar_length_b_mm", "-30",
+             "bar_lengths_mm must be positive, got (12.0, -30.0)"),
         ],
         ids=["noise-level-nan", "noise-level-inf", "noise-level-negative", "grid", "grid-2-rows",
              "extent-x-nan", "extent-y-inf", "scanner", "drive-amplitude-nan",
              "drive-amplitude-inf", "drive-frequency-nan", "drive-frequency-inf",
-             "repetition-time-inf", "particle", "kernel", "core", "gamma-nan", "gamma-inf",
-             "cg-tolerance-inf", "cg-tolerance-1e12", "cg-max-iterations-0",
-             "cg-max-iterations-negative", "rows-repeated", "rows-range", "interpolation", "pnp",
-             "nu0-nan", "nu0-inf", "tv-scale", "tv-scale-inf", "tv-iterations", "timeout",
-             "timeout-inf", "timeout-1e10", "phantom", "margin-nan"],
+             "repetition-time-inf", "drive-frequency-zero", "drive-frequency-negative",
+             "drive-amplitude-zero", "drive-amplitude-negative", "particle", "kernel", "core",
+             "gamma-nan", "gamma-inf", "cg-tolerance-inf", "cg-tolerance-1e12",
+             "cg-max-iterations-0", "cg-max-iterations-negative", "rows-repeated", "rows-range",
+             "interpolation", "pnp", "nu0-nan", "nu0-inf", "tv-scale", "tv-scale-inf",
+             "tv-iterations", "timeout", "timeout-inf", "timeout-1e10", "phantom", "margin-nan",
+             "dot-size-negative", "bar-width-zero", "bar-length-negative"],
     )
     def test_bad_value_fails_before_any_stage(self, config_file, capsys, section, key, value,
                                               message):

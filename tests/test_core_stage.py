@@ -12,7 +12,12 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from core_oracle import normal_matrix_csr, normal_operator, stencil_gram_bands
+from core_oracle import (
+    normal_matrix_csr,
+    normal_operator,
+    serial_normal_equations,
+    stencil_gram_bands,
+)
 from grid_oracle import laplacian_apply
 
 from mpirecon import core_stage, interpolation
@@ -807,12 +812,14 @@ def small_two_row_instance():
 
 
 # A 100 x 100 solve in a fresh interpreter at the BLAS thread count of
-# its environment: two concurrent solves against conjugate_gradient run
+# its environment: the pipelined pass over three blocks against the
+# serial pass, and two concurrent solves against conjugate_gradient run
 # row by row on the same N.  Its 20,000 unknowns exceed OpenBLAS's
 # 10,000-element threshold for threaded dot products.
 DETERMINISM_SCRIPT = """
 import json
 import numpy as np
+from core_oracle import serial_normal_equations
 from mpirecon.core_stage import CoreStageConfig, _normal_equations, _normal_matrix, solve_core_stage
 from mpirecon.geometry import GridGeometry
 from mpirecon.interpolation import InterpolationScheme
@@ -825,13 +832,17 @@ velocities = rng.normal(size=(40_000, 2))
 values = rng.normal(size=(40_000, 2))
 config = CoreStageConfig(grid=grid, gamma=1e-6, cg_tolerance=1e-6, cg_max_iterations=400)
 inside = grid.contains(positions)
-sums, rhs = _normal_equations(grid, positions, velocities, values, inside, InterpolationScheme())
+args = (grid, positions, velocities, values, inside, InterpolationScheme())
+sums, rhs = _normal_equations(*args)
+serial_sums, serial_rhs = serial_normal_equations(*args)
 normal = _normal_matrix(grid, sums, config.gamma)
 want = [
     conjugate_gradient(normal.dot, b, config.cg_tolerance, config.cg_max_iterations) for b in rhs
 ]
 runs = [solve_core_stage(values, positions, velocities, config) for _ in range(2)]
 print(json.dumps({
+    "pass_bit_equal": sums.tobytes() == serial_sums.tobytes()
+    and [b.tobytes() for b in rhs] == [b.tobytes() for b in serial_rhs],
     "iterations": [w.iterations for w in want],
     "bit_equal": [
         [run.cg[row].x.tobytes() == w.x.tobytes() and run.cg[row].residuals == w.residuals
@@ -930,7 +941,8 @@ class TestConcurrentRows:
         # On a one-core host OpenBLAS runs one thread whatever is asked,
         # so there this test cannot fail; it is not skipped, since at one
         # BLAS thread the comparison still holds.
-        env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
+        here = os.path.dirname(__file__)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.join(here, "..", "src"), here]))
         env.update(OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2", MKL_NUM_THREADS="2")
         done = subprocess.run(
             [sys.executable, "-c", DETERMINISM_SCRIPT], env=env, capture_output=True, text=True,
@@ -938,8 +950,102 @@ class TestConcurrentRows:
         )
         assert done.returncode == 0, done.stderr
         result = json.loads(done.stdout.splitlines()[-1])
+        assert result["pass_bit_equal"]
         assert min(result["iterations"]) > 50
         assert result["bit_equal"] == [[True, True], [True, True]]
+
+
+class PassAbort(BaseException):
+    """A block's failure that is not an ``Exception``."""
+
+
+def pipelined_instance(dropped):
+    """300 samples on a 6 x 6 grid, 43 blocks at ``GRAM_BLOCK = 7``; with
+    ``dropped`` every 3rd sample lies outside the grid hull."""
+    grid = GridGeometry(shape=(6, 6), spacing=(1.0, 1.0), origin=(0.0, 0.0))
+    rng = np.random.default_rng(11)
+    positions = rng.uniform(0.0, 5.0, size=(300, 2))
+    if dropped:
+        positions[::3] += 10.0
+    velocities = rng.normal(size=(300, 2))
+    values = rng.normal(size=(300, 2))
+    return grid, positions, velocities, values, grid.contains(positions)
+
+
+class TestPipelinedPass:
+    """A worker prepares block k + 1 while the caller adds block k; the
+    sums and right-hand sides keep the bits of the serial pass."""
+
+    @pytest.mark.parametrize("columns", [1, 2])
+    @pytest.mark.parametrize("dropped", [False, True], ids=["all-kept", "every-3rd-dropped"])
+    def test_bit_equal_to_the_serial_pass_under_frequent_thread_switches(
+        self, monkeypatch, dropped, columns
+    ):
+        monkeypatch.setattr(interpolation, "GRAM_BLOCK", 7)
+        grid, positions, velocities, values, inside = pipelined_instance(dropped)
+        args = (grid, positions, velocities, values[:, :columns], inside, InterpolationScheme())
+        want_sums, want_rhs = serial_normal_equations(*args)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = [_normal_equations(*args) for _ in range(5)]
+        finally:
+            sys.setswitchinterval(interval)
+        for sums, rhs in runs:
+            assert sums.tobytes() == want_sums.tobytes()
+            assert len(rhs) == len(want_rhs) == columns
+            assert all(b.tobytes() == w.tobytes() for b, w in zip(rhs, want_rhs))
+
+    def test_blocks_are_prepared_on_one_worker_thread(self, monkeypatch):
+        monkeypatch.setattr(interpolation, "GRAM_BLOCK", 7)
+        grid, positions, velocities, values, inside = pipelined_instance(False)
+        real = core_stage.interp_weights
+        seen = []
+
+        def recording(*args):
+            seen.append((threading.current_thread(), threading.active_count()))
+            return real(*args)
+
+        monkeypatch.setattr(core_stage, "interp_weights", recording)
+        before = threading.active_count()
+        _normal_equations(grid, positions, velocities, values, inside, InterpolationScheme())
+        assert len(seen) == 43
+        assert len({thread for thread, _ in seen}) == 1
+        assert seen[0][0] is not threading.current_thread()
+        assert {count for _, count in seen} == {before + 1}
+        assert threading.active_count() == before
+
+    def test_no_kept_sample_starts_no_thread(self):
+        grid, positions, velocities, values, _ = pipelined_instance(False)
+        before = threading.active_count()
+        sums, rhs = _normal_equations(
+            grid, positions, velocities, values, np.zeros(300, bool), InterpolationScheme()
+        )
+        assert threading.active_count() == before
+        assert not sums.any() and not any(b.any() for b in rhs)
+
+    @pytest.mark.parametrize("error", [RuntimeError, PassAbort])
+    def test_a_block_failure_reaches_the_caller(self, monkeypatch, error):
+        monkeypatch.setattr(interpolation, "GRAM_BLOCK", 7)
+        grid, positions, velocities, values, _ = pipelined_instance(False)
+        real = core_stage.interp_weights
+        calls = []
+        raised = error("third block")
+
+        def fail_on_third(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise raised
+            return real(*args)
+
+        monkeypatch.setattr(core_stage, "interp_weights", fail_on_third)
+        before = threading.active_count()
+        with pytest.raises(error) as caught:
+            solve_core_stage(values, positions, velocities, CoreStageConfig(grid=grid, gamma=1e-3))
+        assert caught.value is raised
+        # no block is prepared past the failing one
+        assert len(calls) == 3
+        assert threading.active_count() == before
 
 
 class TestExtract:

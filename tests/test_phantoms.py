@@ -95,6 +95,32 @@ class TestBounds:
         with pytest.raises(ValueError, match=f"^{name} must be finite, got"):
             PhantomSpec(kind="two-bar", grid=GRID, **{name: value})
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("dot_size_mm", 0.0),
+            ("dot_size_mm", -1.0),
+            ("dot_size_mm", -30.0),
+            ("bar_width_mm", 0.0),
+            ("bar_width_mm", -1.0),
+            ("bar_lengths_mm", (-30.0, 12.0)),
+            ("bar_lengths_mm", (12.0, 0.0)),
+        ],
+    )
+    @pytest.mark.parametrize("kind", ["dot", "two-bar"])
+    def test_size_that_is_not_positive_rejected(self, name, value, kind):
+        with pytest.raises(ValueError, match=f"^{name} must be positive, got"):
+            PhantomSpec(kind=kind, grid=GRID, **{name: value})
+
+    def test_positive_sub_pixel_size_snaps_to_one_pixel(self):
+        for size in (1e-3, 0.5):
+            spec = PhantomSpec(kind="dot", grid=GRID, dot_center_mm=(6.0, 6.0), dot_size_mm=size)
+            assert generate_phantom(spec).values.sum() == 1.0
+        bars = PhantomSpec(
+            kind="two-bar", grid=GRID, bar_width_mm=1e-3, bar_lengths_mm=(1e-3, 1e-3)
+        )
+        assert generate_phantom(bars).values.sum() == 2.0
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             PhantomSpec(kind="triangle", grid=GRID)

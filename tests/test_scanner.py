@@ -94,6 +94,15 @@ class TestScannerConfig:
         with pytest.raises(ValueError, match=f"^{name} must be finite, got"):
             dataclasses.replace(config, **{name: value})
 
+    @pytest.mark.parametrize("name", ["drive_amplitudes", "drive_frequencies"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, -0.0])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_rejects_a_drive_entry_that_is_not_positive(self, name, value, axis):
+        entries = list(getattr(reference_config(), name))
+        entries[axis] = value
+        with pytest.raises(ValueError, match=rf"^{name} must be positive, got \("):
+            dataclasses.replace(reference_config(), **{name: tuple(entries)})
+
     def test_rejects_an_overflowing_samples_per_period(self):
         with pytest.raises(ValueError, match="must be a positive integer, got inf"):
             dataclasses.replace(reference_config(), sample_rate=1e200, repetition_time=1e200)
