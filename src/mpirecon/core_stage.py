@@ -122,7 +122,13 @@ PAIRS = ((0, 0), (1, 1), (0, 1))
 STENCIL_PAIRS = tuple((a, b) for a in range(4) for b in range(a, 4))
 
 
-def _add_stencil_products(sums, indices, weights, coefficients):
+def _stencil_buffers(size):
+    """Work buffers of ``_add_stencil_products`` for blocks of up to
+    ``size`` samples: node bases, weight columns and two products."""
+    return np.empty(size, np.intp), np.empty((4, size)), np.empty(size), np.empty(size)
+
+
+def _add_stencil_products(sums, indices, weights, coefficients, buffers):
     """Add one block of samples to the stencil-pair sums ``_normal_matrix``
     places.
 
@@ -131,12 +137,12 @@ def _add_stencil_products(sums, indices, weights, coefficients):
     For each coefficient row ``c`` and stencil pair ``(a, b)`` of
     ``STENCIL_PAIRS``, ``c w_a w_b`` is added at each sample's first node.
     ``np.add.at`` adds in sample order, so blocks added in sample order
-    give the bits of one bincount over all samples.
+    give the bits of one bincount over all samples.  ``buffers`` come
+    from ``_stencil_buffers``; nothing is allocated per block.
     """
-    base = indices[:, 0].astype(np.intp)
-    columns = weights.T.copy()  # contiguous weight columns stay in cache
-    scaled = np.empty(base.shape)
-    product = np.empty(base.shape)
+    base, columns, scaled, product = (buffer[..., : len(indices)] for buffer in buffers)
+    np.copyto(base, indices[:, 0])
+    np.copyto(columns, weights.T)  # contiguous weight columns stay in cache
     for pair_sums, c in zip(sums, coefficients):
         for counts, (a, b) in zip(pair_sums, STENCIL_PAIRS):
             if a == b:  # each a's pairs start with (a, a)
@@ -170,8 +176,11 @@ def _normal_equations(grid, positions, velocities, signal_values, inside, scheme
     kinds of sum are still added in sample and block order and keep the
     bits of the serial pass; the worker's numpy calls release the GIL
     that ``np.add.at`` holds.  At most one block is prepared ahead, and
-    leaving the pass joins the worker, also on an error, which reaches
-    the caller unchanged.  With no kept sample no thread is started.
+    the caller's stencil buffers are allocated once per pass, so the peak
+    memory (the worker's next block beside them) does not depend on how
+    the two threads are scheduled.  Leaving the pass joins the worker,
+    also on an error, which reaches the caller unchanged.  With no kept
+    sample no thread is started.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -203,13 +212,14 @@ def _normal_equations(grid, positions, velocities, signal_values, inside, scheme
         np.add(rhs, (sampled.T @ y.reshape(m, rhs[0].size)).reshape(rhs.shape), out=rhs)
         return indices, weights, coefficients
 
+    buffers = _stencil_buffers(size)
     with ThreadPoolExecutor(1, thread_name_prefix="core-stage-block") as pool:
         ahead = pool.submit(prepare, 0) if n_kept else None
         for lo in range(0, n_kept, size):
             indices, weights, coefficients = ahead.result()
             if lo + size < n_kept:
                 ahead = pool.submit(prepare, lo + size)
-            _add_stencil_products(sums, indices, weights, coefficients)
+            _add_stencil_products(sums, indices, weights, coefficients, buffers)
     return sums, [rhs[:, idx].T.ravel() / divisor for idx in range(rhs.shape[1])]
 
 

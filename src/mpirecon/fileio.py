@@ -37,7 +37,7 @@ import os
 
 import numpy as np
 
-from .forward import CoreOperatorField, ScanSignal
+from .forward import MIN_SAMPLES, CoreOperatorField, ScanSignal
 from .geometry import ConcentrationImage, GridGeometry
 from .preprocessing import SnrProfile, TransferFunction
 from .scanner import Trajectory, trajectory_from_samples
@@ -143,8 +143,10 @@ def load_signal(path: str) -> ScanSignal:
     else:
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if not (isinstance(data, np.ndarray) and data.ndim == 2 and data.dtype.kind == "f"
-            and len(data) >= 2):
-        raise ValueError(f"signal file {path} must hold a 2-D float array of at least two samples")
+            and len(data) >= MIN_SAMPLES):
+        raise ValueError(
+            f"signal file {path} must hold a 2-D float array of at least {MIN_SAMPLES} samples"
+        )
     try:
         return ScanSignal(values=data[:, 1:], times=data[:, 0])
     except ValueError as exc:

@@ -29,6 +29,10 @@ def nonuniform_stamps(times: np.ndarray, step: float) -> np.ndarray:
     return np.flatnonzero(~(np.abs(np.diff(times) - step) <= 1e-6 * step)) + 1
 
 
+# a signal's time step is t[1] - t[0]
+MIN_SAMPLES = 2
+
+
 @dataclasses.dataclass
 class ScanSignal:
     """Per-channel time series with the time stamps it was sampled at: two
@@ -48,9 +52,9 @@ class ScanSignal:
             )
         if not np.all(np.isfinite(self.values)):
             raise ValueError("signal carries non-finite values")
-        if self.times.shape != (self.n_samples,) or self.n_samples < 2:
+        if self.times.shape != (self.n_samples,) or self.n_samples < MIN_SAMPLES:
             raise ValueError(
-                f"signal needs one time stamp per sample and at least two samples, got "
+                f"signal needs one time stamp per sample and at least {MIN_SAMPLES} samples, got "
                 f"{self.times.shape} stamps for {self.n_samples} samples"
             )
         step = self.times[1] - self.times[0]

@@ -44,7 +44,7 @@ from .fileio import (
     save_trajectory,
     write_manifest,
 )
-from .forward import add_noise, fft_convolve, nonuniform_stamps, simulate_signal
+from .forward import MIN_SAMPLES, add_noise, fft_convolve, nonuniform_stamps, simulate_signal
 from .geometry import GridGeometry
 from .interpolation import InterpolationScheme
 from .kernels import KernelSpec, ParticleModel, discretize_kernel, saturation_field
@@ -343,12 +343,23 @@ class PipelineConfig:
             raise ValueError(
                 f"[pipeline] noise_level must be finite and nonnegative, got {self.noise_level()}"
             )
-        excitation = self.values["scanner"]["excitation_amplitude_mt"]
-        if excitation is not None and self.values["scanner"]["trajectory_file"] is not None:
+        scanner = self.values["scanner"]
+        excitation = scanner["excitation_amplitude_mt"]
+        if excitation is not None and scanner["trajectory_file"] is not None:
             raise ValueError(
                 f"[scanner] excitation_amplitude_mt = {excitation} is not read with a "
                 "trajectory_file"
             )
+        if scanner["decimate"] < 1:
+            raise ValueError(f"[scanner] decimate must be at least 1, got {scanner['decimate']}")
+        if scanner["trajectory_file"] is None:
+            per_period = self.scanner().samples_per_period
+            kept = -(-per_period // scanner["decimate"])
+            if kept < MIN_SAMPLES:
+                raise ValueError(
+                    f"[scanner] decimate = {scanner['decimate']} keeps {kept} of {per_period} "
+                    f"samples per period; a signal needs at least {MIN_SAMPLES}"
+                )
         preprocess = self.values["preprocess"]
         for key in ("threshold_x", "threshold_y"):
             if preprocess[key] != 0.0 and preprocess["snr_file"] is None:

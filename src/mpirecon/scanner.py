@@ -26,7 +26,9 @@ class ScannerConfig:
     drive_frequencies -- (x, y) positive drive frequencies in Hz
     sample_rate       -- acquisition rate in Hz
     repetition_time   -- length of one drive period in s
-    excitation_*      -- optional fast 1D excitation on x; both set or neither
+    excitation_*      -- optional fast 1D excitation on x: positive amplitude
+                         in T (mu0-scaled) and frequency in Hz, both set or
+                         neither
 
     The receive chain is the identity: channel i records the signal of
     row i of the core operator.
@@ -65,6 +67,11 @@ class ScannerConfig:
             )
         if (self.excitation_amplitude is None) != (self.excitation_frequency is None):
             raise ValueError("excitation amplitude and frequency are set together or not at all")
+        # a zero entry adds nothing to the trajectory
+        for name in ("excitation_amplitude", "excitation_frequency"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
 
     @property
     def samples_per_period(self) -> int:

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from mpirecon import interpolation
-from mpirecon.core_stage import PAIRS, STENCIL_PAIRS, _add_stencil_products
+from mpirecon.core_stage import PAIRS, STENCIL_PAIRS, _add_stencil_products, _stencil_buffers
 from mpirecon.interpolation import csr_from_weights, interp_weights
 
 
@@ -101,6 +101,7 @@ def serial_normal_equations(grid, positions, velocities, signal_values, inside, 
     sums = np.zeros((len(PAIRS), len(STENCIL_PAIRS), n_pix))
     rhs = np.zeros((n_pix, signal_values.shape[1], 2))
     size = interpolation.GRAM_BLOCK
+    buffers = _stencil_buffers(size)
     for lo in range(0, n_kept, size):
         take = slice(lo, lo + size) if kept is None else kept[lo : lo + size]
         points, vel, sig = positions[take], velocities[take], signal_values[take]
@@ -110,7 +111,7 @@ def serial_normal_equations(grid, positions, velocities, signal_values, inside, 
         for c, (j, k) in zip(coefficients, PAIRS):
             np.multiply(vel[:, j], vel[:, k], out=c)
             c *= scale
-        _add_stencil_products(sums, indices, weights, coefficients)
+        _add_stencil_products(sums, indices, weights, coefficients, buffers)
         y = np.empty((m, sig.shape[1], 2))  # y[:, i, j] = s_i v_j
         for i in range(sig.shape[1]):
             for j in range(2):

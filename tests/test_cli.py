@@ -15,7 +15,11 @@ from mpirecon.pipeline import STAGES, PipelineConfig
 VACUUM_PERMEABILITY = 4e-7 * np.pi
 # a key that is only read next to another is set with it, so the value
 # itself is what fails
-COMPANIONS = {"denoiser_timeout_s": {"denoiser_command": "true"}}
+COMPANIONS = {
+    "denoiser_timeout_s": {"denoiser_command": "true"},
+    "excitation_amplitude_mt": {"excitation_frequency_hz": "25000"},
+    "excitation_frequency_hz": {"excitation_amplitude_mt": "2.0"},
+}
 # a value that its own section accepts and a later section's rule rejects
 REPORTED_UNDER = {("grid", "height", "2"): "core"}
 
@@ -219,6 +223,19 @@ class TestFailures:
              "drive_amplitudes must be positive, got (0.0, 0.012)"),
             ("scanner", "drive_amplitude_x_mt", "-1",
              "drive_amplitudes must be positive, got (-0.001, 0.012)"),
+            ("scanner", "excitation_frequency_hz", "0",
+             "excitation_frequency must be positive, got 0.0"),
+            ("scanner", "excitation_amplitude_mt", "0",
+             "excitation_amplitude must be positive, got 0.0"),
+            ("scanner", "excitation_amplitude_mt", "-2",
+             "excitation_amplitude must be positive, got -0.002"),
+            ("scanner", "decimate", "0", "decimate must be at least 1, got 0"),
+            # 14112 samples per period; the signal needs two
+            ("scanner", "decimate", "14112",
+             "decimate = 14112 keeps 1 of 14112 samples per period; a signal needs at least 2"),
+            ("scanner", "decimate", "100000000",
+             "decimate = 100000000 keeps 1 of 14112 samples per period; a signal needs at "
+             "least 2"),
             ("particle", "temperature_k", "-1", "ParticleModel.temperature must be strictly"),
             ("kernel", "h_sat_a_per_m", "-1", "kernel resolution h must be positive"),
             ("core", "gamma", "-1", "gamma must be nonnegative"),
@@ -254,7 +271,9 @@ class TestFailures:
              "extent-x-nan", "extent-y-inf", "scanner", "drive-amplitude-nan",
              "drive-amplitude-inf", "drive-frequency-nan", "drive-frequency-inf",
              "repetition-time-inf", "drive-frequency-zero", "drive-frequency-negative",
-             "drive-amplitude-zero", "drive-amplitude-negative", "particle", "kernel", "core",
+             "drive-amplitude-zero", "drive-amplitude-negative", "excitation-frequency-zero",
+             "excitation-amplitude-zero", "excitation-amplitude-negative", "decimate-zero",
+             "decimate-one-sample", "decimate-huge", "particle", "kernel", "core",
              "gamma-nan", "gamma-inf", "cg-tolerance-inf", "cg-tolerance-1e12",
              "cg-max-iterations-0", "cg-max-iterations-negative", "rows-repeated", "rows-range",
              "interpolation", "pnp", "nu0-nan", "nu0-inf", "tv-scale", "tv-scale-inf",

@@ -61,6 +61,12 @@ class TestDenoiserRef:
             DenoiserRef("total-variation")
 
 
+# the oracle test's shapes: fixed ones with single rows and columns, and any
+SHAPES = st.sampled_from([(1, 1), (1, 9), (9, 1), (3, 5), (7, 3), (13, 11)]) | st.tuples(
+    st.integers(1, 17), st.integers(1, 17)
+)
+
+
 class TestTotalVariation:
     def noisy_step(self, seed=2):
         rng = np.random.default_rng(seed)
@@ -114,10 +120,7 @@ class TestTotalVariation:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_bytes_match_the_slice_form_oracle(self, data):
-        h, w = data.draw(
-            st.sampled_from([(1, 1), (1, 9), (9, 1), (3, 5), (7, 3), (13, 11)])
-            | st.tuples(st.integers(1, 17), st.integers(1, 17))
-        )
+        h, w = data.draw(SHAPES)
         transposed = data.draw(st.booleans())
         shape = (w, h) if transposed else (h, w)
         values = data.draw(
@@ -142,6 +145,47 @@ class TestTotalVariation:
         image = rng.uniform(size=(100, 100))
         for weight in (1e-4, 3e-3, 0.05, 3.3):
             assert tv_prox(image, weight).tobytes() == tv_oracle.tv_prox(image, weight).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shape=SHAPES,
+        seed=st.integers(0, 2**32 - 1),
+        weight=st.floats(1e-6, 10.0),
+        n_iterations=st.sampled_from([0, 1, 60]),
+    )
+    def test_transposing_the_image_transposes_the_bytes(self, shape, seed, weight, n_iterations):
+        image = np.random.default_rng(seed).uniform(-3.0, 3.0, shape)
+        out = tv_prox(image, weight, n_iterations)
+        assert tv_prox(image.T, weight, n_iterations).tobytes() == out.T.copy().tobytes()
+
+    def test_float32_loop_stays_close_to_float64_at_pipeline_weights(self):
+        # Largest change against the float64 loop on this image, and what
+        # one more iteration changes in float64 (0: converged):
+        #   weight         1e-4     3e-3     0.05     0.3      3.3
+        #   float32        1.0e-9   1.8e-8   5.4e-8   2.0e-6   1.8e-7
+        #   one more step  0        4.1e-7   6.4e-5   2.4e-3   3.6e-2
+        # Over the images of seeds 5 to 7 the change peaks at 2.0e-5 weight
+        # (seed 7, weight 0.3); the bound is 1e-4 weight.
+        image = np.random.default_rng(5).uniform(size=(100, 100))
+        for weight in (1e-4, 3e-3, 0.05, 0.3, 3.3):
+            reference = tv_oracle.tv_prox(image, weight, dtype=np.float64)
+            assert np.abs(tv_prox(image, weight) - reference).max() <= 1e-4 * weight, weight
+
+    @pytest.mark.parametrize("weight", [1e-30, 1e-39, 1e-300, 5e-324])
+    def test_a_tiny_weight_gives_the_image(self, weight):
+        # |image| / weight would overflow the float32 loop; the prox moves
+        # no pixel by more than 4 weight, so the image itself is returned
+        image = self.noisy_step()
+        assert np.array_equal(tv_prox(image, weight), image)
+
+    def test_the_largest_scaled_image_runs_the_loop(self):
+        # |image| / weight = 4e18, just inside the float32 range rule: the
+        # loop runs without overflow and moves pixels by at most 4 weight
+        image = self.noisy_step()
+        weight = np.abs(image).max() / 4e18
+        out = tv_prox(image, weight)
+        assert np.isfinite(out).all() and not np.array_equal(out, image)
+        assert np.all(np.abs(out - image) <= 4 * weight * (1 + 1e-6) + np.spacing(np.abs(image)))
 
 
 class TestExternalProtocol:

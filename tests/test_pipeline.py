@@ -188,6 +188,17 @@ class TestConfig:
             PipelineConfig.from_string(f"[preprocess]\n{key} = 1e30\n").validate()
         PipelineConfig.from_string(f"[preprocess]\n{key} = 0.0\n").validate()
 
+    def test_decimate_keeps_the_two_samples_a_signal_needs(self, tmp_path):
+        # 69696 samples per period, ceil(69696 / decimate) kept; a
+        # trajectory file's length is known only once it is read
+        PipelineConfig.from_string("[scanner]\ndecimate = 69695\n").validate()
+        with pytest.raises(ValueError, match=r"^\[scanner\] decimate = 69696 keeps 1 of 69696 "
+                                             r"samples per period; a signal needs at least 2$"):
+            PipelineConfig.from_string("[scanner]\ndecimate = 69696\n").validate()
+        (tmp_path / "traj.csv").write_text("t,x,y\n0,0,0\n1,0,0\n")
+        text = "[scanner]\ntrajectory_file = traj.csv\ndecimate = 69696\n"
+        PipelineConfig.from_string(text, base_dir=str(tmp_path)).validate()
+
 
 class TestSchema:
     def test_example_config_parses_to_the_defaults(self, tmp_path):
@@ -307,6 +318,15 @@ class TestFullRun:
             if name != "timings.csv":
                 first, second = (Path(out, name).read_bytes() for out in outs)
                 assert first == second, name
+
+    def test_a_subnormal_tv_weight_gives_a_finite_recon(self, tmp_path):
+        # tv_scale * sigma^2 is subnormal, so image / weight would overflow
+        text = two_bar_33_text(tmp_path / "out", 0.0)
+        assert "tv_scale = 1.0" in text
+        text = text.replace("tv_scale = 1.0", "tv_scale = 1e-307")
+        result = run_pipeline(PipelineConfig.from_string(text, base_dir=str(tmp_path)))
+        recon = load_image(os.path.join(result.out_dir, "recon")).values
+        assert np.isfinite(recon).all() and recon.max() > 0
 
     def test_recon_separates_bars(self, tmp_path):
         config = make_config(tmp_path)

@@ -103,6 +103,14 @@ class TestScannerConfig:
         with pytest.raises(ValueError, match=rf"^{name} must be positive, got \("):
             dataclasses.replace(reference_config(), **{name: tuple(entries)})
 
+    @pytest.mark.parametrize("name", ["excitation_amplitude", "excitation_frequency"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, -0.0])
+    def test_rejects_an_excitation_entry_that_is_not_positive(self, name, value):
+        # a zero amplitude or frequency would drop the excitation silently
+        excitation = {"excitation_amplitude": 2e-3, "excitation_frequency": 25e3, name: value}
+        with pytest.raises(ValueError, match=rf"^{name} must be positive, got {value}$"):
+            dataclasses.replace(reference_config(), **excitation)
+
     def test_rejects_an_overflowing_samples_per_period(self):
         with pytest.raises(ValueError, match="must be a positive integer, got inf"):
             dataclasses.replace(reference_config(), sample_rate=1e200, repetition_time=1e200)
@@ -157,12 +165,14 @@ class TestLissajous:
 
 
 class TestExcitedTrajectory:
-    def test_zero_excitation_reduces_to_sinusoid(self):
-        config = excited_config(a_exc=0.0)
+    def test_excitation_adds_to_the_sinusoid(self):
+        config = excited_config()
         traj = excited_trajectory(sampled(config, 4096))
         amps = config.position_amplitudes()
         freqs = np.asarray(config.drive_frequencies)
         expected = amps[None, :] * np.sin(2 * np.pi * freqs[None, :] * traj.times[:, None])
+        a_e = config.excitation_amplitude / abs(config.gradient[0])
+        expected[:, 0] += a_e * np.sin(2 * np.pi * config.excitation_frequency * traj.times)
         assert np.allclose(traj.positions, expected, atol=1e-15)
 
     def test_starts_at_origin(self):

@@ -1,40 +1,50 @@
 """Slice-form Chambolle TV prox and the total variation, test oracles.
 
 ``tv_prox`` here allocates fresh arrays on every iteration and shifts
-with 2-D slices; ``mpirecon.denoisers.tv_prox`` must match it byte for
-byte.
+with 2-D slices.  At its default float32 it runs the loop of
+``mpirecon.denoisers.tv_prox`` (``image / weight`` cast once, the
+divergence summed as ``(p0 difference) + (p1 difference)``, the result
+formed in float64), which must match it byte for byte; at float64 it is
+the reference that the float32 loop is measured against.
 """
 
 import numpy as np
 
 
 def _tv_gradient(image: np.ndarray) -> np.ndarray:
-    out = np.zeros((2,) + image.shape)
+    out = np.zeros((2,) + image.shape, image.dtype)
     out[0, :-1, :] = image[1:, :] - image[:-1, :]
     out[1, :, :-1] = image[:, 1:] - image[:, :-1]
     return out
 
 
 def _tv_divergence(p: np.ndarray) -> np.ndarray:
-    out = np.zeros(p.shape[1:])
-    out[:-1, :] += p[0, :-1, :]
-    out[1:, :] -= p[0, :-1, :]
-    out[:, :-1] += p[1, :, :-1]
-    out[:, 1:] -= p[1, :, :-1]
-    return out
+    """``(p0[i, j] - p0[i-1, j]) + (p1[i, j] - p1[i, j-1])`` with ``p0`` zero
+    on the last row and before the first, ``p1`` on the last column and
+    before the first."""
+    rows = np.zeros(p.shape[1:], p.dtype)
+    rows[:-1, :] = p[0, :-1, :]
+    rows[1:, :] -= p[0, :-1, :]
+    cols = np.zeros(p.shape[1:], p.dtype)
+    cols[:, :-1] = p[1, :, :-1]
+    cols[:, 1:] -= p[1, :, :-1]
+    return rows + cols
 
 
-def tv_prox(image: np.ndarray, weight: float, n_iterations: int = 60) -> np.ndarray:
-    """Proximal operator of ``weight * TV`` via Chambolle's dual projection."""
+def tv_prox(image: np.ndarray, weight: float, n_iterations: int = 60,
+            dtype=np.float32) -> np.ndarray:
+    """Proximal operator of ``weight * TV`` via Chambolle's dual projection,
+    the dual loop in ``dtype``."""
     if weight <= 0.0:
         return image.copy()
-    p = np.zeros((2,) + image.shape)
+    scaled = (image / weight).astype(dtype)
+    p = np.zeros((2,) + image.shape, dtype)
     tau = 0.25
     for _ in range(n_iterations):
-        grad = _tv_gradient(_tv_divergence(p) - image / weight)
+        grad = _tv_gradient(_tv_divergence(p) - scaled)
         magnitude = np.sqrt(np.sum(grad**2, axis=0))
         p = (p + tau * grad) / (1.0 + tau * magnitude)[None, :, :]
-    return image - weight * _tv_divergence(p)
+    return image - weight * _tv_divergence(p).astype(np.float64)
 
 
 def total_variation(image: np.ndarray) -> float:
