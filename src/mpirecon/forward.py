@@ -152,10 +152,12 @@ def simulate_signal(
     field = core_operator(rho, spec, config)
     sample_matrix = interpolation_matrix(grid, trajectory.positions, interpolation)
     signal = np.zeros((len(trajectory), 2))
-    for row in range(2):
-        for col in range(2):
-            values = sample_matrix @ field.entry(row, col).ravel()
-            signal[:, row] += values * trajectory.velocities[:, col]
+    # entry (1, 0) is entry (0, 1): sample it once for both channels
+    for row, col in ((0, 0), (0, 1), (1, 1)):
+        values = sample_matrix @ field.entry(row, col).ravel()
+        signal[:, row] += values * trajectory.velocities[:, col]
+        if col != row:
+            signal[:, col] += values * trajectory.velocities[:, row]
     return ScanSignal(values=signal, times=trajectory.times)
 
 

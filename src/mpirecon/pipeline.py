@@ -132,7 +132,7 @@ SCHEMA = {
         ("iterations", INT, PnPConfig.n_iterations, "plug-and-play iterations"),
         ("trim_percentile", FLOAT, PnPConfig.trim_percentile, "trimmed before noise estimation"),
         ("tv_scale", FLOAT, DenoiserRef.tv_scale, "TV weight per unit squared noise"),
-        ("tv_iterations", INT, DenoiserRef.tv_iterations, "TV projection iterations"),
+        ("tv_iterations", INT, DenoiserRef.tv_iterations, "TV fast gradient projection steps"),
         ("denoiser_command", WORDS, DenoiserRef.command, "argv of the external denoiser; "
          "empty: total variation"),
         ("denoiser_timeout_s", FLOAT, DenoiserRef.timeout, "wait per external request"),
@@ -390,16 +390,34 @@ class PipelineResult:
     timings: dict
 
 
+# Least topographic prominence of a counted peak, as a fraction of the
+# profile maximum: tail ripples of a few tenths of a percent stay out,
+# while the second bar of a 160 x 160 trace's centre row (0.16) counts
+PEAK_PROMINENCE = 0.1
+
+
 def dip_ratio(profile: np.ndarray) -> float:
     """1 - (minimum between the two tallest interior peaks) / (mean peak);
-    0 when fewer than two peaks exist."""
+    0 when fewer than two peaks exist.
+
+    A peak is an interior sample no lower than its neighbours, above zero,
+    whose topographic prominence is at least ``PEAK_PROMINENCE`` of the
+    profile maximum.  The prominence is the peak's height over the higher
+    of its two bases; a base is the lowest sample between the peak and the
+    nearest strictly higher sample on that side, or the profile's end.  The
+    profile is not clipped, so a valley below zero reads above 1."""
     profile = np.asarray(profile, dtype=float)
-    peaks = [
-        i
-        for i in range(1, len(profile) - 1)
-        if profile[i] >= profile[i - 1] and profile[i] >= profile[i + 1]
-    ]
-    peaks = [i for i in peaks if profile[i] > 0]
+    least = PEAK_PROMINENCE * profile.max(initial=0.0)
+    peaks = []
+    for i in range(1, len(profile) - 1):
+        if not (profile[i] > 0 and profile[i] >= profile[i - 1] and profile[i] >= profile[i + 1]):
+            continue
+        higher = np.flatnonzero(profile > profile[i])
+        left, right = higher[higher < i], higher[higher > i]
+        left_base = profile[left[-1] + 1 if left.size else 0 : i + 1].min()
+        right_base = profile[i : right[0] if right.size else len(profile)].min()
+        if profile[i] - max(left_base, right_base) >= least:
+            peaks.append(i)
     if len(peaks) < 2:
         return 0.0
     tallest = sorted(sorted(peaks, key=lambda i: -profile[i])[:2])

@@ -125,7 +125,6 @@ h_sat_a_per_m = {h_sat}
 nu0 = 1e-5
 iterations = 10
 trim_percentile = 5.0
-tv_iterations = 60
 """
 
 

@@ -134,7 +134,8 @@ class TestTotalVariation:
         )
         image = values.T if transposed else values
         weight = data.draw(st.floats(1e-6, 10.0))
-        n_iterations = data.draw(st.sampled_from([0, 1, 60]))
+        # the second step is the first with momentum
+        n_iterations = data.draw(st.sampled_from([0, 1, 2, 60]))
         out = tv_prox(image, weight, n_iterations)
         expected = tv_oracle.tv_prox(image, weight, n_iterations)
         assert out.dtype == expected.dtype and out.shape == expected.shape
@@ -160,16 +161,34 @@ class TestTotalVariation:
 
     def test_float32_loop_stays_close_to_float64_at_pipeline_weights(self):
         # Largest change against the float64 loop on this image, and what
-        # one more iteration changes in float64 (0: converged):
+        # one more step changes in float64 (0: converged):
         #   weight         1e-4     3e-3     0.05     0.3      3.3
-        #   float32        1.0e-9   1.8e-8   5.4e-8   2.0e-6   1.8e-7
-        #   one more step  0        4.1e-7   6.4e-5   2.4e-3   3.6e-2
-        # Over the images of seeds 5 to 7 the change peaks at 2.0e-5 weight
-        # (seed 7, weight 0.3); the bound is 1e-4 weight.
+        #   float32        1.0e-9   2.5e-8   7.4e-8   2.2e-7   1.2e-7
+        #   one more step  0        1.9e-6   2.9e-4   1.2e-2   5.3e-3
+        # Over the images of seeds 5 to 7 the change peaks at 1.1e-5 weight
+        # (seed 6, weight 3e-3); the bound is 1e-4 weight.
         image = np.random.default_rng(5).uniform(size=(100, 100))
         for weight in (1e-4, 3e-3, 0.05, 0.3, 3.3):
             reference = tv_oracle.tv_prox(image, weight, dtype=np.float64)
             assert np.abs(tv_prox(image, weight) - reference).max() <= 1e-4 * weight, weight
+
+    @pytest.mark.parametrize("weight", [3e-3, 1e-2, 3e-2, 0.1, 0.3])
+    def test_default_steps_are_as_close_as_60_chambolle_steps(self, weight):
+        # Relative L2 distance to the converged prox (1,000 float64 steps,
+        # within 2e-4 of 8,000 at weight 0.3) on a noisy two-bar image:
+        #   weight                3e-3     1e-2     3e-2     0.1      0.3
+        #   60 Chambolle steps    4.5e-6   7.1e-5   9.7e-4   1.8e-2   4.9e-2
+        #   default FGP / that    0.37     0.33     0.45     0.72     0.96
+        image = np.zeros((100, 100))
+        image[20:80, 40:46] = image[20:80, 54:60] = 1.0
+        image += 0.1 * np.random.default_rng(0).standard_normal(image.shape)
+        converged = tv_oracle.tv_prox(image, weight, 1000, dtype=np.float64)
+
+        def distance(out):
+            return np.linalg.norm(out - converged) / np.linalg.norm(converged)
+
+        chambolle = distance(tv_oracle.chambolle_prox(image, weight))
+        assert distance(tv_prox(image, weight)) <= chambolle
 
     @pytest.mark.parametrize("weight", [1e-30, 1e-39, 1e-300, 5e-324])
     def test_a_tiny_weight_gives_the_image(self, weight):
@@ -179,11 +198,15 @@ class TestTotalVariation:
         assert np.array_equal(tv_prox(image, weight), image)
 
     def test_the_largest_scaled_image_runs_the_loop(self):
-        # |image| / weight = 4e18, just inside the float32 range rule: the
-        # loop runs without overflow and moves pixels by at most 4 weight
-        image = self.noisy_step()
-        weight = np.abs(image).max() / 4e18
-        out = tv_prox(image, weight)
+        # |image| / weight = 1.8e19, just inside the float32 range rule, on
+        # a checkerboard, whose gradient is the steepest: the loop runs
+        # without overflow and moves pixels by at most 4 weight.  The move
+        # shows only on the zero pixel; on the others it rounds away.
+        image = np.where(np.indices((24, 24)).sum(axis=0) % 2, 1.0, -1.0)
+        image[5, 7] = 0.0
+        weight = 1.0 / 1.8e19
+        with np.errstate(over="raise", invalid="raise"):
+            out = tv_prox(image, weight)
         assert np.isfinite(out).all() and not np.array_equal(out, image)
         assert np.all(np.abs(out - image) <= 4 * weight * (1 + 1e-6) + np.spacing(np.abs(image)))
 

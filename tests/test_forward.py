@@ -16,7 +16,7 @@ from mpirecon.forward import (
     simulate_signal,
 )
 from mpirecon.geometry import ConcentrationImage, GridGeometry
-from mpirecon.interpolation import InterpolationScheme
+from mpirecon.interpolation import InterpolationScheme, interpolation_matrix
 from mpirecon.kernels import KernelSpec, discretize_kernel
 from mpirecon.phantoms import generate_phantom
 from mpirecon.pipeline import PipelineConfig
@@ -185,6 +185,24 @@ class TestSimulateSignal:
                     for col in range(2)
                 )
                 assert sig.values[k, row] == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+    def test_bytes_match_the_four_product_form(self):
+        # sampling the shared off-diagonal entry once keeps every bit of
+        # one product per matrix entry
+        config = PipelineConfig.from_file(TWO_BAR_33)
+        scanner = config.scanner()
+        image = generate_phantom(config.phantom())
+        traj = decimate(lissajous(scanner), 3)
+        scheme = config.interpolation()
+        sig = simulate_signal(image, traj, config.kernel_spec(), scanner, scheme)
+        field = core_operator(image, config.kernel_spec(), scanner)
+        sample_matrix = interpolation_matrix(image.geometry, traj.positions, scheme)
+        expected = np.zeros((len(traj), 2))
+        for row in range(2):
+            for col in range(2):
+                values = sample_matrix @ field.entry(row, col).ravel()
+                expected[:, row] += values * traj.velocities[:, col]
+        assert sig.values.tobytes() == expected.tobytes()
 
     def test_linearity(self):
         grid = desk_grid(17)

@@ -1,7 +1,8 @@
 """Start-up cost: each scipy module loads only in the stage that uses it,
 neither start-up nor a run loads ``multiprocessing``, and start-up loads
 no ``concurrent.futures`` (the core stage imports its one-worker executor
-when it solves)."""
+when it solves) and no ``subprocess`` or ``select`` (the external
+denoiser imports them when it starts its child)."""
 
 import json
 import os
@@ -74,10 +75,12 @@ def test_deconvolve_only_run_imports_no_sparse_or_ndimage(tmp_path):
 
 
 def test_import_and_validate_load_no_multiprocessing_or_executor():
-    # an executor import here would count toward every run's set-up time
+    # an executor or child-process import here would count toward every
+    # run's set-up time
     script = (
         "import sys, mpirecon; mpirecon.PipelineConfig.from_file(sys.argv[1]).validate(); "
-        "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+        "print(sorted({'multiprocessing', 'concurrent.futures', 'subprocess', 'select'}"
+        " & set(sys.modules)))"
     )
     assert fresh_interpreter(script, TWO_BAR_33) == "[]"
 

@@ -866,5 +866,37 @@ class TestProfileAndDip:
         assert dip_ratio(profile) == pytest.approx(1.0 - 0.4 / 0.9)
 
     def test_dip_ratio_needs_two_peaks(self):
+        assert dip_ratio(np.array([])) == 0.0
         assert dip_ratio(np.array([0.0, 1.0, 0.0])) == 0.0
         assert dip_ratio(np.full(7, 2.0)) == 0.0
+
+    @pytest.mark.parametrize("bump, dip", [(0.38, 0.0), (0.42, 1.0 - 0.3 / 0.71)])
+    def test_dip_ratio_counts_a_bump_from_a_tenth_of_the_maximum(self, bump, dip):
+        # the bump rises 0.08, then 0.12, over its higher base 0.3
+        profile = np.array([0.0, 0.5, 1.0, 0.5, 0.3, bump, 0.3, 0.0])
+        assert dip_ratio(profile) == pytest.approx(dip)
+
+    def test_dip_ratio_of_one_bar_with_tail_ripples_is_zero(self):
+        # two merged bars read as one 2-pixel peak; the tail bumps at
+        # 0.36% and 0.41% of the maximum are no peaks
+        profile = np.array([
+            0.0, 0.001, 0.002, 0.0036, 0.003, 0.02, 0.3, 0.9, 1.0,
+            0.95, 0.4, 0.03, 0.003, 0.0041, 0.002, 0.001, 0.0,
+        ])
+        assert dip_ratio(profile) == 0.0
+
+    def test_dip_ratio_of_a_valley_below_zero_exceeds_one(self):
+        # the profile is not clipped at zero
+        profile = np.array([0.0, 0.6, 1.0, 0.3, -0.2, 0.3, 0.9, 0.5, 0.0])
+        assert dip_ratio(profile) == pytest.approx(1.0 + 0.2 / 0.95)
+
+    def test_dip_ratio_keeps_a_second_bar_of_prominence_0_16(self):
+        # columns 60-99 of a 160 x 160 trace's centre row, over its
+        # maximum: the second bar (0.975) rises 0.162 over the valley 0.813
+        profile = np.array([
+            0.570, 0.596, 0.626, 0.630, 0.667, 0.704, 0.738, 0.756, 0.831, 0.887,
+            0.917, 0.959, 1.000, 0.951, 0.928, 0.898, 0.869, 0.813, 0.841, 0.838,
+            0.822, 0.819, 0.865, 0.848, 0.877, 0.937, 0.973, 0.950, 0.975, 0.937,
+            0.879, 0.811, 0.789, 0.729, 0.688, 0.675, 0.645, 0.610, 0.599, 0.583,
+        ])
+        assert dip_ratio(profile) == pytest.approx(1.0 - 0.813 / 0.9875)
