@@ -290,8 +290,10 @@ def solve_core_stage(
     had them; non-finite positions, velocities or signal values raise
     ``ValueError``.  The row solves run CG to ``cg_tolerance`` on the
     relative residual and report non-convergence without discarding the
-    iterate.  The pass prepares each next block, and adds its right-hand
-    sides, on one worker thread while the caller's thread adds the
+    iterate; a row whose CG stops at a non-finite residual (its normal
+    equations overflow) raises ``ValueError``.  The pass prepares each
+    next block, and adds its right-hand sides, on one worker thread while
+    the caller's thread adds the
     current block's stencil products; with two rows the second row's CG
     runs on one worker thread while the caller's thread solves the first.
     The result is bit-identical to a serial pass and to solving the rows
@@ -371,12 +373,14 @@ def solve_core_stage(
     entries = {}
     cg_records: dict[int, CgResult] = {}
     for row, result in zip(rows, results):
+        stopped = (
+            f"core-stage CG for row {row} stopped at relative residual "
+            f"{result.final_residual:.3e} after {result.iterations} iterations"
+        )
+        if not np.isfinite(result.final_residual):
+            raise ValueError(f"{stopped}: the normal equations overflow")
         if not result.converged:
-            warnings.warn(
-                f"core-stage CG for row {row} stopped at relative residual "
-                f"{result.final_residual:.3e} after {result.iterations} iterations",
-                stacklevel=2,
-            )
+            warnings.warn(stopped, stacklevel=2)
         cg_records[row] = result
         solution = result.x.reshape(2, grid.n_pixels)
         for j in range(2):

@@ -8,11 +8,11 @@ command:
   denoiser can be plugged in without rebuilding this package,
 * total variation (no command): the proximal operator of a TV penalty
   with weight proportional to the squared noise level (Beck and
-  Teboulle's fast gradient projection on Chambolle's dual, its loop in
-  float32 as a network denoiser's would be), the in-repo reference.
+  Teboulle's fast gradient projection on Chambolle's dual: ``TV_STEPS``
+  steps in float32, as a network would run), the in-repo reference.
 
-Both receive images normalized to [0, 1] with the noise level expressed
-in that range; total variation acts as the identity at noise level zero.
+Both receive only images normalized to [0, 1] and the noise level in
+that range; total variation acts as the identity at noise level zero.
 
 External protocol, version 1 (little-endian): request and response both
 consist of the 24-byte header ``b"ZSPD"``, u32 version, u32 height,
@@ -49,14 +49,12 @@ class DenoiserRef:
     """Reference to a denoiser backend plus its parameters; a ``command``
     selects the external backend, else total variation.
 
-    tv_scale   -- total variation: penalty weight per unit squared noise
-    tv_iterations -- total variation: fast gradient projection steps
-    command    -- external: argv of the child process
-    timeout    -- external: seconds to wait per request
+    tv_scale -- total variation: penalty weight per unit squared noise
+    command  -- external: argv of the child process
+    timeout  -- external: seconds to wait per request
     """
 
     tv_scale: float = 1.0
-    tv_iterations: int = TV_STEPS
     command: tuple = ()
     timeout: float = 30.0
 
@@ -65,8 +63,6 @@ class DenoiserRef:
             raise ValueError(f"tv_scale must be nonnegative, got {self.tv_scale!r}")
         if self.tv_scale == np.inf:
             raise ValueError(f"tv_scale must be finite, got {self.tv_scale!r}")
-        if self.tv_iterations < 1:
-            raise ValueError(f"tv_iterations must be at least 1, got {self.tv_iterations!r}")
         if not self.timeout > 0:
             raise ValueError(f"timeout must be positive, got {self.timeout!r}")
         if not self.timeout <= threading.TIMEOUT_MAX:  # select.select's limit
@@ -168,10 +164,9 @@ def tv_prox(image: np.ndarray, weight: float, n_iterations: int = TV_STEPS) -> n
 class TotalVariationDenoiser:
     def __init__(self, ref: DenoiserRef):
         self.tv_scale = ref.tv_scale
-        self.n_iterations = ref.tv_iterations
 
     def __call__(self, image: np.ndarray, sigma: float) -> np.ndarray:
-        return tv_prox(image, self.tv_scale * sigma**2, self.n_iterations)
+        return tv_prox(image, self.tv_scale * sigma**2)
 
     def close(self):
         pass

@@ -46,6 +46,7 @@ FLOAT_FMT = "%.17g"
 # values formatted per ``%`` operation: amortizes the per-row call while
 # bounding the text held in memory (about 1.6k rows of a 5-column trajectory)
 _BLOCK_VALUES = 8192
+_PGM_TOKENS = np.array([str(level) for level in range(256)], dtype=object)  # preview levels
 
 
 def _fmt(value) -> str:
@@ -89,8 +90,8 @@ def save_image(base: str, values: np.ndarray, geometry: GridGeometry) -> list:
     h, w = values.shape
     with open(paths[0], "w") as f:
         f.write(f"P2\n{w} {h}\n255\n")
-        for row in preview.tolist():
-            f.write(" ".join(map(str, row)) + "\n")
+        for row in _PGM_TOKENS[preview].tolist():
+            f.write(" ".join(row) + "\n")
 
     with open(paths[1], "w") as f:
         f.write(f"height = {h}\n")

@@ -132,7 +132,6 @@ SCHEMA = {
         ("iterations", INT, PnPConfig.n_iterations, "plug-and-play iterations"),
         ("trim_percentile", FLOAT, PnPConfig.trim_percentile, "trimmed before noise estimation"),
         ("tv_scale", FLOAT, DenoiserRef.tv_scale, "TV weight per unit squared noise"),
-        ("tv_iterations", INT, DenoiserRef.tv_iterations, "TV fast gradient projection steps"),
         ("denoiser_command", WORDS, DenoiserRef.command, "argv of the external denoiser; "
          "empty: total variation"),
         ("denoiser_timeout_s", FLOAT, DenoiserRef.timeout, "wait per external request"),
@@ -294,7 +293,6 @@ class PipelineConfig:
         v = self.values["pnp"]
         return DenoiserRef(
             tv_scale=v["tv_scale"],
-            tv_iterations=v["tv_iterations"],
             command=v["denoiser_command"],
             timeout=v["denoiser_timeout_s"],
         )
@@ -367,13 +365,11 @@ class PipelineConfig:
                     f"[preprocess] {key} = {preprocess[key]} is only read with an snr_file"
                 )
         pnp = self.values["pnp"]
-        if pnp["denoiser_command"]:
-            unread, reader = ("tv_scale", "tv_iterations"), "without a denoiser_command"
-        else:
-            unread, reader = ("denoiser_timeout_s",), "with a denoiser_command"
-        for key in unread:
-            if pnp[key] != _DEFAULTS["pnp"][key]:
-                raise ValueError(f"[pnp] {key} = {pnp[key]} is only read {reader}")
+        command = pnp["denoiser_command"]
+        key = "tv_scale" if command else "denoiser_timeout_s"
+        if pnp[key] != _DEFAULTS["pnp"][key]:
+            reader = "without" if command else "with"
+            raise ValueError(f"[pnp] {key} = {pnp[key]} is only read {reader} a denoiser_command")
         for section, key, suffix in _INPUTS if inputs else ():
             path = self.path(section, key)
             if path is not None and not os.path.exists(path + suffix):
@@ -400,13 +396,15 @@ def dip_ratio(profile: np.ndarray) -> float:
     """1 - (minimum between the two tallest interior peaks) / (mean peak);
     0 when fewer than two peaks exist.
 
-    A peak is an interior sample no lower than its neighbours, above zero,
-    whose topographic prominence is at least ``PEAK_PROMINENCE`` of the
-    profile maximum.  The prominence is the peak's height over the higher
-    of its two bases; a base is the lowest sample between the peak and the
-    nearest strictly higher sample on that side, or the profile's end.  The
-    profile is not clipped, so a valley below zero reads above 1."""
+    A peak is an interior run of equal samples, above zero and higher than
+    its neighbours, whose topographic prominence is at least
+    ``PEAK_PROMINENCE`` of the profile maximum: its height over the higher
+    of its two bases, the lowest sample between it and the nearest higher
+    sample on that side, or the profile's end.  The profile is not
+    clipped, so a valley below zero reads above 1."""
     profile = np.asarray(profile, dtype=float)
+    # one sample per run of equal ones; no base, peak height or valley changes
+    profile = profile[np.r_[True, profile[1:] != profile[:-1]][: profile.size]]
     least = PEAK_PROMINENCE * profile.max(initial=0.0)
     peaks = []
     for i in range(1, len(profile) - 1):

@@ -13,6 +13,7 @@ from mpirecon.fileio import load_image
 from mpirecon.pipeline import STAGES, PipelineConfig
 
 VACUUM_PERMEABILITY = 4e-7 * np.pi
+CONFIGS = Path(__file__).parent.parent / "configs"
 # a key that is only read next to another is set with it, so the value
 # itself is what fails
 COMPANIONS = {
@@ -56,7 +57,6 @@ h_sat_a_per_m = {h_sat}
 [pnp]
 nu0 = 1e-5
 iterations = 5
-tv_iterations = 40
 
 [phantom]
 kind = two-bar
@@ -167,6 +167,14 @@ class TestCommands:
         example = PipelineConfig.from_string(capsys.readouterr().out)
         assert example == PipelineConfig.from_string("")
 
+    def test_example_config_lists_the_50_keys(self, capsys):
+        assert main(["example-config"]) == 0
+        raw = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+        raw.read_string(capsys.readouterr().out)
+        keys = [(section, key) for section in raw.sections() for key in raw[section]]
+        assert len(keys) == 50
+        assert ("pnp", "tv_scale") in keys and ("pnp", "tv_iterations") not in keys
+
 
 class TestFailures:
     def test_missing_config_file(self, capsys):
@@ -253,7 +261,9 @@ class TestFailures:
             ("pnp", "nu0", "inf", "nu0 must be finite, got inf"),
             ("pnp", "tv_scale", "-1", "tv_scale must be nonnegative, got -1.0"),
             ("pnp", "tv_scale", "inf", "tv_scale must be finite, got inf"),
-            ("pnp", "tv_iterations", "-5", "tv_iterations must be at least 1, got -5"),
+            # removed key: the TV prox always runs TV_STEPS; the hint's key is another setting
+            ("pnp", "tv_iterations", "24",
+             "tv_iterations: unknown key; did you mean 'iterations'?"),
             ("pnp", "denoiser_timeout_s", "-1", "timeout must be positive, got -1.0"),
             # select.select takes no longer wait
             ("pnp", "denoiser_timeout_s", "inf",
@@ -358,6 +368,34 @@ class TestFailures:
         err = capsys.readouterr().err
         assert "error: [core] normal matrix is singular" in err
         assert "of 441 pixels" in err
+
+    # the overflow is numpy's to report; the failure is the run's
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "name, section, key",
+        [("two_bar_33.ini", "kernel", "h_sat_a_per_m"),
+         ("scanner_21.ini", "particle", "temperature_k")],
+        ids=["h-sat", "temperature"],
+    )
+    def test_core_rows_whose_equations_overflow_fail_the_run(self, tmp_path, capsys, name,
+                                                              section, key):
+        # a kernel field scale near 1e-300 (the temperature gives h ~ 5e-300)
+        # passes validation, then overflows the normal equations: CG stops at
+        # a nan residual on both rows, which used to leave an all-zero recon
+        config = configparser.ConfigParser(inline_comment_prefixes=(";",))
+        config.read(CONFIGS / name)
+        config[section][key] = "1e-300"
+        config["pipeline"]["out"] = str(tmp_path / "out")
+        path = tmp_path / name
+        with open(path, "w") as f:
+            config.write(f)
+        assert main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: [core] core-stage CG for row 0 stopped at relative residual nan after 0 "
+            "iterations: the normal equations overflow\n"
+        )
+        assert not (tmp_path / "out" / "recon.float.txt").exists()
 
     def test_parallel_velocities_core_system_is_tagged(self, tmp_path, capsys):
         # every sample moves along (1, 1): each pixel's data block has rank 1

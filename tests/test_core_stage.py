@@ -853,6 +853,21 @@ print(json.dumps({
 """
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("row", [0, 1])
+def test_a_row_whose_equations_overflow_raises_naming_it(row):
+    # the row's right-hand side has a norm past float64's range, so its
+    # CG stops at a nan residual, and the error names that row
+    grid, values, positions, velocities = small_two_row_instance()
+    cfg = CoreStageConfig(grid=grid, gamma=1e-3)
+    values[:, row] *= 1e300
+    with pytest.raises(ValueError, match=rf"^core-stage CG for row {row} stopped at relative "
+                                         r"residual nan after 0 iterations: the normal "
+                                         r"equations overflow$"):
+        solve_core_stage(values, positions, velocities, cfg)
+
+
 class RowAbort(BaseException):
     """A row solve's failure that is not an ``Exception``."""
 

@@ -1,5 +1,6 @@
 """Denoiser backends and the external-process protocol."""
 
+import dataclasses
 import os
 import select
 import threading
@@ -20,6 +21,7 @@ from denoiser_stubs import (
     external_script,
 )
 from mpirecon.denoisers import (
+    TV_STEPS,
     DenoiserRef,
     ExternalDenoiser,
     ExternalDenoiserError,
@@ -54,6 +56,12 @@ class TestDenoiserRef:
         finally:
             os.close(read_end)
             os.close(write_end)
+
+    def test_fields(self):
+        # the TV backend is told only the image and its noise level, like
+        # the external one: no field sets its step count
+        names = [field.name for field in dataclasses.fields(DenoiserRef)]
+        assert names == ["tv_scale", "command", "timeout"]
 
     def test_fields_are_keyword_only(self):
         # a positional backend name must not land in tv_scale
@@ -93,8 +101,7 @@ class TestTotalVariation:
         profile = profile + 0.1 * rng.standard_normal(profile.size)
         img = np.tile(profile, (16, 1))
         weight = 0.08
-        ref = DenoiserRef(tv_scale=1.0, tv_iterations=400)
-        out = TotalVariationDenoiser(ref)(img, np.sqrt(weight))
+        out = tv_prox(img, weight, 400)
 
         # oracle: min_x 0.5||x - y||^2 + w sum|Dx| via its dual projection
         y = profile
@@ -111,6 +118,13 @@ class TestTotalVariation:
         x[:-1] += p
         x[1:] -= p
         assert np.abs(out[8] - x).max() < 0.02
+
+    @pytest.mark.parametrize("tv_scale, sigma", [(1.0, 0.05), (0.5, 0.2), (3.0, 0.013)])
+    def test_backend_is_the_prox_at_the_default_steps(self, tv_scale, sigma):
+        img = self.noisy_step()
+        out = TotalVariationDenoiser(DenoiserRef(tv_scale=tv_scale))(img, sigma)
+        assert out.tobytes() == tv_prox(img, tv_scale * sigma**2, TV_STEPS).tobytes()
+        assert out.tobytes() != tv_prox(img, tv_scale * sigma**2, TV_STEPS + 1).tobytes()
 
     def test_sigma_zero_identity_through_ref(self):
         img = self.noisy_step()

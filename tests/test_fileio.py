@@ -152,6 +152,53 @@ class TestImageTriple:
         with pytest.raises(ValueError):
             save_image(str(tmp_path / "bad"), np.zeros((3, 3)), GRID)
 
+    @staticmethod
+    def per_pixel_pgm(values):
+        """The preview as formatted pixel by pixel with ``str``."""
+        finite = np.isfinite(values)
+        kept = values[finite]
+        lo, hi = (float(kept.min()), float(kept.max())) if kept.size else (0.0, 0.0)
+        shown = np.where(finite, values, lo)
+        if math.isinf(hi - lo):
+            shown, lo, hi = shown / 2, lo / 2, hi / 2
+        preview = np.round((shown - lo) / (hi - lo) * 255.0) if hi > lo else np.zeros(values.shape)
+        preview = preview.astype(int)
+        preview[values == np.inf] = 255
+        h, w = values.shape
+        lines = [f"P2\n{w} {h}\n255\n"]
+        lines += [" ".join(map(str, row)) + "\n" for row in preview.tolist()]
+        return "".join(lines).encode()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_preview_bytes_equal_the_per_pixel_format(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        grid = GridGeometry(shape=(100, 100), spacing=(1.0, 1.0), origin=(0.0, 0.0))
+        random = rng.normal(size=grid.shape)
+        special = random.copy()
+        special[rng.integers(100, size=30), rng.integers(100, size=30)] = np.nan
+        special[rng.integers(100, size=30), rng.integers(100, size=30)] = np.inf
+        special[rng.integers(100, size=30), rng.integers(100, size=30)] = -np.inf
+        for name, values in (
+            ("random", random), ("special", special), ("constant", np.full(grid.shape, -2.5))
+        ):
+            save_image(str(tmp_path / name), values, grid)
+            assert (tmp_path / f"{name}.pgm").read_bytes() == self.per_pixel_pgm(values), name
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        values=arrays(
+            np.float64,
+            st.tuples(st.integers(1, 6), st.integers(1, 6)),
+            elements=st.floats(allow_nan=True, allow_infinity=True),
+        )
+    )
+    def test_preview_bytes_equal_the_per_pixel_format_on_any_values(self, tmp_path_factory,
+                                                                    values):
+        grid = GridGeometry(shape=values.shape, spacing=(1.0, 1.0), origin=(0.0, 0.0))
+        base = tmp_path_factory.mktemp("pgm") / "any"
+        save_image(str(base), values, grid)
+        assert base.with_suffix(".pgm").read_bytes() == self.per_pixel_pgm(values)
+
     @settings(max_examples=50, deadline=None)
     @given(
         values=finite_arrays(st.integers(1, 6), st.integers(1, 6)),

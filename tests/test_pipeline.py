@@ -90,7 +90,6 @@ rows = {overrides.get("rows", "0,1")}
 [pnp]
 nu0 = 1e-5
 iterations = {overrides.get("pnp_iterations", 6)}
-tv_iterations = 40
 
 [phantom]
 kind = {overrides.get("phantom", "two-bar")}
@@ -161,8 +160,9 @@ class TestConfig:
                 r"^\[pnp\] tv_scale = 2.0 is only read without a denoiser_command$",
             ),
             (
-                "[pnp]\ndenoiser_command = drunet\ntv_iterations = 30\n",
-                r"^\[pnp\] tv_iterations = 30 is only read without a denoiser_command$",
+                # tv_scale is the one TV key; zero, the identity, is still a set value
+                "[pnp]\ndenoiser_command = drunet\ntv_scale = 0.0\n",
+                r"^\[pnp\] tv_scale = 0.0 is only read without a denoiser_command$",
             ),
             (
                 "[pnp]\ndenoiser_timeout_s = 5.0\n",
@@ -170,7 +170,7 @@ class TestConfig:
             ),
         ],
         ids=["file-with-excitation", "trajectory-key", "tv-scale-with-command",
-             "tv-iterations-with-command", "timeout-without-command"],
+             "tv-scale-zero-with-command", "timeout-without-command"],
     )
     def test_every_key_set_is_read(self, tmp_path, text, message):
         # the trajectory and the denoiser follow from the keys set: a
@@ -251,9 +251,12 @@ class TestSchema:
             ("[phantom]\nbar_axis = y\n", r"^\[phantom\] bar_axis: unknown key"),
             # removed section: sweep takes its pairs from its caller
             ("[sweep]\npairs = 800,1e-5\n", r"^\[sweep\] unknown section"),
+            # removed key: the TV prox always runs TV_STEPS; the hint is the PnP count
+            ("[pnp]\ntv_iterations = 24\n",
+             r"^\[pnp\] tv_iterations: unknown key; did you mean 'iterations'\?$"),
         ],
         ids=["typo", "section", "float", "ints", "default-section", "laplacian-units",
-             "taylor-cutoff", "denoiser", "blur-scale", "bar-axis", "sweep"],
+             "taylor-cutoff", "denoiser", "blur-scale", "bar-axis", "sweep", "tv-iterations"],
     )
     def test_bad_config_rejected_when_read(self, text, message):
         with pytest.raises(ValueError, match=message):
@@ -718,7 +721,6 @@ rows = 0
 [pnp]
 nu0 = 1e-5
 iterations = 4
-tv_iterations = 30
 
 [phantom]
 kind = dot
@@ -748,10 +750,12 @@ class TestExternalDenoiserRun:
 
     def external_config(self, tmp_path, body):
         command = external_script(tmp_path, body)
-        text = config_text(str(tmp_path / "run"), pnp_iterations=3).replace(
-            "tv_iterations = 40\n", f"denoiser_command = {' '.join(command)}\n"
-        )
-        return PipelineConfig.from_string(text, base_dir=str(tmp_path)), command
+        text = config_text(str(tmp_path / "run"), pnp_iterations=3)
+        assert text.count("[pnp]\n") == 1
+        text = text.replace("[pnp]\n", f"[pnp]\ndenoiser_command = {' '.join(command)}\n")
+        config = PipelineConfig.from_string(text, base_dir=str(tmp_path))
+        assert config.denoiser() == DenoiserRef(command=tuple(command))
+        return config, command
 
     def test_recon_equals_zero_shot_pnp_with_the_stub(self, tmp_path):
         config, command = self.external_config(tmp_path, HALVE_BODY)
@@ -869,6 +873,22 @@ class TestProfileAndDip:
         assert dip_ratio(np.array([])) == 0.0
         assert dip_ratio(np.array([0.0, 1.0, 0.0])) == 0.0
         assert dip_ratio(np.full(7, 2.0)) == 0.0
+
+    @pytest.mark.parametrize(
+        "profile, dip",
+        [
+            ([0.0, 1.0, 1.0, 0.0, 0.5, 0.0], 1.0),
+            ([0.0, 1.0, 0.999, 0.0, 0.5, 0.0], 1.0),
+            ([0.0, 0.5, 0.5, 0.5, 0.2, 0.5, 0.5, 0.0], 1.0 - 0.2 / 0.5),
+            ([0.0, 1.0, 1.0, 1.0, 0.0], 0.0),
+            ([2.0, 2.0, 0.0, 1.0, 0.0], 0.0),
+        ],
+        ids=["flat-top", "near-flat-top", "two-flat-tops", "one-flat-top", "flat-edge"],
+    )
+    def test_dip_ratio_counts_a_flat_top_as_one_peak(self, profile, dip):
+        # the tallest two peaks are two bars, not two samples of one bar; a
+        # flat run on the profile's edge has no base below it on that side
+        assert dip_ratio(np.array(profile)) == pytest.approx(dip)
 
     @pytest.mark.parametrize("bump, dip", [(0.38, 0.0), (0.42, 1.0 - 0.3 / 0.71)])
     def test_dip_ratio_counts_a_bump_from_a_tenth_of_the_maximum(self, bump, dip):
