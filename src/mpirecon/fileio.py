@@ -22,11 +22,17 @@ CSV formats (header line included):
 * transfer function ``bin,channel,re,im`` (unusable bins omitted)
 * SNR profile      ``bin,channel,snr``
 
-The ``.geom`` sidecar and the transfer-function and SNR CSVs write
-floats with ``_fmt`` (``repr``, the shortest exact round-trip form).
+The ``.geom`` sidecar, the core-field header and the transfer-function
+and SNR CSVs write floats with ``_fmt`` (``repr``, the shortest exact
+round-trip form).
 
-A core-operator field becomes one image triple per populated entry
-(``<prefix>_A<row><col>``) plus ``<prefix>_entries.txt`` naming them.
+A core-operator field is one float64 ``<prefix>_field.npy`` array of
+shape ``(entries, height, width)``, exact like the signal, with a
+``<prefix>_entries.txt`` header: ``dimension = 2``, the populated
+``rows``, the six geometry keys of the ``.geom`` sidecar and one
+``entry = <row>,<col>`` line per array slice, in slice order.  Each entry
+also gets a ``<prefix>_A<row><col>.pgm`` preview.
+
 ``manifest.txt`` lists every file a pipeline run wrote, one per line.
 """
 
@@ -69,14 +75,9 @@ def _write_rows(path: str, data: np.ndarray, delimiter: str, header: str | None 
             f.write((row_fmt * len(rows)) % tuple(rows.ravel().tolist()))
 
 
-def save_image(base: str, values: np.ndarray, geometry: GridGeometry) -> list:
-    """Write the preview/geometry/values triple; returns the paths."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != tuple(geometry.shape):
-        raise ValueError(f"values shape {values.shape} does not match grid {geometry.shape}")
-    paths = [base + ".pgm", base + ".geom", base + ".float.txt"]
-
-    # the preview spans the finite pixels; NaN and -inf show as 0, +inf as 255
+def _write_preview(path: str, values: np.ndarray) -> None:
+    """8-bit P2 preview spanning the finite pixels; NaN and -inf show as 0,
+    +inf as 255."""
     finite = np.isfinite(values)
     kept = values[finite]
     lo, hi = (float(kept.min()), float(kept.max())) if kept.size else (0.0, 0.0)
@@ -88,39 +89,71 @@ def save_image(base: str, values: np.ndarray, geometry: GridGeometry) -> list:
     preview = preview.astype(int)
     preview[values == np.inf] = 255
     h, w = values.shape
-    with open(paths[0], "w") as f:
+    with open(path, "w") as f:
         f.write(f"P2\n{w} {h}\n255\n")
         for row in _PGM_TOKENS[preview].tolist():
             f.write(" ".join(row) + "\n")
 
-    with open(paths[1], "w") as f:
-        f.write(f"height = {h}\n")
-        f.write(f"width = {w}\n")
-        f.write(f"origin_x = {_fmt(geometry.origin[0])}\n")
-        f.write(f"origin_y = {_fmt(geometry.origin[1])}\n")
-        f.write(f"spacing_x = {_fmt(geometry.spacing[0])}\n")
-        f.write(f"spacing_y = {_fmt(geometry.spacing[1])}\n")
 
+def _geometry_lines(geometry: GridGeometry) -> str:
+    """The six ``key = value`` lines of the ``.geom`` sidecar."""
+    h, w = geometry.shape
+    return (
+        f"height = {h}\nwidth = {w}\n"
+        f"origin_x = {_fmt(geometry.origin[0])}\norigin_y = {_fmt(geometry.origin[1])}\n"
+        f"spacing_x = {_fmt(geometry.spacing[0])}\nspacing_y = {_fmt(geometry.spacing[1])}\n"
+    )
+
+
+def _read_pairs(path: str) -> list:
+    """``(key, value)`` of each ``key = value`` line, in file order; blank
+    and ``#`` lines are skipped."""
+    pairs = []
+    with open(path) as f:
+        for line in f:
+            line = line.strip()
+            if line and not line.startswith("#"):
+                key, _, value = line.partition("=")
+                pairs.append((key.strip(), value.strip()))
+    return pairs
+
+
+def _parse_geometry(meta: dict) -> GridGeometry:
+    """The grid that ``_geometry_lines`` wrote into ``meta``."""
+    for key in ("height", "width", "origin_x", "origin_y", "spacing_x", "spacing_y"):
+        if key not in meta:
+            raise ValueError(f"missing key {key}")
+    return GridGeometry(
+        shape=(int(meta["height"]), int(meta["width"])),
+        spacing=(float(meta["spacing_x"]), float(meta["spacing_y"])),
+        origin=(float(meta["origin_x"]), float(meta["origin_y"])),
+    )
+
+
+def save_image(base: str, values: np.ndarray, geometry: GridGeometry) -> list:
+    """Write the preview/geometry/values triple; returns the paths."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != tuple(geometry.shape):
+        raise ValueError(f"values shape {values.shape} does not match grid {geometry.shape}")
+    paths = [base + ".pgm", base + ".geom", base + ".float.txt"]
+    _write_preview(paths[0], values)
+    with open(paths[1], "w") as f:
+        f.write(_geometry_lines(geometry))
     _write_rows(paths[2], values, " ")
     return paths
 
 
 def load_image(base: str) -> ConcentrationImage:
-    meta = {}
-    with open(base + ".geom") as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            meta[key.strip()] = value.strip()
-    geometry = GridGeometry(
-        shape=(int(meta["height"]), int(meta["width"])),
-        spacing=(float(meta["spacing_x"]), float(meta["spacing_y"])),
-        origin=(float(meta["origin_x"]), float(meta["origin_y"])),
-    )
-    values = np.loadtxt(base + ".float.txt", ndmin=2)
-    return ConcentrationImage(values=values, geometry=geometry)
+    """The image triple at ``base``.  A missing or unparsable ``.geom`` key,
+    and values that do not parse or do not fit the geometry, fail with the
+    file name in front."""
+    path = base + ".geom"
+    try:
+        geometry = _parse_geometry(dict(_read_pairs(path)))
+        path = base + ".float.txt"
+        return ConcentrationImage(values=np.loadtxt(path, ndmin=2), geometry=geometry)
+    except ValueError as exc:
+        raise ValueError(f"image file {path}: {exc}") from None
 
 
 def save_signal(path: str, signal: ScanSignal) -> None:
@@ -211,40 +244,65 @@ def load_snr_profile(path: str, n_channels: int, n_bins: int, thresholds) -> Snr
 
 
 def save_core_field(directory: str, prefix: str, field: CoreOperatorField) -> list:
-    paths = []
-    entries_path = os.path.join(directory, f"{prefix}_entries.txt")
-    with open(entries_path, "w") as f:
+    """Write the header, the values array and one preview per entry;
+    returns the paths."""
+    keys = sorted(field.entries)
+    values = np.stack([np.asarray(field.entries[key], dtype=float) for key in keys])
+    if values.shape[1:] != tuple(field.geometry.shape):
+        raise ValueError(
+            f"entry shape {values.shape[1:]} does not match grid {field.geometry.shape}"
+        )
+    header = os.path.join(directory, f"{prefix}_entries.txt")
+    with open(header, "w") as f:
         f.write("dimension = 2\n")
         f.write(f"rows = {','.join(str(r) for r in field.populated_rows)}\n")
-        for (row, col) in sorted(field.entries):
-            f.write(f"entry = {row},{col}\n")
-    paths.append(entries_path)
-    for (row, col) in sorted(field.entries):
-        base = os.path.join(directory, f"{prefix}_A{row}{col}")
-        paths.extend(save_image(base, field.entries[(row, col)], field.geometry))
+        f.write(_geometry_lines(field.geometry))
+        f.writelines(f"entry = {row},{col}\n" for row, col in keys)
+    array = os.path.join(directory, f"{prefix}_field.npy")
+    with open(array, "wb") as f:  # a path would get ``.npy`` appended
+        np.save(f, values)
+    paths = [header, array]
+    for (row, col), entry in zip(keys, values):
+        paths.append(os.path.join(directory, f"{prefix}_A{row}{col}.pgm"))
+        _write_preview(paths[-1], entry)
     return paths
 
 
 def load_core_field(directory: str, prefix: str) -> CoreOperatorField:
-    entries_path = os.path.join(directory, f"{prefix}_entries.txt")
+    """The field ``save_core_field`` wrote.  The array is read without
+    unpickling; a header that does not parse, or an array that is not a
+    3-D float array of one ``height x width`` slice per ``entry`` line,
+    fails with the file name in front."""
+    header = os.path.join(directory, f"{prefix}_entries.txt")
+    pairs = _read_pairs(header)
     rows, keys = (), []
-    with open(entries_path) as f:
-        for line in f:
-            key, _, value = line.strip().partition("=")
-            key, value = key.strip(), value.strip()
+    try:
+        for key, value in pairs:
             if key == "dimension" and int(value) != 2:
-                raise ValueError(f"{entries_path}: core fields are 2D, got dimension = {value}")
+                raise ValueError(f"core fields are 2D, got dimension = {value}")
             if key == "rows":
                 rows = tuple(int(v) for v in value.split(",") if v)
             elif key == "entry":
                 row, col = value.split(",")
                 keys.append((int(row), int(col)))
-    entries = {}
-    geometry = None
-    for row, col in keys:
-        image = load_image(os.path.join(directory, f"{prefix}_A{row}{col}"))
-        entries[(row, col)] = image.values
-        geometry = image.geometry
+        geometry = _parse_geometry(dict(pairs))
+    except ValueError as exc:
+        raise ValueError(f"core field header {header}: {exc}") from None
+    path = os.path.join(directory, f"{prefix}_field.npy")
+    with open(path, "rb") as f:
+        try:
+            data = np.load(f)  # allow_pickle stays off: no object arrays
+        except ValueError as exc:
+            raise ValueError(f"core field file {path}: {exc}") from None
+    if not (isinstance(data, np.ndarray) and data.ndim == 3 and data.dtype.kind == "f"):
+        raise ValueError(f"core field file {path} must hold a 3-D float array")
+    stated = (len(keys), *geometry.shape)  # one slice per entry line
+    if data.shape != stated:
+        raise ValueError(
+            f"core field file {path} holds shape {data.shape}; {header} states {stated}"
+        )
+    data = data.astype(float, copy=False)
+    entries = {key: data[i] for i, key in enumerate(keys)}
     return CoreOperatorField(entries=entries, geometry=geometry, populated_rows=rows)
 
 

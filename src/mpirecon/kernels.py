@@ -189,6 +189,28 @@ def _wrap_offsets(n: int) -> np.ndarray:
     return np.where(k <= (n - 1) // 2, k, k - n)
 
 
+def check_kernel_scale(grid: GridGeometry, spec: KernelSpec, gradient) -> np.ndarray:
+    """Raise ``ValueError`` when ``|y/h|`` overflows at the largest field
+    offset of ``grid``'s pixel-offset lattice, where sampling the kernel
+    would overflow; returns ``gradient`` as a flat 2-vector.  The rule
+    ``discretize_kernel`` applies, evaluated without sampling."""
+    gradient = np.asarray(gradient, dtype=float).reshape(-1)
+    if gradient.shape != (2,):
+        raise ValueError(f"expected 2 gradient diagonal entries, got {gradient.shape}")
+    largest = [
+        np.abs(_wrap_offsets(n)).max() * spacing * abs(g)
+        for n, spacing, g in zip(grid.shape[::-1], grid.spacing, gradient)
+    ]
+    with np.errstate(over="ignore"):
+        _, z = _normalized_field(largest, spec)
+    if not np.isfinite(z[0]):
+        raise ValueError(
+            f"kernel resolution h = {spec.h!r} A/m is too small for the grid: its largest "
+            f"field offset ({largest[0]:.6g}, {largest[1]:.6g}) A/m overflows in units of h"
+        )
+    return gradient
+
+
 def discretize_kernel(
     grid: GridGeometry,
     spec: KernelSpec,
@@ -205,9 +227,7 @@ def discretize_kernel(
     circular-convolution convention (values are raw kernel samples, no
     pixel-area factor).
     """
-    gradient = np.asarray(gradient, dtype=float).reshape(-1)
-    if gradient.shape != (2,):
-        raise ValueError(f"expected 2 gradient diagonal entries, got {gradient.shape}")
+    gradient = check_kernel_scale(grid, spec, gradient)
     h_pix, w_pix = grid.shape
     off_x = _wrap_offsets(w_pix) * grid.spacing[0] * gradient[0]
     off_y = _wrap_offsets(h_pix) * grid.spacing[1] * gradient[1]

@@ -47,7 +47,13 @@ from .fileio import (
 from .forward import MIN_SAMPLES, add_noise, fft_convolve, nonuniform_stamps, simulate_signal
 from .geometry import GridGeometry
 from .interpolation import InterpolationScheme
-from .kernels import KernelSpec, ParticleModel, discretize_kernel, saturation_field
+from .kernels import (
+    KernelSpec,
+    ParticleModel,
+    check_kernel_scale,
+    discretize_kernel,
+    saturation_field,
+)
 from .phantoms import PhantomSpec, generate_phantom
 from .pnp import PnPConfig, zero_shot_pnp
 from .preprocessing import SnrProfile, correct_transfer_function, snr_threshold
@@ -320,13 +326,17 @@ class PipelineConfig:
         )
 
     def validate(self, inputs: bool = True) -> None:
-        """Every getter's dataclass accepts its values; every key set is
-        read; with ``inputs``, referenced input files exist."""
+        """Every getter's dataclass accepts its values; the kernel scale
+        samples the grid without overflow; every key set is read; with
+        ``inputs``, referenced input files exist."""
         getters = (
             ("grid", self.grid),
             ("scanner", self.scanner),
             ("particle", self.particle),
             ("kernel", self.kernel_spec),
+            ("kernel", lambda: check_kernel_scale(
+                self.grid(), self.kernel_spec(), self.scanner().gradient_field()
+            )),
             ("core", self.core),
             ("core", self.interpolation),
             ("pnp", self.pnp),

@@ -2,6 +2,7 @@
 
 import configparser
 import os
+import re
 import threading
 from pathlib import Path
 
@@ -369,20 +370,18 @@ class TestFailures:
         assert "error: [core] normal matrix is singular" in err
         assert "of 441 pixels" in err
 
-    # the overflow is numpy's to report; the failure is the run's
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
-        "name, section, key",
-        [("two_bar_33.ini", "kernel", "h_sat_a_per_m"),
-         ("scanner_21.ini", "particle", "temperature_k")],
+        "name, section, key, h",
+        [("two_bar_33.ini", "kernel", "h_sat_a_per_m", "1e-300"),
+         ("scanner_21.ini", "particle", "temperature_k", r"5\.1\d+e-300")],
         ids=["h-sat", "temperature"],
     )
-    def test_core_rows_whose_equations_overflow_fail_the_run(self, tmp_path, capsys, name,
-                                                              section, key):
+    def test_kernel_scale_whose_field_overflows_fails_validation(self, tmp_path, capsys, name,
+                                                                 section, key, h):
         # a kernel field scale near 1e-300 (the temperature gives h ~ 5e-300)
-        # passes validation, then overflows the normal equations: CG stops at
-        # a nan residual on both rows, which used to leave an all-zero recon
+        # puts the grid's largest field offset beyond the float range in
+        # units of h: sampling the kernel would overflow in the simulate stage
         config = configparser.ConfigParser(inline_comment_prefixes=(";",))
         config.read(CONFIGS / name)
         config[section][key] = "1e-300"
@@ -391,11 +390,34 @@ class TestFailures:
         with open(path, "w") as f:
             config.write(f)
         assert main(["run", "--config", str(path)]) == 1
-        assert capsys.readouterr().err == (
-            "error: [core] core-stage CG for row 0 stopped at relative residual nan after 0 "
-            "iterations: the normal equations overflow\n"
+        assert re.fullmatch(
+            rf"error: \[config\] \[kernel\] kernel resolution h = {h} A/m is too small for "
+            r"the grid: its largest field offset \(9549\.3, 9549\.3\) A/m overflows in units "
+            r"of h\n",
+            capsys.readouterr().err,
         )
-        assert not (tmp_path / "out" / "recon.float.txt").exists()
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "suffix, dropped, message",
+        [(".geom", 5, "missing key spacing_y"),
+         (".float.txt", 0, "image shape (20, 21) does not match grid (21, 21)")],
+        ids=["geom-key", "values-shape"],
+    )
+    def test_unreadable_input_trace_is_tagged_naming_the_file(self, config_file, tmp_path,
+                                                               capsys, suffix, dropped, message):
+        path, _ = config_file
+        assert main(["run", "--config", path, "--out", str(tmp_path / "full")]) == 0
+        damaged = tmp_path / ("full/trace" + suffix)
+        lines = damaged.read_text().splitlines(keepends=True)
+        damaged.write_text("".join(lines[:dropped] + lines[dropped + 1 :]))
+        text = Path(path).read_text().replace(
+            "stages = simulate,core,deconvolve", "stages = deconvolve"
+        ) + f"\n[deconvolve]\ninput_trace = {tmp_path / 'full' / 'trace'}\n"
+        config = tmp_path / "deconvolve.ini"
+        config.write_text(text)
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "again")]) == 1
+        assert capsys.readouterr().err == f"error: [deconvolve] image file {damaged}: {message}\n"
 
     def test_parallel_velocities_core_system_is_tagged(self, tmp_path, capsys):
         # every sample moves along (1, 1): each pixel's data block has rank 1

@@ -1,7 +1,9 @@
-"""Disk formats: image triples, signals, CSV trajectories, manifests."""
+"""Disk formats: image triples, core fields, signals, CSV trajectories, manifests."""
 
 import math
+import os
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -151,6 +153,31 @@ class TestImageTriple:
     def test_shape_mismatch_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             save_image(str(tmp_path / "bad"), np.zeros((3, 3)), GRID)
+
+    @pytest.mark.parametrize(
+        "suffix, old, new, message",
+        [
+            (".geom", "spacing_x = 0.0005\n", "", "missing key spacing_x$"),
+            (".geom", "height = 5\n", "", "missing key height$"),
+            (".geom", "height = 5", "height = 5.0", "invalid literal for int"),
+            (".geom", "origin_y = -0.002", "origin_y = ?", "could not convert string to float"),
+            (".geom", "spacing_y = 0.00025", "spacing_y = -1", "grid spacing must be positive"),
+            (".float.txt", "\n", " x\n", "could not convert"),
+            (".float.txt", "\n", " 1\n", "the number of columns changed"),
+            (".float.txt", "\n", "\n0 0 0 0 0 0 0\n", r"\(6, 7\) does not match grid \(5, 7\)$"),
+        ],
+        ids=["key-spacing", "key-height", "height", "origin", "spacing", "text", "ragged",
+             "taller"],
+    )
+    def test_load_errors_name_the_file(self, tmp_path, suffix, old, new, message):
+        base = tmp_path / "img"
+        save_image(str(base), np.zeros(GRID.shape), GRID)
+        path = tmp_path / ("img" + suffix)
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new, 1))
+        with pytest.raises(ValueError, match=f"^image file {re.escape(str(path))}: .*{message}"):
+            load_image(str(base))
 
     @staticmethod
     def per_pixel_pgm(values):
@@ -391,29 +418,125 @@ class TestSpectraCsv:
         assert np.array_equal(loaded.thresholds, [0.04, 0.01])
 
 
+def core_field(rows, values, geometry=GRID):
+    """A field populating ``rows``, each entry of ``values`` in turn."""
+    keys = [(row, col) for row in sorted(rows) for col in (0, 1)]
+    return CoreOperatorField(entries=dict(zip(keys, values)), geometry=geometry,
+                             populated_rows=tuple(rows))
+
+
 class TestCoreFieldSet:
     def test_round_trip_partial_rows(self, tmp_path):
         rng = np.random.default_rng(5)
-        entries = {(0, 0): rng.normal(size=GRID.shape), (0, 1): rng.normal(size=GRID.shape)}
-        field = CoreOperatorField(entries=entries, geometry=GRID, populated_rows=(0,))
+        field = core_field((0,), rng.normal(size=(2, *GRID.shape)))
         paths = save_core_field(str(tmp_path), "core", field)
-        assert any(p.endswith("core_entries.txt") for p in paths)
+        assert sorted(os.path.basename(p) for p in paths) == [
+            "core_A00.pgm", "core_A01.pgm", "core_entries.txt", "core_field.npy"
+        ]
         loaded = load_core_field(str(tmp_path), "core")
         assert loaded.populated_rows == (0,)
         assert sorted(loaded.entries) == [(0, 0), (0, 1)]
-        for key in entries:
-            assert np.array_equal(loaded.entries[key], entries[key])
+        for key in field.entries:
+            assert np.array_equal(loaded.entries[key], field.entries[key])
         assert loaded.geometry == GRID
 
+    def test_header_states_the_grid_as_the_geom_sidecar_does(self, tmp_path):
+        rng = np.random.default_rng(6)
+        field = core_field((1, 0), rng.normal(size=(4, *GRID.shape)))
+        save_core_field(str(tmp_path), "core", field)
+        save_image(str(tmp_path / "img"), field.entries[(0, 0)], GRID)
+        geom = (tmp_path / "img.geom").read_text()
+        assert (tmp_path / "core_entries.txt").read_text() == (
+            "dimension = 2\nrows = 1,0\n" + geom
+            + "entry = 0,0\nentry = 0,1\nentry = 1,0\nentry = 1,1\n"
+        )
+        # slices in the order of the entry lines
+        stored = np.load(tmp_path / "core_field.npy")
+        assert np.array_equal(stored, np.stack([field.entries[k] for k in sorted(field.entries)]))
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        rows=st.sampled_from([(0,), (1,), (1, 0)]),
+        data=st.data(),
+        spacing=st.tuples(POSITIVE, POSITIVE),
+        origin=st.tuples(FINITE, FINITE),
+    )
+    def test_any_field_round_trips_to_the_bit(self, tmp_path_factory, rows, data, spacing,
+                                              origin):
+        shape = data.draw(st.tuples(st.integers(1, 5), st.integers(1, 5)))
+        values = data.draw(
+            arrays(np.float64, (2 * len(rows), *shape), elements=ANY_FLOAT, fill=ANY_FLOAT)
+        )
+        geometry = GridGeometry(shape=shape, spacing=spacing, origin=origin)
+        field = core_field(rows, values, geometry)
+        work = tmp_path_factory.mktemp("core")
+        save_core_field(str(work), "core", field)
+        loaded = load_core_field(str(work), "core")
+        assert loaded.populated_rows == rows
+        assert loaded.geometry == geometry
+        assert sorted(loaded.entries) == sorted(field.entries)
+        for (row, col), entry in field.entries.items():
+            # NaN payloads, infinities and -0.0 included
+            assert loaded.entries[(row, col)].dtype == np.float64
+            assert loaded.entries[(row, col)].tobytes() == entry.tobytes()
+            preview = (work / f"core_A{row}{col}.pgm").read_bytes()
+            assert preview == TestImageTriple.per_pixel_pgm(entry)
+
     def test_other_dimension_rejected(self, tmp_path):
-        field = CoreOperatorField(entries={(0, 0): np.zeros(GRID.shape)}, geometry=GRID,
-                                  populated_rows=(0,))
+        field = core_field((0,), np.zeros((2, *GRID.shape)))
         save_core_field(str(tmp_path), "core", field)
         path = tmp_path / "core_entries.txt"
         text = path.read_text()
         assert text.startswith("dimension = 2\n")
         path.write_text(text.replace("dimension = 2", "dimension = 3"))
         with pytest.raises(ValueError, match="core fields are 2D, got dimension = 3$"):
+            load_core_field(str(tmp_path), "core")
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [("spacing_y = 0.00025\n", "missing key spacing_y"),
+         ("width = 7\n", "missing key width"),
+         ("entry = 0,1\n", None)],
+        ids=["spacing", "width", "entry"],
+    )
+    def test_header_without_a_line_is_refused_naming_it(self, tmp_path, line, message):
+        save_core_field(str(tmp_path), "core", core_field((0,), np.zeros((2, *GRID.shape))))
+        path = tmp_path / "core_entries.txt"
+        assert line in path.read_text()
+        path.write_text(path.read_text().replace(line, ""))
+        named = str(path) if message else str(tmp_path / "core_field.npy")
+        with pytest.raises(ValueError, match=re.escape(named)):
+            load_core_field(str(tmp_path), "core")
+
+    @pytest.mark.parametrize(
+        "write, message",
+        [
+            (lambda f: pickle.dump(np.zeros((2, *GRID.shape)), f), "pickle"),
+            (lambda f: np.save(f, np.array([None, {}], dtype=object), allow_pickle=True),
+             "pickle"),
+            (lambda f: np.save(f, np.zeros((2, *GRID.shape), dtype=np.int64)),
+             " must hold a 3-D float array$"),
+            (lambda f: np.save(f, np.zeros((2, *GRID.shape), dtype=complex)),
+             " must hold a 3-D float array$"),
+            (lambda f: np.save(f, np.zeros((2, GRID.n_pixels))), " must hold a 3-D float array$"),
+            (lambda f: np.save(f, np.zeros((1, 2, *GRID.shape))), " must hold a 3-D float array$"),
+            (lambda f: np.save(f, np.zeros((3, *GRID.shape))),
+             r" holds shape \(3, 5, 7\); .*core_entries\.txt states \(2, 5, 7\)$"),
+            (lambda f: np.save(f, np.zeros((1, *GRID.shape))),
+             r" holds shape \(1, 5, 7\); .*core_entries\.txt states \(2, 5, 7\)$"),
+            (lambda f: np.save(f, np.zeros((2, *GRID.shape[::-1]))),
+             r" holds shape \(2, 7, 5\); .*core_entries\.txt states \(2, 5, 7\)$"),
+        ],
+        ids=["pickle", "object", "int", "complex", "2-d", "4-d", "more-entries",
+             "fewer-entries", "transposed"],
+    )
+    def test_bad_array_is_refused_naming_the_file(self, tmp_path, write, message):
+        save_core_field(str(tmp_path), "core", core_field((0,), np.zeros((2, *GRID.shape))))
+        path = tmp_path / "core_field.npy"
+        with open(path, "wb") as f:
+            write(f)
+        named = f"^core field file {re.escape(str(path))}.*{message}"
+        with pytest.raises(ValueError, match=named):
             load_core_field(str(tmp_path), "core")
 
 

@@ -9,6 +9,7 @@ from mpirecon.kernels import (
     TAYLOR_CUTOFF,
     KernelSpec,
     ParticleModel,
+    check_kernel_scale,
     discretize_kernel,
     kernel_entry,
     kernel_matrix,
@@ -312,3 +313,24 @@ class TestDiscretizeKernel:
         img_00 = discretize_kernel(self.grid, self.spec, (0, 0), self.gradient)
         img_11 = discretize_kernel(self.grid, self.spec, (1, 1), self.gradient)
         assert np.allclose(img_tr, img_00 + img_11, rtol=1e-12)
+
+    # the largest offset is 16 px on both axes: |y/h|^2 = 512 / h^2
+    # overflows below h ~ 1.69e-153
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("selector", ["trace", (0, 0), (0, 1)])
+    def test_smallest_scale_samples_without_overflow(self, selector):
+        spec = KernelSpec(h=1e-152)
+        check_kernel_scale(self.grid, spec, self.gradient)
+        assert np.isfinite(discretize_kernel(self.grid, spec, selector, self.gradient)).all()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("h", [1e-154, 1e-300, 5e-324])
+    def test_scale_whose_field_overflows_is_refused(self, h):
+        message = (
+            rf"^kernel resolution h = {h!r} A/m is too small for the grid: its largest field "
+            r"offset \(16, 16\) A/m overflows in units of h$"
+        )
+        with pytest.raises(ValueError, match=message):
+            check_kernel_scale(self.grid, KernelSpec(h=h), self.gradient)
+        with pytest.raises(ValueError, match=message):
+            discretize_kernel(self.grid, KernelSpec(h=h), "trace", self.gradient)
