@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import interpolation
-from .forward import CoreOperatorField
+from .forward import CoreOperatorField, check_rows
 from .geometry import GridGeometry
 from .interpolation import InterpolationScheme, csr_from_weights, interp_weights
 from .solvers import CgResult, conjugate_gradient
@@ -102,8 +102,7 @@ class CoreStageConfig:
             raise ValueError(f"cg_tolerance must lie in (0, 1), got {self.cg_tolerance!r}")
         if self.cg_max_iterations < 1:
             raise ValueError(f"cg_max_iterations must be at least 1, got {self.cg_max_iterations}")
-        if sorted(self.rows) not in ([0], [1], [0, 1]):
-            raise ValueError(f"rows must be distinct values of {{0, 1}}, got {self.rows}")
+        check_rows(self.rows)
 
 
 @dataclasses.dataclass
@@ -370,7 +369,6 @@ def solve_core_stage(
         rest = [pool.submit(solve, b) for b in rhs[1:]]
         results = [solve(rhs[0])] + [future.result() for future in rest]
 
-    entries = {}
     cg_records: dict[int, CgResult] = {}
     for row, result in zip(rows, results):
         stopped = (
@@ -382,17 +380,15 @@ def solve_core_stage(
         if not result.converged:
             warnings.warn(stopped, stacklevel=2)
         cg_records[row] = result
-        solution = result.x.reshape(2, grid.n_pixels)
-        for j in range(2):
-            entries[(row, j)] = solution[j].reshape(grid.shape)
 
-    field = CoreOperatorField(entries=entries, geometry=grid, populated_rows=rows)
+    values = np.stack([cg_records[row].x for row in sorted(rows)])
+    field = CoreOperatorField(values.reshape(len(rows), 2, *grid.shape), grid, rows)
     return CoreStageSolution(field=field, cg=cg_records, dropped_samples=dropped)
 
 
 def extract_trace(field: CoreOperatorField) -> np.ndarray:
     """Pixel-wise sum of the diagonal entries; requires all of them."""
-    missing = [r for r in range(2) if not field.has_entry(r, r)]
+    missing = [r for r in range(2) if r not in field.populated_rows]
     if missing:
         raise ValueError(
             f"diagonal entries {missing} are not populated (partial data: "

@@ -130,12 +130,17 @@ def _parse_geometry(meta: dict) -> GridGeometry:
     )
 
 
+def image_values_path(base: str) -> str:
+    """The file holding the values of the image triple at ``base``."""
+    return base + ".float.txt"
+
+
 def save_image(base: str, values: np.ndarray, geometry: GridGeometry) -> list:
     """Write the preview/geometry/values triple; returns the paths."""
     values = np.asarray(values, dtype=float)
     if values.shape != tuple(geometry.shape):
         raise ValueError(f"values shape {values.shape} does not match grid {geometry.shape}")
-    paths = [base + ".pgm", base + ".geom", base + ".float.txt"]
+    paths = [base + ".pgm", base + ".geom", image_values_path(base)]
     _write_preview(paths[0], values)
     with open(paths[1], "w") as f:
         f.write(_geometry_lines(geometry))
@@ -150,10 +155,23 @@ def load_image(base: str) -> ConcentrationImage:
     path = base + ".geom"
     try:
         geometry = _parse_geometry(dict(_read_pairs(path)))
-        path = base + ".float.txt"
+        path = image_values_path(base)
         return ConcentrationImage(values=np.loadtxt(path, ndmin=2), geometry=geometry)
     except ValueError as exc:
         raise ValueError(f"image file {path}: {exc}") from None
+
+
+def _load_npy(path: str, name: str, ndim: int, detail: str = "") -> np.ndarray:
+    """The ``ndim``-D float array of the ``.npy`` file at ``path``, read
+    without unpickling; anything else fails naming ``name`` and the file."""
+    with open(path, "rb") as f:
+        try:
+            data = np.load(f)  # allow_pickle stays off: no object arrays
+        except ValueError as exc:
+            raise ValueError(f"{name} {path}: {exc}") from None
+    if not (isinstance(data, np.ndarray) and data.ndim == ndim and data.dtype.kind == "f"):
+        raise ValueError(f"{name} {path} must hold a {ndim}-D float array{detail}")
+    return data
 
 
 def save_signal(path: str, signal: ScanSignal) -> None:
@@ -168,19 +186,13 @@ def load_signal(path: str) -> ScanSignal:
     ``t`` column becomes the signal's stamps as they are: no rate is
     recovered.  What ``ScanSignal`` rejects, such as stamps that do not
     increase in uniform steps, fails with the file name in front."""
+    detail = f" of at least {MIN_SAMPLES} samples"
     if path.endswith(".npy"):
-        with open(path, "rb") as f:
-            try:
-                data = np.load(f)  # allow_pickle stays off: no object arrays
-            except ValueError as exc:
-                raise ValueError(f"signal file {path}: {exc}") from None
+        data = _load_npy(path, "signal file", 2, detail)
     else:
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if not (isinstance(data, np.ndarray) and data.ndim == 2 and data.dtype.kind == "f"
-            and len(data) >= MIN_SAMPLES):
-        raise ValueError(
-            f"signal file {path} must hold a 2-D float array of at least {MIN_SAMPLES} samples"
-        )
+    if len(data) < MIN_SAMPLES:
+        raise ValueError(f"signal file {path} must hold a 2-D float array{detail}")
     try:
         return ScanSignal(values=data[:, 1:], times=data[:, 0])
     except ValueError as exc:
@@ -216,13 +228,38 @@ def save_transfer_function(path: str, tf: TransferFunction) -> None:
                     f.write(f"{b},{c},{_fmt(v.real)},{_fmt(v.imag)}\n")
 
 
+def _load_bin_rows(path: str, name: str, n_channels: int, n_bins: int, n_values: int) -> dict:
+    """``(bin, channel) -> values`` of a ``bin,channel,<values>`` CSV.  A row
+    that is not an integer bin and channel in range with ``n_values``
+    finite values, or that repeats a (bin, channel), fails naming the file,
+    as does a file ``np.loadtxt`` cannot parse."""
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).tolist()
+    except ValueError as exc:
+        raise ValueError(f"{name} {path}: {exc}") from None
+    rows = {}
+    for k, row in enumerate(data, 1):
+        # a row of another width fails on its NaN bin
+        b, c, *values = row if len(row) == 2 + n_values else (math.nan, math.nan)
+        if not (b.is_integer() and c.is_integer() and 0 <= b < n_bins and 0 <= c < n_channels
+                and all(map(math.isfinite, values))):
+            raise ValueError(
+                f"{name} {path}: row {k} is not an integer bin in [0, {n_bins}) and channel in "
+                f"[0, {n_channels}) with {n_values} finite values"
+            )
+        if (int(b), int(c)) in rows:
+            raise ValueError(f"{name} {path}: row {k} repeats bin {b:g}, channel {c:g}")
+        rows[int(b), int(c)] = values
+    return rows
+
+
 def load_transfer_function(path: str, n_channels: int, n_bins: int) -> TransferFunction:
     spectra = np.zeros((n_channels, n_bins), dtype=complex)
     usable = np.zeros((n_channels, n_bins), dtype=bool)
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    for b, c, re, im in data:
-        spectra[int(c), int(b)] = re + 1j * im
-        usable[int(c), int(b)] = True
+    rows = _load_bin_rows(path, "transfer function file", n_channels, n_bins, 2)
+    for (b, c), (re, im) in rows.items():
+        spectra[c, b] = re + 1j * im
+        usable[c, b] = True
     return TransferFunction(spectra=spectra, usable=usable)
 
 
@@ -237,21 +274,16 @@ def save_snr_profile(path: str, profile: SnrProfile) -> None:
 
 def load_snr_profile(path: str, n_channels: int, n_bins: int, thresholds) -> SnrProfile:
     values = np.zeros((n_channels, n_bins))
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    for b, c, snr in data:
-        values[int(c), int(b)] = snr
+    for (b, c), (snr,) in _load_bin_rows(path, "SNR file", n_channels, n_bins, 1).items():
+        values[c, b] = snr
     return SnrProfile(values=values, thresholds=np.asarray(thresholds, dtype=float))
 
 
 def save_core_field(directory: str, prefix: str, field: CoreOperatorField) -> list:
     """Write the header, the values array and one preview per entry;
     returns the paths."""
-    keys = sorted(field.entries)
-    values = np.stack([np.asarray(field.entries[key], dtype=float) for key in keys])
-    if values.shape[1:] != tuple(field.geometry.shape):
-        raise ValueError(
-            f"entry shape {values.shape[1:]} does not match grid {field.geometry.shape}"
-        )
+    keys = [(row, col) for row in sorted(field.populated_rows) for col in range(2)]
+    values = field.values.reshape(-1, *field.geometry.shape)
     header = os.path.join(directory, f"{prefix}_entries.txt")
     with open(header, "w") as f:
         f.write("dimension = 2\n")
@@ -269,10 +301,10 @@ def save_core_field(directory: str, prefix: str, field: CoreOperatorField) -> li
 
 
 def load_core_field(directory: str, prefix: str) -> CoreOperatorField:
-    """The field ``save_core_field`` wrote.  The array is read without
-    unpickling; a header that does not parse, or an array that is not a
-    3-D float array of one ``height x width`` slice per ``entry`` line,
-    fails with the file name in front."""
+    """The field ``save_core_field`` wrote, its array read without
+    unpickling.  A header that does not parse or breaks the layout of
+    ``CoreOperatorField``, and an array that is not a 3-D float array of
+    one ``height x width`` slice per ``entry`` line, fail naming the file."""
     header = os.path.join(directory, f"{prefix}_entries.txt")
     pairs = _read_pairs(header)
     rows, keys = (), []
@@ -289,21 +321,19 @@ def load_core_field(directory: str, prefix: str) -> CoreOperatorField:
     except ValueError as exc:
         raise ValueError(f"core field header {header}: {exc}") from None
     path = os.path.join(directory, f"{prefix}_field.npy")
-    with open(path, "rb") as f:
-        try:
-            data = np.load(f)  # allow_pickle stays off: no object arrays
-        except ValueError as exc:
-            raise ValueError(f"core field file {path}: {exc}") from None
-    if not (isinstance(data, np.ndarray) and data.ndim == 3 and data.dtype.kind == "f"):
-        raise ValueError(f"core field file {path} must hold a 3-D float array")
+    data = _load_npy(path, "core field file", 3)
     stated = (len(keys), *geometry.shape)  # one slice per entry line
     if data.shape != stated:
         raise ValueError(
             f"core field file {path} holds shape {data.shape}; {header} states {stated}"
         )
-    data = data.astype(float, copy=False)
-    entries = {key: data[i] for i, key in enumerate(keys)}
-    return CoreOperatorField(entries=entries, geometry=geometry, populated_rows=rows)
+    try:
+        if keys != [(row, col) for row in sorted(rows) for col in range(2)]:
+            raise ValueError(f"entry lines {keys} are not (r, 0), (r, 1) for each row r of "
+                             f"{rows} in ascending order")
+        return CoreOperatorField(data.reshape(len(rows), 2, *geometry.shape), geometry, rows)
+    except ValueError as exc:
+        raise ValueError(f"core field header {header}: {exc}") from None
 
 
 def write_manifest(directory: str, paths: list) -> str:

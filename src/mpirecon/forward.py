@@ -73,28 +73,34 @@ class ScanSignal:
         return self.values.shape[1]
 
 
+def check_rows(rows) -> None:
+    """The core-operator rows a field populates are distinct values of {0, 1}."""
+    if sorted(rows) not in ([0], [1], [0, 1]):
+        raise ValueError(f"rows must be distinct values of {{0, 1}}, got {rows}")
+
+
 @dataclasses.dataclass
 class CoreOperatorField:
-    """Grid of 2 x 2 matrices stored entry-wise as scalar images.
+    """Grid of 2 x 2 matrices whose rows ``populated_rows`` carry data;
+    partial reconstructions populate one.  ``values[k, col]`` is entry
+    ``(row, col)`` of the k-th populated row in ascending order: shape
+    ``(len(populated_rows), 2, height, width)``."""
 
-    ``populated_rows`` marks which matrix rows carry data; partial
-    reconstructions populate a subset.  Entries built by forward
-    convolution share arrays across the symmetric pair (row, col) and
-    (col, row).
-    """
-
-    entries: dict
+    values: np.ndarray
     geometry: GridGeometry
     populated_rows: tuple
 
-    def entry(self, row: int, col: int) -> np.ndarray:
-        key = (row, col)
-        if key not in self.entries:
-            raise KeyError(f"core-operator entry {key} is not populated")
-        return self.entries[key]
+    def __post_init__(self):
+        check_rows(self.populated_rows)
+        self.values = np.asarray(self.values, dtype=float)
+        if self.values.shape != (len(self.populated_rows), 2, *self.geometry.shape):
+            raise ValueError(f"core field values of shape {self.values.shape} do not hold rows "
+                             f"{self.populated_rows} on grid {self.geometry.shape}")
 
-    def has_entry(self, row: int, col: int) -> bool:
-        return (row, col) in self.entries
+    def entry(self, row: int, col: int) -> np.ndarray:
+        if row not in self.populated_rows or col not in (0, 1):
+            raise KeyError(f"core-operator entry {(row, col)} is not populated")
+        return self.values[sorted(self.populated_rows).index(row), col]
 
 
 def fft_convolve(image: np.ndarray, kernel_image: np.ndarray, pixel_area: float) -> np.ndarray:
@@ -118,14 +124,11 @@ def core_operator(
     """
     grid = rho.geometry
     gradient = config.gradient_field()
-    entries = {}
-    for row in range(2):
-        for col in range(row, 2):
-            kernel_img = discretize_kernel(grid, spec, (row, col), gradient)
-            entries[(row, col)] = fft_convolve(rho.values, kernel_img, grid.pixel_area)
-            if col != row:
-                entries[(col, row)] = entries[(row, col)]
-    return CoreOperatorField(entries=entries, geometry=grid, populated_rows=(0, 1))
+    values = np.empty((2, 2, *grid.shape))
+    for row, col in ((0, 0), (0, 1), (1, 1)):
+        kernel_img = discretize_kernel(grid, spec, (row, col), gradient)
+        values[row, col] = values[col, row] = fft_convolve(rho.values, kernel_img, grid.pixel_area)
+    return CoreOperatorField(values=values, geometry=grid, populated_rows=(0, 1))
 
 
 def simulate_signal(

@@ -33,6 +33,7 @@ from .core_stage import CoreStageConfig, extract_trace, solve_core_stage
 from .denoisers import DenoiserRef
 from .fileio import (
     _fmt,
+    image_values_path,
     load_image,
     load_signal,
     load_snr_profile,
@@ -164,9 +165,9 @@ SCHEMA = {
 }
 _TYPES = {section: {row[0]: row[1] for row in rows} for section, rows in SCHEMA.items()}
 _DEFAULTS = {section: {row[0]: row[2] for row in rows} for section, rows in SCHEMA.items()}
-# (section, key, suffix) of every input a config can name; suffix picks the file to check
-_INPUTS = [(s, key, "") for s, types in _TYPES.items() for key in types if key.endswith("_file")]
-_INPUTS.append(("deconvolve", "input_trace", ".float.txt"))
+# (section, key, path -> the file to check) of every input a config can name
+_INPUTS = [(s, k, os.fspath) for s, types in _TYPES.items() for k in types if k.endswith("_file")]
+_INPUTS.append(("deconvolve", "input_trace", image_values_path))
 
 
 def _hint(name: str, known) -> str:
@@ -380,11 +381,11 @@ class PipelineConfig:
         if pnp[key] != _DEFAULTS["pnp"][key]:
             reader = "without" if command else "with"
             raise ValueError(f"[pnp] {key} = {pnp[key]} is only read {reader} a denoiser_command")
-        for section, key, suffix in _INPUTS if inputs else ():
+        for section, key, locate in _INPUTS if inputs else ():
             path = self.path(section, key)
-            if path is not None and not os.path.exists(path + suffix):
+            if path is not None and not os.path.exists(locate(path)):
                 value = self.values[section][key]
-                raise FileNotFoundError(f"[{section}] {key} = {value}: {path + suffix} not found")
+                raise FileNotFoundError(f"[{section}] {key} = {value}: {locate(path)} not found")
         self.stages()
 
 
@@ -475,7 +476,9 @@ class _Run:
     def __init__(self, config: PipelineConfig, out_dir=None, seed=None):
         self.config = config
         self.out = out_dir or config.out_dir()
-        self.seed = config.seed() if seed is None else seed
+        self.seed = config.seed() if seed is None else seed  # an override skips validate()
+        if self.seed < 0:
+            raise ValueError(f"[pipeline] seed must be a nonnegative integer, got {self.seed}")
         self.files: list = []
         self.rows: list = []
         self.timings: dict = {}
@@ -612,7 +615,7 @@ class _Run:
             if trace_base is None:
                 name, _ = _deconv_target(self.config)
                 candidate = os.path.join(self.out, name)
-                if not os.path.exists(candidate + ".float.txt"):
+                if not os.path.exists(image_values_path(candidate)):
                     needed = "a trace" if name == "trace" else name
                     raise ValueError(
                         f"deconvolution needs {needed} (run core or set "

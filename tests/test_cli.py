@@ -21,6 +21,7 @@ COMPANIONS = {
     "denoiser_timeout_s": {"denoiser_command": "true"},
     "excitation_amplitude_mt": {"excitation_frequency_hz": "25000"},
     "excitation_frequency_hz": {"excitation_amplitude_mt": "2.0"},
+    "seed": {"noise_level": "0.01"},  # the seed is drawn from only with noise
 }
 # a value that its own section accepts and a later section's rule rejects
 REPORTED_UNDER = {("grid", "height", "2"): "core"}
@@ -208,6 +209,7 @@ class TestFailures:
              "noise_level must be finite and nonnegative, got inf"),
             ("pipeline", "noise_level", "-1",
              "noise_level must be finite and nonnegative, got -1.0"),
+            ("pipeline", "seed", "-1", "seed must be a nonnegative integer, got -1"),
             ("grid", "height", "0", "degenerate grid shape (0, 21)"),
             ("grid", "height", "2", "Laplacian needs a grid of at least 3 x 3, got (2, 21)"),
             ("grid", "extent_x_mm", "nan", "grid spacing and origin must be finite, got (nan, "),
@@ -278,7 +280,8 @@ class TestFailures:
             ("phantom", "bar_length_b_mm", "-30",
              "bar_lengths_mm must be positive, got (12.0, -30.0)"),
         ],
-        ids=["noise-level-nan", "noise-level-inf", "noise-level-negative", "grid", "grid-2-rows",
+        ids=["noise-level-nan", "noise-level-inf", "noise-level-negative", "seed", "grid",
+             "grid-2-rows",
              "extent-x-nan", "extent-y-inf", "scanner", "drive-amplitude-nan",
              "drive-amplitude-inf", "drive-frequency-nan", "drive-frequency-inf",
              "repetition-time-inf", "drive-frequency-zero", "drive-frequency-negative",
@@ -305,6 +308,16 @@ class TestFailures:
         assert main(["run", "--config", path]) == 1
         tag = REPORTED_UNDER.get((section, key, value), section)
         assert capsys.readouterr().err.startswith(f"error: [config] [{tag}] {message}")
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "simulate"])
+    def test_negative_seed_override_fails_before_any_stage(self, config_file, capsys, command):
+        path, out = config_file
+        argv = [command, "--config", path, "--seed", "-1"]
+        assert main(argv + (["--pairs", "800,1e-5"] if command == "sweep" else [])) == 1
+        assert capsys.readouterr().err == (
+            "error: [config] [pipeline] seed must be a nonnegative integer, got -1\n"
+        )
         assert not os.path.exists(out)
 
     def test_bad_sweep_pair_fails_before_the_prelude(self, config_file, capsys):

@@ -548,8 +548,7 @@ class TestSolveCoreStage:
         sol = solve_core_stage(
             np.zeros((len(traj), 2)), traj.positions, traj.velocities, cfg
         )
-        for key, img in sol.field.entries.items():
-            assert np.allclose(img, 0.0, atol=1e-15), key
+        assert np.allclose(sol.field.values, 0.0, atol=1e-15)
 
     def test_single_node_sample_matches_dense_normal_system(self):
         # One sample on the center node of a 3x3 grid with v = e_x: the
@@ -651,8 +650,7 @@ class TestSolveCoreStage:
                 cfg,
             )
         assert kept.dropped_samples == 0 and sol.dropped_samples == 1
-        for key, entry in kept.field.entries.items():
-            assert sol.field.entry(*key).tobytes() == entry.tobytes(), key
+        assert sol.field.values.tobytes() == kept.field.values.tobytes()
 
     @pytest.mark.parametrize(
         "n_kept, at",
@@ -691,8 +689,7 @@ class TestSolveCoreStage:
         assert kept.dropped_samples == 0 and sol.dropped_samples == n_out
         for row in (0, 1):
             assert sol.cg[row].residuals == kept.cg[row].residuals, row
-        for key, entry in kept.field.entries.items():
-            assert sol.field.entry(*key).tobytes() == entry.tobytes(), key
+        assert sol.field.values.tobytes() == kept.field.values.tobytes()
 
     def test_sample_just_outside_the_hull_is_kept_and_clamped(self):
         # 5e-13 m left of the hull is within the 1e-12 m that contains allows,
@@ -708,8 +705,7 @@ class TestSolveCoreStage:
         positions[0, 0] -= 5e-13
         sol = solve_core_stage(values, positions, velocities, cfg)
         assert sol.dropped_samples == 0
-        for key, entry in on_edge.field.entries.items():
-            assert sol.field.entry(*key).tobytes() == entry.tobytes(), key
+        assert sol.field.values.tobytes() == on_edge.field.values.tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_position_rejected(self, bad):
@@ -745,8 +741,7 @@ class TestSolveCoreStage:
                 np.ones((1, 2)), np.array([[99.0, 99.0]]), np.ones((1, 2)), cfg
             )
         assert all(rec.converged for rec in sol.cg.values())
-        for img in sol.field.entries.values():
-            assert np.all(img == 0.0)
+        assert np.all(sol.field.values == 0.0)
 
     def test_unvisited_pixels_without_regularization_rejected(self):
         # two samples mid-cell, with orthogonal velocities, touch 4 of the
@@ -770,7 +765,7 @@ class TestSolveCoreStage:
             solve_core_stage(*args, CoreStageConfig(grid=grid, gamma=0.0))
         sol = solve_core_stage(*args, CoreStageConfig(grid=grid, gamma=1e-3, cg_tolerance=1e-10))
         assert all(rec.converged for rec in sol.cg.values())
-        assert all(np.all(np.isfinite(img)) for img in sol.field.entries.values())
+        assert np.all(np.isfinite(sol.field.values))
 
     def test_signal_shape_mismatch_rejected(self):
         grid = GridGeometry(shape=(5, 5), spacing=(1.0, 1.0), origin=(0.0, 0.0))

@@ -417,12 +417,76 @@ class TestSpectraCsv:
         assert np.array_equal(loaded.values, profile.values)
         assert np.array_equal(loaded.thresholds, [0.04, 0.01])
 
+    @pytest.mark.parametrize(
+        "row",
+        ["-1,0,2.0", "3.7,1,5.0", "6,0,5.0", "2,2,5.0", "2,-1,5.0", "2,0.5,5.0", "nan,0,5.0",
+         "4,1,nan", "4,1,inf"],
+        ids=["negative-bin", "fractional-bin", "bin-past-end", "channel-past-end",
+             "negative-channel", "fractional-channel", "nan-bin", "nan-value", "inf-value"],
+    )
+    @pytest.mark.parametrize("kind", ["transfer function", "SNR"])
+    def test_row_outside_the_signal_is_refused_naming_the_file(self, tmp_path, kind, row):
+        # one good row, then the bad one; a transfer-function row has one more value
+        if kind == "transfer function":
+            header, load = "bin,channel,re,im", lambda p: load_transfer_function(p, 2, 6)
+            good, row, n_values = "0,0,1.0,0.0", row + ",0.0", 2
+        else:
+            header, load = "bin,channel,snr", lambda p: load_snr_profile(p, 2, 6, [0.0, 0.0])
+            good, n_values = "0,0,1.0", 1
+        path = tmp_path / "rows.csv"
+        path.write_text(f"{header}\n{good}\n{row}\n")
+        message = (f"^{kind} file {re.escape(str(path))}: row 2 is not an integer bin in "
+                   rf"\[0, 6\) and channel in \[0, 2\) with {n_values} finite values$")
+        with pytest.raises(ValueError, match=message):
+            load(str(path))
+
+    @pytest.mark.parametrize("kind", ["transfer function", "SNR"])
+    def test_repeated_row_is_refused_naming_the_file(self, tmp_path, kind):
+        path = tmp_path / "rows.csv"
+        if kind == "transfer function":
+            path.write_text("bin,channel,re,im\n3,1,1.0,0.0\n0,0,1.0,0.0\n3,1,2.0,0.0\n")
+            with pytest.raises(ValueError, match="rows.csv: row 3 repeats bin 3, channel 1$"):
+                load_transfer_function(str(path), 2, 6)
+        else:
+            path.write_text("bin,channel,snr\n3,1,1.0\n0,0,1.0\n3,1,2.0\n")
+            with pytest.raises(ValueError, match="^SNR file .*rows.csv: row 3 repeats bin 3"):
+                load_snr_profile(str(path), 2, 6, [0.0, 0.0])
+
+    def test_snr_rows_are_not_a_transfer_function(self, tmp_path):
+        path = tmp_path / "snr.csv"
+        save_snr_profile(str(path), SnrProfile(values=np.ones((2, 6)), thresholds=np.zeros(2)))
+        with pytest.raises(ValueError, match="snr.csv: row 1 .* with 2 finite values$"):
+            load_transfer_function(str(path), 2, 6)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0,0,1.0,0.0\n1,0,2.0\n", ": the number of columns changed from 4 to 3"),
+            ("0,0,abc,0.0\n", ": could not convert string 'abc'"),
+            ("3\n", r": row 1 is not an integer bin in \[0, 6\)"),
+        ],
+        ids=["ragged", "not-a-number", "one-column"],
+    )
+    def test_unparsed_file_is_refused_naming_it(self, tmp_path, text, message):
+        path = tmp_path / "tf.csv"
+        path.write_text("bin,channel,re,im\n" + text)
+        named = f"^transfer function file {re.escape(str(path))}{message}"
+        with pytest.raises(ValueError, match=named):
+            load_transfer_function(str(path), 2, 6)
+
+    def test_header_only_files_load_as_empty(self, tmp_path):
+        path = tmp_path / "tf.csv"
+        path.write_text("bin,channel,re,im\n")
+        with pytest.warns(UserWarning, match="no data"):
+            tf = load_transfer_function(str(path), 2, 6)
+        assert not tf.usable.any()
+
 
 def core_field(rows, values, geometry=GRID):
-    """A field populating ``rows``, each entry of ``values`` in turn."""
-    keys = [(row, col) for row in sorted(rows) for col in (0, 1)]
-    return CoreOperatorField(entries=dict(zip(keys, values)), geometry=geometry,
-                             populated_rows=tuple(rows))
+    """A field populating ``rows``, its entries the slices of ``values`` in
+    ascending row order."""
+    return CoreOperatorField(values=np.reshape(values, (len(rows), 2, *geometry.shape)),
+                             geometry=geometry, populated_rows=tuple(rows))
 
 
 class TestCoreFieldSet:
@@ -435,16 +499,14 @@ class TestCoreFieldSet:
         ]
         loaded = load_core_field(str(tmp_path), "core")
         assert loaded.populated_rows == (0,)
-        assert sorted(loaded.entries) == [(0, 0), (0, 1)]
-        for key in field.entries:
-            assert np.array_equal(loaded.entries[key], field.entries[key])
+        assert np.array_equal(loaded.values, field.values)
         assert loaded.geometry == GRID
 
     def test_header_states_the_grid_as_the_geom_sidecar_does(self, tmp_path):
         rng = np.random.default_rng(6)
         field = core_field((1, 0), rng.normal(size=(4, *GRID.shape)))
         save_core_field(str(tmp_path), "core", field)
-        save_image(str(tmp_path / "img"), field.entries[(0, 0)], GRID)
+        save_image(str(tmp_path / "img"), field.entry(0, 0), GRID)
         geom = (tmp_path / "img.geom").read_text()
         assert (tmp_path / "core_entries.txt").read_text() == (
             "dimension = 2\nrows = 1,0\n" + geom
@@ -452,7 +514,7 @@ class TestCoreFieldSet:
         )
         # slices in the order of the entry lines
         stored = np.load(tmp_path / "core_field.npy")
-        assert np.array_equal(stored, np.stack([field.entries[k] for k in sorted(field.entries)]))
+        assert np.array_equal(stored, field.values.reshape(4, *GRID.shape))
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -474,13 +536,13 @@ class TestCoreFieldSet:
         loaded = load_core_field(str(work), "core")
         assert loaded.populated_rows == rows
         assert loaded.geometry == geometry
-        assert sorted(loaded.entries) == sorted(field.entries)
-        for (row, col), entry in field.entries.items():
-            # NaN payloads, infinities and -0.0 included
-            assert loaded.entries[(row, col)].dtype == np.float64
-            assert loaded.entries[(row, col)].tobytes() == entry.tobytes()
-            preview = (work / f"core_A{row}{col}.pgm").read_bytes()
-            assert preview == TestImageTriple.per_pixel_pgm(entry)
+        # NaN payloads, infinities and -0.0 included
+        assert loaded.values.dtype == np.float64
+        assert loaded.values.tobytes() == field.values.tobytes()
+        for row in rows:
+            for col in range(2):
+                preview = (work / f"core_A{row}{col}.pgm").read_bytes()
+                assert preview == TestImageTriple.per_pixel_pgm(field.entry(row, col))
 
     def test_other_dimension_rejected(self, tmp_path):
         field = core_field((0,), np.zeros((2, *GRID.shape)))
@@ -506,6 +568,32 @@ class TestCoreFieldSet:
         path.write_text(path.read_text().replace(line, ""))
         named = str(path) if message else str(tmp_path / "core_field.npy")
         with pytest.raises(ValueError, match=re.escape(named)):
+            load_core_field(str(tmp_path), "core")
+
+    @pytest.mark.parametrize(
+        "edits, message",
+        [
+            # the header of a one-row field edited to rows and entries no solve gives
+            ({"rows = 0": "rows = 1,7", "entry = 0,1": "entry = 5,9"},
+             r"entry lines \[\(0, 0\), \(5, 9\)\] are not \(r, 0\), \(r, 1\)"),
+            ({"rows = 0": "rows = 7", "entry = 0,0": "entry = 7,0", "entry = 0,1": "entry = 7,1"},
+             r"rows must be distinct values of \{0, 1\}, got \(7,\)$"),
+            ({"rows = 0": "rows = 1"}, r"entry lines .* for each row r of \(1,\)"),
+            ({"entry = 0,0\nentry = 0,1": "entry = 0,1\nentry = 0,0"},
+             r"entry lines \[\(0, 1\), \(0, 0\)\] are not"),
+        ],
+        ids=["rows-1-7", "row-7", "rows-disagree", "entry-order"],
+    )
+    def test_header_breaking_the_rows_rule_is_refused_naming_it(self, tmp_path, edits, message):
+        save_core_field(str(tmp_path), "core", core_field((0,), np.zeros((2, *GRID.shape))))
+        path = tmp_path / "core_entries.txt"
+        text = path.read_text()
+        for old, new in edits.items():
+            assert old in text
+            text = text.replace(old, new)
+        path.write_text(text)
+        named = f"^core field header {re.escape(str(path))}: {message}"
+        with pytest.raises(ValueError, match=named):
             load_core_field(str(tmp_path), "core")
 
     @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ import pytest
 from grid_oracle import interpolate
 
 from mpirecon.forward import (
+    CoreOperatorField,
     ScanSignal,
     add_noise,
     apply_analog_filter,
@@ -81,8 +82,7 @@ class TestCoreOperator:
         field = core_operator(
             ConcentrationImage(np.zeros(grid.shape), grid), desk_spec(grid, config), config
         )
-        for key in field.entries:
-            assert np.allclose(field.entries[key], 0.0, atol=1e-15)
+        assert np.allclose(field.values, 0.0, atol=1e-15)
 
     def test_two_deltas_match_naive_convolution(self):
         grid = desk_grid(16)
@@ -126,6 +126,36 @@ class TestCoreOperator:
         field = core_operator(ConcentrationImage(rho, grid), desk_spec(grid, config), config)
         trace = field.entry(0, 0) + field.entry(1, 1)
         assert np.allclose(trace, np.rot90(trace, 2), rtol=1e-10, atol=1e-14)
+
+
+class TestCoreOperatorField:
+    GRID = GridGeometry(shape=(3, 4), spacing=(1.0, 1.0), origin=(0.0, 0.0))
+
+    def test_slices_in_ascending_row_order_whatever_the_listed_order(self):
+        values = np.arange(24.0).reshape(1, 2, 3, 4)
+        field = CoreOperatorField(values=values, geometry=self.GRID, populated_rows=(1,))
+        assert field.populated_rows == (1,)
+        assert np.array_equal(field.entry(1, 1), values[0, 1])
+        with pytest.raises(KeyError, match=r"\(0, 0\) is not populated"):
+            field.entry(0, 0)
+        with pytest.raises(KeyError, match=r"\(1, 2\) is not populated"):
+            field.entry(1, 2)
+        values = np.arange(48.0).reshape(2, 2, 3, 4)
+        field = CoreOperatorField(values=values, geometry=self.GRID, populated_rows=(1, 0))
+        assert field.populated_rows == (1, 0)
+        assert np.array_equal(field.entry(0, 1), values[0, 1])
+        assert np.array_equal(field.entry(1, 0), values[1, 0])
+
+    @pytest.mark.parametrize("rows", [(), (0, 0), (2,), (1, 7), (0, 1, 1)])
+    def test_rows_outside_the_rule_rejected(self, rows):
+        values = np.zeros((len(rows), 2, 3, 4))
+        with pytest.raises(ValueError, match="rows must be distinct values of"):
+            CoreOperatorField(values=values, geometry=self.GRID, populated_rows=rows)
+
+    @pytest.mark.parametrize("shape", [(2, 2, 3, 4), (1, 1, 3, 4), (1, 2, 4, 3), (2, 3, 4)])
+    def test_values_not_one_slice_pair_per_row_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"do not hold rows \(0,\) on grid \(3, 4\)$"):
+            CoreOperatorField(values=np.zeros(shape), geometry=self.GRID, populated_rows=(0,))
 
 
 class TestFftConvolve:

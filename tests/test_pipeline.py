@@ -378,9 +378,8 @@ class TestFullRun:
         out = result.out_dir
         assert os.path.exists(os.path.join(out, "entry_a00.float.txt"))
         field = load_core_field(out, "core")
-        assert field.has_entry(0, 0)
-        assert field.has_entry(0, 1)
-        assert not field.has_entry(1, 1)
+        assert field.populated_rows == (0,)
+        assert field.values.shape == (1, 2, *field.geometry.shape)
         assert os.path.exists(os.path.join(out, "recon.float.txt"))
 
     def test_row_order_does_not_change_the_fit(self, tmp_path):
