@@ -7,12 +7,13 @@ command:
   request/response protocol over stdin/stdout, so a pretrained neural
   denoiser can be plugged in without rebuilding this package,
 * total variation (no command): the proximal operator of a TV penalty
-  with weight proportional to the squared noise level (Beck and
-  Teboulle's fast gradient projection on Chambolle's dual: ``TV_STEPS``
-  steps in float32, as a network would run), the in-repo reference.
+  with weight the squared noise level (Beck and Teboulle's fast gradient
+  projection on Chambolle's dual: ``TV_STEPS`` steps in float32, as a
+  network would run), the in-repo reference.
 
-Both receive only images normalized to [0, 1] and the noise level in
-that range; total variation acts as the identity at noise level zero.
+Each is a callable ``(image, sigma) -> image`` told only an image
+normalized to [0, 1] and the noise level in that range; total variation
+acts as the identity at noise level zero.
 
 External protocol, version 1 (little-endian): request and response both
 consist of the 24-byte header ``b"ZSPD"``, u32 version, u32 height,
@@ -22,6 +23,7 @@ One request is in flight at a time.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 import os
@@ -46,23 +48,17 @@ class ExternalDenoiserError(RuntimeError):
 
 @dataclasses.dataclass(frozen=True, kw_only=True)
 class DenoiserRef:
-    """Reference to a denoiser backend plus its parameters; a ``command``
-    selects the external backend, else total variation.
+    """Reference to a denoiser backend; a ``command`` selects the external
+    backend, else total variation.
 
-    tv_scale -- total variation: penalty weight per unit squared noise
-    command  -- external: argv of the child process
-    timeout  -- external: seconds to wait per request
+    command -- external: argv of the child process
+    timeout -- external: seconds to wait per request
     """
 
-    tv_scale: float = 1.0
     command: tuple = ()
     timeout: float = 30.0
 
     def __post_init__(self):
-        if not self.tv_scale >= 0:
-            raise ValueError(f"tv_scale must be nonnegative, got {self.tv_scale!r}")
-        if self.tv_scale == np.inf:
-            raise ValueError(f"tv_scale must be finite, got {self.tv_scale!r}")
         if not self.timeout > 0:
             raise ValueError(f"timeout must be positive, got {self.timeout!r}")
         if not self.timeout <= threading.TIMEOUT_MAX:  # select.select's limit
@@ -161,15 +157,9 @@ def tv_prox(image: np.ndarray, weight: float, n_iterations: int = TV_STEPS) -> n
     return image - weight * div.reshape(h, w).astype(np.float64)
 
 
-class TotalVariationDenoiser:
-    def __init__(self, ref: DenoiserRef):
-        self.tv_scale = ref.tv_scale
-
-    def __call__(self, image: np.ndarray, sigma: float) -> np.ndarray:
-        return tv_prox(image, self.tv_scale * sigma**2)
-
-    def close(self):
-        pass
+def tv_denoise(image: np.ndarray, sigma: float) -> np.ndarray:
+    """The total-variation backend: the TV prox at weight ``sigma**2``."""
+    return tv_prox(image, sigma**2)
 
 
 class ExternalDenoiser:
@@ -236,7 +226,11 @@ class ExternalDenoiser:
                 f"reply image is {r_height} x {r_width}, expected {height} x {width}"
             )
         pixels = self._read_exact(height * width * 8)
-        return np.frombuffer(pixels, dtype="<f8").reshape(height, width).astype(float)
+        out = np.frombuffer(pixels, dtype="<f8").reshape(height, width).astype(float)
+        if not np.all(np.isfinite(out)):
+            self.close()
+            raise ExternalDenoiserError("reply image holds a non-finite pixel")
+        return out
 
     def close(self):
         if self._proc is not None:
@@ -257,5 +251,6 @@ class ExternalDenoiser:
 
 
 def open_denoiser(ref: DenoiserRef):
-    """Instantiate the backend for a denoiser reference."""
-    return ExternalDenoiser(ref) if ref.command else TotalVariationDenoiser(ref)
+    """A context manager yielding the backend of a denoiser reference;
+    leaving it closes an external child."""
+    return ExternalDenoiser(ref) if ref.command else contextlib.nullcontext(tv_denoise)

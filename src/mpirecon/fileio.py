@@ -174,6 +174,16 @@ def _load_npy(path: str, name: str, ndim: int, detail: str = "") -> np.ndarray:
     return data
 
 
+def _load_csv(path: str, name: str) -> np.ndarray:
+    """The 2-D float array of a comma-separated file below its header line;
+    a file ``np.loadtxt`` cannot parse (ragged or non-numeric) fails naming
+    ``name`` and the file."""
+    try:
+        return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"{name} {path}: {exc}") from None
+
+
 def save_signal(path: str, signal: ScanSignal) -> None:
     """``t, s_x[, s_y]`` as one float64 ``.npy`` array.  Written through a
     file object, because ``np.save`` appends ``.npy`` to any other path."""
@@ -190,7 +200,7 @@ def load_signal(path: str) -> ScanSignal:
     if path.endswith(".npy"):
         data = _load_npy(path, "signal file", 2, detail)
     else:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        data = _load_csv(path, "signal file")
     if len(data) < MIN_SAMPLES:
         raise ValueError(f"signal file {path} must hold a 2-D float array{detail}")
     try:
@@ -205,7 +215,7 @@ def save_trajectory(path: str, trajectory: Trajectory) -> None:
 
 
 def load_trajectory(path: str) -> Trajectory:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    data = _load_csv(path, "trajectory file")
     if data.shape[1] == 5:
         return Trajectory(
             times=data[:, 0],
@@ -233,12 +243,8 @@ def _load_bin_rows(path: str, name: str, n_channels: int, n_bins: int, n_values:
     that is not an integer bin and channel in range with ``n_values``
     finite values, or that repeats a (bin, channel), fails naming the file,
     as does a file ``np.loadtxt`` cannot parse."""
-    try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).tolist()
-    except ValueError as exc:
-        raise ValueError(f"{name} {path}: {exc}") from None
     rows = {}
-    for k, row in enumerate(data, 1):
+    for k, row in enumerate(_load_csv(path, name).tolist(), 1):
         # a row of another width fails on its NaN bin
         b, c, *values = row if len(row) == 2 + n_values else (math.nan, math.nan)
         if not (b.is_integer() and c.is_integer() and 0 <= b < n_bins and 0 <= c < n_channels

@@ -138,7 +138,6 @@ SCHEMA = {
         ("nu0", FLOAT, PnPConfig.nu0, "initial coupling of the Tikhonov step"),
         ("iterations", INT, PnPConfig.n_iterations, "plug-and-play iterations"),
         ("trim_percentile", FLOAT, PnPConfig.trim_percentile, "trimmed before noise estimation"),
-        ("tv_scale", FLOAT, DenoiserRef.tv_scale, "TV weight per unit squared noise"),
         ("denoiser_command", WORDS, DenoiserRef.command, "argv of the external denoiser; "
          "empty: total variation"),
         ("denoiser_timeout_s", FLOAT, DenoiserRef.timeout, "wait per external request"),
@@ -298,11 +297,7 @@ class PipelineConfig:
 
     def denoiser(self) -> DenoiserRef:
         v = self.values["pnp"]
-        return DenoiserRef(
-            tv_scale=v["tv_scale"],
-            command=v["denoiser_command"],
-            timeout=v["denoiser_timeout_s"],
-        )
+        return DenoiserRef(command=v["denoiser_command"], timeout=v["denoiser_timeout_s"])
 
     def pnp(self) -> PnPConfig:
         v = self.values["pnp"]
@@ -376,11 +371,11 @@ class PipelineConfig:
                     f"[preprocess] {key} = {preprocess[key]} is only read with an snr_file"
                 )
         pnp = self.values["pnp"]
-        command = pnp["denoiser_command"]
-        key = "tv_scale" if command else "denoiser_timeout_s"
-        if pnp[key] != _DEFAULTS["pnp"][key]:
-            reader = "without" if command else "with"
-            raise ValueError(f"[pnp] {key} = {pnp[key]} is only read {reader} a denoiser_command")
+        timeout = pnp["denoiser_timeout_s"]
+        if timeout != _DEFAULTS["pnp"]["denoiser_timeout_s"] and not pnp["denoiser_command"]:
+            raise ValueError(
+                f"[pnp] denoiser_timeout_s = {timeout} is only read with a denoiser_command"
+            )
         for section, key, locate in _INPUTS if inputs else ():
             path = self.path(section, key)
             if path is not None and not os.path.exists(locate(path)):
@@ -623,6 +618,9 @@ class _Run:
                     )
                 trace_base = candidate
             image = load_image(trace_base)
+            if not np.all(np.isfinite(image.values)):
+                path = image_values_path(trace_base)
+                raise ValueError(f"image file {path} holds a non-finite value")
             self.deconv_input = (image.values, image.geometry)
         return self.deconv_input
 
@@ -638,14 +636,12 @@ class _Run:
 
     def deconvolve_stage(self):
         _, result, dip = self._deconvolve(self.config.kernel_spec(), self.config.pnp())
-        for rec in result.diagnostics.records:
+        for rec in result.records:
             k = f"iter{rec.iteration}"
             self.rows.append(("deconvolve", k, "nu", rec.nu))
             self.rows.append(("deconvolve", k, "sigma", rec.sigma))
             self.rows.append(("deconvolve", k, "lambda", rec.lam))
-        self.rows.append(
-            ("deconvolve", "all", "degenerate", int(result.diagnostics.degenerate))
-        )
+        self.rows.append(("deconvolve", "all", "degenerate", int(result.degenerate)))
         self.rows.append(("deconvolve", "all", "center_row_dip_ratio", dip))
         self._save_image("recon", result.image, self.deconv_input[1])
 

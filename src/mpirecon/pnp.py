@@ -58,16 +58,10 @@ class PnPIterationRecord:
 
 
 @dataclasses.dataclass
-class PnPDiagnostics:
-    records: list
-    lam: float | None
-    degenerate: bool  # constant iterate forced an early stop
-
-
-@dataclasses.dataclass
 class PnPResult:
     image: np.ndarray
-    diagnostics: PnPDiagnostics
+    records: list  # one PnPIterationRecord per iteration run
+    degenerate: bool  # constant iterate forced an early stop
 
 
 @dataclasses.dataclass(frozen=True)
@@ -127,7 +121,8 @@ def denoise(image: np.ndarray, sigma: float, backend) -> np.ndarray:
     the image is affinely mapped to [0, 1], ``sigma`` is rescaled by the
     same factor, and the map is inverted afterwards.
 
-    ``backend`` is an open denoiser (``open_denoiser``); the caller closes it.
+    ``backend`` is a callable ``(image, sigma) -> image``, such as the one
+    ``open_denoiser`` yields.
     """
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
@@ -153,11 +148,9 @@ def zero_shot_pnp(u: np.ndarray, kernel_image: np.ndarray, config: PnPConfig) ->
     spectra = tikhonov_spectra(u, kernel_image)
     rho2 = np.zeros_like(u)
     nu = config.nu0
-    lam = None
     records = []
     degenerate = False
-    session = open_denoiser(config.denoiser)
-    try:
+    with open_denoiser(config.denoiser) as backend:
         for k in range(config.n_iterations):
             rho1 = tikhonov_step(rho2, nu, spectra)
             rho1 = percentile_trim(rho1, config.trim_percentile)
@@ -168,11 +161,6 @@ def zero_shot_pnp(u: np.ndarray, kernel_image: np.ndarray, config: PnPConfig) ->
             if sigma == 0.0:
                 degenerate = True
                 break
-            rho2 = denoise(rho1, sigma, session)
+            rho2 = denoise(rho1, sigma, backend)
             nu = lam / sigma**2
-    finally:
-        session.close()
-    return PnPResult(
-        image=rho2,
-        diagnostics=PnPDiagnostics(records=records, lam=lam, degenerate=degenerate),
-    )
+    return PnPResult(image=rho2, records=records, degenerate=degenerate)

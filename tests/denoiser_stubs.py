@@ -42,6 +42,14 @@ stdout.write((0.5 * pixels).astype("<f8").tobytes())
 stdout.flush()
 """
 
+NAN_PIXEL_BODY = """\
+reply = pixels.astype("<f8")
+reply[0, 0] = np.nan
+stdout.write(raw)
+stdout.write(reply.tobytes())
+stdout.flush()
+"""
+
 BAD_MAGIC_BODY = """\
 stdout.write(b"JUNK" + raw[4:])
 stdout.write(pixels.astype("<f8").tobytes())

@@ -413,7 +413,7 @@ def test_criterion_08_percentile_trim_artifact_suppression():
         result = zero_shot_pnp(u, kernel, config)
         record_pnp_run(f"criterion-8 trim{trim:g}", [
             {"nu": r.nu, "sigma": r.sigma, "lambda": r.lam}
-            for r in result.diagnostics.records
+            for r in result.records
         ])
         energy[trim] = float(np.sum(result.image[~support] ** 2))
     crit.check(
@@ -526,7 +526,7 @@ def test_criterion_11_scan_from_a_finer_grid():
     kernel = discretize_kernel(grid, spec, "trace", scanner.gradient_field())
     result = zero_shot_pnp(trace, kernel / kernel.sum(), config.pnp())
     record_pnp_run("criterion-11 fine scan", [
-        {"nu": r.nu, "sigma": r.sigma, "lambda": r.lam} for r in result.diagnostics.records
+        {"nu": r.nu, "sigma": r.sigma, "lambda": r.lam} for r in result.records
     ])
 
     # truths: the fine exact trace at the coarse nodes, and the fine

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from denoiser_stubs import NAN_PIXEL_BODY, external_script
 from mpirecon.cli import build_parser, main
 from mpirecon.fileio import load_image
 from mpirecon.pipeline import STAGES, PipelineConfig
@@ -71,6 +72,16 @@ margin_mm = 2.4
     path = tmp_path / "pipeline.ini"
     path.write_text(text)
     return str(path), str(out)
+
+
+def deconvolve_only(path, trace_base):
+    """A config beside ``path`` that only deconvolves the trace at ``trace_base``."""
+    text = Path(path).read_text().replace(
+        "stages = simulate,core,deconvolve", "stages = deconvolve"
+    ) + f"\n[deconvolve]\ninput_trace = {trace_base}\n"
+    config = Path(path).parent / "deconvolve.ini"
+    config.write_text(text)
+    return str(config)
 
 
 class TestCommands:
@@ -169,13 +180,13 @@ class TestCommands:
         example = PipelineConfig.from_string(capsys.readouterr().out)
         assert example == PipelineConfig.from_string("")
 
-    def test_example_config_lists_the_50_keys(self, capsys):
+    def test_example_config_lists_the_49_keys(self, capsys):
         assert main(["example-config"]) == 0
         raw = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
         raw.read_string(capsys.readouterr().out)
         keys = [(section, key) for section in raw.sections() for key in raw[section]]
-        assert len(keys) == 50
-        assert ("pnp", "tv_scale") in keys and ("pnp", "tv_iterations") not in keys
+        assert len(keys) == 49
+        assert ("pnp", "tv_scale") not in keys and ("pnp", "tv_iterations") not in keys
 
 
 class TestFailures:
@@ -262,8 +273,8 @@ class TestFailures:
             ("pnp", "nu0", "-1", "nu0 must be positive"),
             ("pnp", "nu0", "nan", "nu0 must be finite, got nan"),
             ("pnp", "nu0", "inf", "nu0 must be finite, got inf"),
-            ("pnp", "tv_scale", "-1", "tv_scale must be nonnegative, got -1.0"),
-            ("pnp", "tv_scale", "inf", "tv_scale must be finite, got inf"),
+            # removed key: the TV weight is the squared noise level
+            ("pnp", "tv_scale", "1.0", "tv_scale: unknown key"),
             # removed key: the TV prox always runs TV_STEPS; the hint's key is another setting
             ("pnp", "tv_iterations", "24",
              "tv_iterations: unknown key; did you mean 'iterations'?"),
@@ -290,8 +301,7 @@ class TestFailures:
              "decimate-one-sample", "decimate-huge", "particle", "kernel", "core",
              "gamma-nan", "gamma-inf", "cg-tolerance-inf", "cg-tolerance-1e12",
              "cg-max-iterations-0", "cg-max-iterations-negative", "rows-repeated", "rows-range",
-             "interpolation", "pnp", "nu0-nan", "nu0-inf", "tv-scale", "tv-scale-inf",
-             "tv-iterations", "timeout", "timeout-inf", "timeout-1e10", "phantom", "margin-nan",
+             "interpolation", "pnp", "nu0-nan", "nu0-inf", "tv-scale", "tv-iterations", "timeout", "timeout-inf", "timeout-1e10", "phantom", "margin-nan",
              "dot-size-negative", "bar-width-zero", "bar-length-negative"],
     )
     def test_bad_value_fails_before_any_stage(self, config_file, capsys, section, key, value,
@@ -424,13 +434,61 @@ class TestFailures:
         damaged = tmp_path / ("full/trace" + suffix)
         lines = damaged.read_text().splitlines(keepends=True)
         damaged.write_text("".join(lines[:dropped] + lines[dropped + 1 :]))
-        text = Path(path).read_text().replace(
-            "stages = simulate,core,deconvolve", "stages = deconvolve"
-        ) + f"\n[deconvolve]\ninput_trace = {tmp_path / 'full' / 'trace'}\n"
-        config = tmp_path / "deconvolve.ini"
-        config.write_text(text)
-        assert main(["run", "--config", str(config), "--out", str(tmp_path / "again")]) == 1
+        config = deconvolve_only(path, tmp_path / "full" / "trace")
+        assert main(["run", "--config", config, "--out", str(tmp_path / "again")]) == 1
         assert capsys.readouterr().err == f"error: [deconvolve] image file {damaged}: {message}\n"
+
+    @pytest.mark.parametrize("command", ["deconvolve", "sweep"])
+    def test_non_finite_input_trace_fails_before_pnp(self, config_file, tmp_path, capsys,
+                                                    command):
+        # a NaN pixel would spread through the first Fourier solve to every pixel
+        path, _ = config_file
+        assert main(["run", "--config", path, "--out", str(tmp_path / "full")]) == 0
+        values = tmp_path / "full" / "trace.float.txt"
+        lines = values.read_text().splitlines(keepends=True)
+        lines[10] = "nan " + lines[10].split(" ", 1)[1]
+        values.write_text("".join(lines))
+        config = deconvolve_only(path, tmp_path / "full" / "trace")
+        again = tmp_path / "again"
+        argv = [command, "--config", config, "--out", str(again)]
+        assert main(argv + (["--pairs", "800,1e-5"] if command == "sweep" else [])) == 1
+        assert capsys.readouterr().err == (
+            f"error: [deconvolve] image file {values} holds a non-finite value\n"
+        )
+        assert not (again / "recon.float.txt").exists() and not (again / "sweep.csv").exists()
+
+    def test_non_finite_denoiser_reply_is_tagged(self, config_file, tmp_path, capsys):
+        path, out = config_file
+        command = " ".join(external_script(tmp_path, NAN_PIXEL_BODY))
+        text = Path(path).read_text()
+        assert text.count("[pnp]\n") == 1
+        config = tmp_path / "external.ini"
+        config.write_text(text.replace("[pnp]\n", f"[pnp]\ndenoiser_command = {command}\n"))
+        assert main(["run", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == (
+            "error: [deconvolve] reply image holds a non-finite pixel\n"
+        )
+        assert not os.path.exists(os.path.join(out, "recon.float.txt"))
+
+    @pytest.mark.parametrize(
+        "command, line, lines, content, message",
+        [("simulate", "repetition_time_s = 1.0",
+          "repetition_time_s = 1.0\ntrajectory_file = bad.csv", "t,x,y\n0,1\n1,2,3\n",
+          "[simulate] trajectory file {}: the number of columns changed from 2 to 3 at row 2"),
+         ("core", "[phantom]", "[preprocess]\nsignal_file = bad.csv\n\n[phantom]",
+          "t,s_x\n0,abc\n",
+          "[core] signal file {}: could not convert string 'abc' to float64 at row 0, column 2")],
+        ids=["trajectory-ragged", "signal-not-a-number"],
+    )
+    def test_unparsed_csv_input_is_tagged_naming_the_file(self, config_file, tmp_path, capsys,
+                                                          command, line, lines, content,
+                                                          message):
+        path, _ = config_file
+        bad = tmp_path / "bad.csv"
+        bad.write_text(content)
+        Path(path).write_text(Path(path).read_text().replace(line, lines))
+        assert main([command, "--config", path]) == 1
+        assert capsys.readouterr().err.startswith("error: " + message.format(bad))
 
     def test_parallel_velocities_core_system_is_tagged(self, tmp_path, capsys):
         # every sample moves along (1, 1): each pixel's data block has rank 1

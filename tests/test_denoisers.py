@@ -16,6 +16,7 @@ from denoiser_stubs import (
     BAD_MAGIC_BODY,
     ECHO_BODY,
     HALVE_BODY,
+    NAN_PIXEL_BODY,
     SILENT_BODY,
     WRONG_SHAPE_BODY,
     external_script,
@@ -25,16 +26,18 @@ from mpirecon.denoisers import (
     DenoiserRef,
     ExternalDenoiser,
     ExternalDenoiserError,
-    TotalVariationDenoiser,
     open_denoiser,
+    tv_denoise,
     tv_prox,
 )
 
 
 class TestDenoiserRef:
     def test_open_dispatch(self):
-        assert isinstance(open_denoiser(DenoiserRef()), TotalVariationDenoiser)
-        assert isinstance(open_denoiser(DenoiserRef(command=("true",))), ExternalDenoiser)
+        with open_denoiser(DenoiserRef()) as backend:
+            assert backend is tv_denoise
+        with open_denoiser(DenoiserRef(command=("true",))) as backend:
+            assert isinstance(backend, ExternalDenoiser)
 
     @pytest.mark.parametrize(
         "timeout, message",
@@ -59,12 +62,12 @@ class TestDenoiserRef:
 
     def test_fields(self):
         # the TV backend is told only the image and its noise level, like
-        # the external one: no field sets its step count
+        # the external one: no field sets its weight or its step count
         names = [field.name for field in dataclasses.fields(DenoiserRef)]
-        assert names == ["tv_scale", "command", "timeout"]
+        assert names == ["command", "timeout"]
 
     def test_fields_are_keyword_only(self):
-        # a positional backend name must not land in tv_scale
+        # a positional backend name must not land in command
         with pytest.raises(TypeError):
             DenoiserRef("total-variation")
 
@@ -119,16 +122,17 @@ class TestTotalVariation:
         x[1:] -= p
         assert np.abs(out[8] - x).max() < 0.02
 
-    @pytest.mark.parametrize("tv_scale, sigma", [(1.0, 0.05), (0.5, 0.2), (3.0, 0.013)])
-    def test_backend_is_the_prox_at_the_default_steps(self, tv_scale, sigma):
+    @pytest.mark.parametrize("sigma", [0.05, 0.2, 0.013])
+    def test_backend_is_the_prox_at_the_default_steps(self, sigma):
         img = self.noisy_step()
-        out = TotalVariationDenoiser(DenoiserRef(tv_scale=tv_scale))(img, sigma)
-        assert out.tobytes() == tv_prox(img, tv_scale * sigma**2, TV_STEPS).tobytes()
-        assert out.tobytes() != tv_prox(img, tv_scale * sigma**2, TV_STEPS + 1).tobytes()
+        out = tv_denoise(img, sigma)
+        assert out.tobytes() == tv_prox(img, sigma**2, TV_STEPS).tobytes()
+        assert out.tobytes() != tv_prox(img, sigma**2, TV_STEPS + 1).tobytes()
 
     def test_sigma_zero_identity_through_ref(self):
         img = self.noisy_step()
-        out = TotalVariationDenoiser(DenoiserRef())(img, 0.0)
+        with open_denoiser(DenoiserRef()) as backend:
+            out = backend(img, 0.0)
         assert np.array_equal(out, img)
 
     @settings(max_examples=300, deadline=None)
@@ -254,6 +258,13 @@ class TestExternalProtocol:
         with ExternalDenoiser(DenoiserRef(command=cmd, timeout=20.0)) as ext:
             with pytest.raises(ExternalDenoiserError, match="expected"):
                 ext(np.zeros((3, 3)), 0.1)
+
+    def test_non_finite_reply_rejected_and_child_closed(self, tmp_path):
+        cmd = external_script(tmp_path, NAN_PIXEL_BODY)
+        with ExternalDenoiser(DenoiserRef(command=cmd, timeout=20.0)) as ext:
+            with pytest.raises(ExternalDenoiserError, match="^reply image holds a non-finite"):
+                ext(np.zeros((3, 3)), 0.1)
+            assert ext._proc is None
 
     def test_timeout(self, tmp_path):
         cmd = external_script(tmp_path, SILENT_BODY)

@@ -55,6 +55,15 @@ def finite_arrays(rows, columns):
     return arrays(np.float64, st.tuples(rows, columns), elements=FINITE)
 
 
+# a ragged CSV and a non-numeric one, each with the message np.loadtxt gives
+UNPARSED_CSV = pytest.mark.parametrize(
+    "text, message",
+    [("0,1\n1,2,3\n", ": the number of columns changed from 2 to 3 at row 2"),
+     ("0,abc\n", ": could not convert string 'abc' to float64 at row 0, column 2")],
+    ids=["ragged", "not-a-number"],
+)
+
+
 class TestBlockWriter:
     @pytest.mark.parametrize("delimiter, header", [(",", "t,s_x,s_y"), (" ", None)])
     @settings(max_examples=60, deadline=None)
@@ -342,6 +351,13 @@ class TestSignalCsv:
         with pytest.raises(ValueError, match=r"^signal file .+signal\.npy must hold a 2-D float"):
             load_signal(path)
 
+    @UNPARSED_CSV
+    def test_unparsed_csv_is_refused_naming_it(self, tmp_path, text, message):
+        path = tmp_path / "signal.csv"
+        path.write_text("t,s_x\n" + text)
+        with pytest.raises(ValueError, match=f"^signal file {re.escape(str(path))}{message}"):
+            load_signal(str(path))
+
     @pytest.mark.parametrize("pickled", ["object-array", "bare-pickle"])
     def test_pickled_npy_refused(self, tmp_path, pickled):
         path = tmp_path / "signal.npy"
@@ -356,6 +372,13 @@ class TestSignalCsv:
 
 
 class TestTrajectoryCsv:
+    @UNPARSED_CSV
+    def test_unparsed_file_is_refused_naming_it(self, tmp_path, text, message):
+        path = tmp_path / "traj.csv"
+        path.write_text("t,x,y\n" + text)
+        with pytest.raises(ValueError, match=f"^trajectory file {re.escape(str(path))}{message}"):
+            load_trajectory(str(path))
+
     def test_round_trip_with_velocities(self, tmp_path):
         rng = np.random.default_rng(2)
         traj = Trajectory(

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from mpirecon.denoisers import DenoiserRef, open_denoiser
+from denoiser_stubs import ECHO_BODY, external_script
+from mpirecon.denoisers import DenoiserRef, tv_denoise
 from mpirecon.geometry import GridGeometry
 from mpirecon.kernels import KernelSpec, discretize_kernel
 from mpirecon.pnp import (
@@ -210,12 +211,12 @@ class TestDenoise:
     def test_sigma_zero_identity(self):
         rng = np.random.default_rng(7)
         img = rng.uniform(size=(10, 10))
-        out = denoise(img, 0.0, open_denoiser(DenoiserRef()))
+        out = denoise(img, 0.0, tv_denoise)
         assert np.array_equal(out, img)
 
     def test_constant_image_unchanged(self):
         img = np.full((6, 6), -2.5)
-        assert np.array_equal(denoise(img, 0.3, open_denoiser(DenoiserRef())), img)
+        assert np.array_equal(denoise(img, 0.3, tv_denoise), img)
 
     def test_affine_equivariance_of_normalization(self):
         # the [0, 1] normalization contract makes the result covariant
@@ -232,7 +233,7 @@ class TestDenoise:
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
-            denoise(np.zeros((3, 3)), -0.1, open_denoiser(DenoiserRef()))
+            denoise(np.zeros((3, 3)), -0.1, tv_denoise)
 
 
 class TestZeroShotPnp:
@@ -240,8 +241,8 @@ class TestZeroShotPnp:
         kernel = desk_kernel()
         result = zero_shot_pnp(np.zeros(kernel.shape), kernel, PnPConfig(nu0=1e-5))
         assert np.array_equal(result.image, np.zeros(kernel.shape))
-        assert result.diagnostics.degenerate
-        assert len(result.diagnostics.records) == 1
+        assert result.degenerate
+        assert len(result.records) == 1
 
     def test_schedule_invariant(self):
         kernel = desk_kernel()
@@ -250,10 +251,11 @@ class TestZeroShotPnp:
         result = zero_shot_pnp(
             u, kernel, PnPConfig(nu0=1e-5, n_iterations=8)
         )
-        records = result.diagnostics.records
-        lam = result.diagnostics.lam
+        records = result.records
+        lam = records[0].lam
         assert lam == records[0].nu * records[0].sigma ** 2
         for prev, cur in zip(records, records[1:]):
+            assert cur.lam == lam
             assert abs(cur.nu * prev.sigma**2 - lam) <= 1e-12 * abs(lam)
 
     def test_two_bar_resolution(self):
@@ -274,9 +276,9 @@ class TestZeroShotPnp:
         assert dip_ratio(result.image[CENTER], a, b) < 0.2
 
     @pytest.mark.parametrize("nu0", [1.0, 1e-3])
-    def test_identity_denoiser_matches_fourier_tikhonov(self, nu0):
-        # tv_scale 0 makes the TV backend an identity at any sigma, so
-        # a single loop iteration is exactly the Tikhonov deconvolution
+    def test_identity_denoiser_matches_fourier_tikhonov(self, tmp_path, nu0):
+        # an external denoiser echoing its input is an identity at any
+        # sigma, so a single loop iteration is exactly the Tikhonov deconvolution
         # at nu0, which has a closed Fourier form.  (Later
         # iterations deliberately drift: the noise schedule turns the
         # loop into a proximal iteration toward the unregularized
@@ -288,7 +290,7 @@ class TestZeroShotPnp:
             nu0=nu0,
             n_iterations=1,
             trim_percentile=0.0,
-            denoiser=DenoiserRef(tv_scale=0.0),
+            denoiser=DenoiserRef(command=external_script(tmp_path, ECHO_BODY)),
         )
         result = zero_shot_pnp(u, kernel, config)
         spectrum = np.fft.fft2(kernel)
